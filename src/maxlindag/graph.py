@@ -33,6 +33,11 @@ class Dag:
     Construction validates node ranges, forbids self loops, and runs a
     Kahn-style topological sort; a cyclic edge set raises :class:`CycleError`
     rather than producing a half-valid object.
+
+    Ancestor and descendant queries, and :func:`reachability_matrix`, read
+    one read-only boolean d x d reachability matrix (d*d bytes), computed on
+    the first query and kept.  Computing it is idempotent, so concurrent
+    first queries from several threads are harmless.
     """
 
     d: int
@@ -40,6 +45,7 @@ class Dag:
     _parents: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     _children: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     _topo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _reach: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(d, (int, np.integer)) or d < 1:
@@ -75,6 +81,7 @@ class Dag:
         object.__setattr__(self, "_parents", tuple(frozenset(p) for p in parents))
         object.__setattr__(self, "_children", tuple(frozenset(c) for c in children))
         object.__setattr__(self, "_topo", tuple(topo))
+        object.__setattr__(self, "_reach", None)
 
     def _check_node(self, i: int) -> int:
         if not (1 <= i <= self.d):
@@ -89,29 +96,30 @@ class Dag:
 
     def ancestors(self, i: int) -> frozenset[int]:
         """Strict ancestors an(i): nodes with a directed path to ``i``."""
-        return self._reach(i, self._parents)
+        return self.ancestors_closed(i) - {i}
 
     def descendants(self, i: int) -> frozenset[int]:
         """Strict descendants de(i)."""
-        return self._reach(i, self._children)
+        return self.descendants_closed(i) - {i}
 
     def ancestors_closed(self, i: int) -> frozenset[int]:
         """An(i) = an(i) plus ``i`` itself."""
-        return self.ancestors(i) | {self._check_node(i)}
+        return _nodes(self._reachability()[:, self._check_node(i) - 1])
 
     def descendants_closed(self, i: int) -> frozenset[int]:
-        return self.descendants(i) | {self._check_node(i)}
+        return _nodes(self._reachability()[self._check_node(i) - 1])
 
-    def _reach(self, i: int, step: tuple[frozenset[int], ...]) -> frozenset[int]:
-        self._check_node(i)
-        seen: set[int] = set()
-        stack = list(step[i])
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(step[v] - seen)
-        return frozenset(seen)
+    def _reachability(self) -> np.ndarray:
+        # Read-only boolean R with R[j-1, i-1] iff j is in An(i).
+        if self._reach is None:
+            closed = np.eye(self.d, dtype=bool)  # row i-1 marks An(i)
+            for i in self._topo:
+                if self._parents[i]:
+                    closed[i - 1] |= closed[[k - 1 for k in self._parents[i]]].any(axis=0)
+            reach = closed.T
+            reach.flags.writeable = False
+            object.__setattr__(self, "_reach", reach)
+        return self._reach
 
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
@@ -192,12 +200,12 @@ def reachability_matrix(dag: Dag) -> np.ndarray:
     Equals the sign pattern of any max-linear coefficient matrix on the DAG;
     the diagonal is all ones and the relation is transitively closed.
     """
-    d = dag.d
-    reach = np.eye(d, dtype=np.int64)
-    for i in dag.topological_order():
-        for k in dag.parents(i):
-            reach[:, i - 1] |= reach[:, k - 1]
-    return reach
+    return dag._reachability().astype(np.int64)
+
+
+def _nodes(mask: np.ndarray) -> frozenset[int]:
+    # 1-based node labels of the True entries.
+    return frozenset((np.flatnonzero(mask) + 1).tolist())
 
 
 def is_reachability_matrix(matrix: np.ndarray) -> bool:
@@ -209,14 +217,15 @@ def is_reachability_matrix(matrix: np.ndarray) -> bool:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if not np.isin(m, (0, 1)).all():
+    if not ((m == 0) | (m == 1)).all():
         return False
     m = m.astype(np.int64)
     if not (np.diag(m) == 1).all():
         return False
-    if ((m & m.T) & ~np.eye(m.shape[0], dtype=np.int64) > 0).any():
+    if (m & m.T).sum() != m.shape[0]:  # mutual reachability off the diagonal
         return False
-    closure = (m @ m) > 0
+    counts = m.astype(float)  # BLAS product; path counts stay exact below 2**53
+    closure = (counts @ counts) > 0
     return bool((m[closure] == 1).all())
 
 

@@ -13,6 +13,14 @@ topological order), standardizes it to unit column sums, and decides the
 structural questions that drive identifiability: which paths are
 max-weighted, whether a matrix is a valid (max-weighted) coefficient matrix,
 and what the minimum representing DAG is.
+
+Those structural questions all compare ``b_ki`` with the max-times
+"through" values ``b_kl * b_li / b_ll`` over intermediate nodes ``l``.  One
+private kernel, :func:`_through`, computes their largest and smallest value
+for every pair at once; :func:`minimum_ml_dag`, :func:`is_rmwm_mlcm` and,
+through the former, :func:`is_mlcm` read their answers from it.  The kernel
+works in blocks whose temporaries hold at most ``_THROUGH_BLOCK`` elements
+(512 KB of float64), beside its two d x d outputs.
 """
 from __future__ import annotations
 
@@ -23,7 +31,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Dag, is_reachability_matrix
-from .tolerance import DEFAULT_TOL, Verdict, max_rel_residual, rel_residual
+from .tolerance import DEFAULT_TOL, Verdict, max_rel_residual, rel_residual, rel_residuals
+
+# Element cap on each temporary of the through kernel.
+_THROUGH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,10 +138,37 @@ def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float
     return bbar ** (1.0 / alpha) * beta[None, :]
 
 
-def _ancestor_sets(pattern: np.ndarray) -> list[np.ndarray]:
-    # strict ancestor index arrays (0-based) per column
-    d = pattern.shape[0]
-    return [np.flatnonzero(pattern[:, i] & (np.arange(d) != i)) for i in range(d)]
+def _through(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest ``(b_kl * b_li) / b_ll`` over chains k -> l -> i.
+
+    Only intermediate nodes ``l`` other than ``k`` and ``i`` with
+    ``b_kl > 0`` and ``b_li > 0`` count.  Returns ``(hi, lo)``; pairs without
+    such an ``l`` get ``-inf`` and ``inf``.  The product is formed first and
+    then divided, as in the scalar formula, so every value is bit-identical
+    to it.  Rows of ``k``, and columns of ``i`` when one row is too big, are
+    taken in blocks whose temporaries hold at most ``_THROUGH_BLOCK``
+    elements.
+    """
+    d = b.shape[0]
+    off = b <= 0
+    np.fill_diagonal(off, True)
+    diag = np.diag(b)[:, None]
+    hi = np.full((d, d), -np.inf)
+    lo = np.full((d, d), np.inf)
+    cols = max(1, min(d, _THROUGH_BLOCK // max(d, 1)))
+    rows = max(1, _THROUGH_BLOCK // (d * cols))
+    for k0 in range(0, d, rows):
+        ks = slice(k0, k0 + rows)
+        for i0 in range(0, d, cols):
+            cs = slice(i0, i0 + cols)
+            values = b[ks, :, None] * b[None, :, cs]
+            values /= diag
+            off_chain = off[ks, :, None] | off[None, :, cs]
+            np.copyto(values, -np.inf, where=off_chain)
+            hi[ks, cs] = values.max(axis=1)
+            np.copyto(values, np.inf, where=off_chain)
+            lo[ks, cs] = values.min(axis=1)
+    return hi, lo
 
 
 def max_weighted_triple(
@@ -162,18 +200,27 @@ def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     Checks ``b_ji == b_jk * b_ki / b_kk`` for every chained triple of the
     support pattern.  The pattern itself must be a reachability matrix;
     anything else is a precondition violation, not a negative verdict.
+
+    The worst residual is read from the through kernel (temporaries capped
+    at ``_THROUGH_BLOCK`` elements): a relative residual against ``b_ji``
+    peaks at the largest or the smallest through value, so only those two
+    are compared.
     """
     bbar = _validate_mlcm_shape(bbar)
     pattern = sign_pattern(bbar)
     if not is_reachability_matrix(pattern):
         raise ValidationError("support pattern is not a reachability matrix of a DAG")
-    ancestors = _ancestor_sets(pattern)
-    worst = 0.0
-    for i in range(bbar.shape[0]):
-        for k in ancestors[i]:
-            for j in ancestors[k]:
-                through = bbar[j, k] * bbar[k, i] / bbar[k, k]
-                worst = max(worst, rel_residual(bbar[j, i], through))
+    hi, lo = _through(bbar)
+    chained = hi != -np.inf
+    if not chained.any():
+        return Verdict(True, 0.0)
+    # Exact to the bit while a through value stays below 2 * b_ji, the only
+    # range where a residual can pass any tolerance below one half.
+    direct = bbar[chained]
+    worst = max(
+        float(rel_residuals(direct, hi[chained]).max()),
+        float(rel_residuals(direct, lo[chained]).max()),
+    )
     return Verdict(worst <= tol, worst)
 
 
@@ -185,28 +232,21 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
     ``b_kl * b_li / b_ll`` over intermediate nodes ``l``.  Works for
     standardized and unstandardized matrices alike since the criterion is
     scale-free.
+
+    Only the largest through value from the kernel (temporaries capped at
+    ``_THROUGH_BLOCK`` elements) is compared: the relative gap below
+    ``b_ki`` shrinks as the through value grows.
     """
     b = _validate_mlcm_shape(b)
     pattern = sign_pattern(b)
     if not is_reachability_matrix(pattern):
         raise ValidationError("support pattern is not a reachability matrix of a DAG")
-    d = b.shape[0]
-    ancestors = _ancestor_sets(pattern)
-    edges = set()
-    for i in range(d):
-        anc_i = set(ancestors[i].tolist())
-        for k in ancestors[i]:
-            mids = [l for l in anc_i if pattern[k, l] and l != k]
-            direct = b[k, i]
-            redundant = False
-            for l in mids:
-                through = b[k, l] * b[l, i] / b[l, l]
-                if direct <= through or rel_residual(direct, through) <= tol:
-                    redundant = True
-                    break
-            if not redundant:
-                edges.add((int(k) + 1, int(i) + 1))
-    return Dag(d, edges)
+    hi, _ = _through(b)
+    strict = pattern.astype(bool)
+    np.fill_diagonal(strict, False)
+    redundant = (b <= hi) | (rel_residuals(b, hi) <= tol)
+    ks, is_ = np.nonzero(strict & ~redundant)
+    return Dag(b.shape[0], zip((ks + 1).tolist(), (is_ + 1).tolist()))
 
 
 def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:

@@ -24,6 +24,9 @@ from .errors import IllConditionedError, ValidationError
 from .graph import Dag, reachability_matrix
 from .tolerance import DEFAULT_TOL, ZERO_TOL
 
+# Element cap on each temporary of the clique filter.
+_FILTER_BLOCK = 1 << 16
+
 
 def validate_tdm(chi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check symmetry, unit diagonal, and [0, 1] range; return as float array."""
@@ -174,15 +177,22 @@ def clique_initial_filter(
         for b in w:
             if a < b and positive[a - 1, b - 1]:
                 raise ValidationError(f"nodes {a} and {b} have positive tail dependence")
-    rest = [v for v in range(1, d + 1) if v not in set(w)]
-    widx = [v - 1 for v in w]
-    for i in rest:
-        for j in rest:
-            if j < i:
-                continue
-            bound = np.minimum(chi[widx, i - 1], chi[widx, j - 1]).sum()
-            if chi[i - 1, j - 1] < bound - tol:
-                return False
+    # The bound for every pair outside W is one sum over W's contiguous
+    # last axis, so it adds in the same order as a sum over a 1-d vector
+    # does; rows are taken in blocks of at most _FILTER_BLOCK elements.
+    w = np.asarray(w) - 1
+    rest = np.ones(chi.shape[0], dtype=bool)
+    rest[w] = False
+    to_w = chi[w][:, rest].T.copy()  # chi(k, i) at [i, k]
+    among = chi[rest][:, rest]
+    r = to_w.shape[0]
+    rows = max(1, _FILTER_BLOCK // max(r * w.size, 1))
+    cols = np.arange(r)
+    for a0 in range(0, r, rows):
+        bound = np.minimum(to_w[a0 : a0 + rows, None, :], to_w).sum(axis=-1)
+        low = among[a0 : a0 + rows] < bound - tol
+        if (low & (cols >= cols[a0 : a0 + rows, None])).any():
+            return False
     return True
 
 
@@ -286,11 +296,11 @@ class RmwmTdmCheck:
         return self.ok
 
 
-def _chi_close(a: float, b: float, tol: float) -> bool:
+def _chi_close(a, b, tol: float):
     # chi entries live in [0, 1]: flooring the scale at one makes the
     # comparison absolute there, so sub-tolerance perturbations of any
-    # entry, however small, never flip a verdict.
-    return abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
+    # entry, however small, never flip a verdict.  Works elementwise.
+    return np.abs(a - b) <= tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
 def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmTdmCheck:
@@ -308,7 +318,12 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
 
     Zero classification in (a) and the equality comparisons in (c), (d)
     treat ``tol`` absolutely on the [0, 1] scale, so perturbations below
-    the tolerance never flip the verdict.
+    the tolerance never flip the verdict.  ``failures`` lists (c) in
+    ascending (i, j, k) and (d) in ascending (i, j) order.
+
+    All ancestry comes from the DAG's cached reachability matrix; (b)-(d)
+    and the final ``std_mlcm`` are numpy passes one node at a time, with
+    O(d^2) temporaries.  Sums run in numpy's order.
     """
     chi = validate_tdm(chi, tol)
     if chi.shape[0] != dag.d:
@@ -316,11 +331,13 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     d = dag.d
     failures: list[str] = []
 
-    reach = reachability_matrix(dag)
-    common_counts = reach.T @ reach
+    reach = reachability_matrix(dag).astype(bool)
+    strict = reach & ~np.eye(d, dtype=bool)
+    counts = reach.astype(float)
+    common = (counts.T @ counts) > 0
     positive = chi > tol
     np.fill_diagonal(positive, True)
-    mismatch = positive != (common_counts > 0)
+    mismatch = positive != common
     if mismatch.any():
         a, b = map(int, np.argwhere(mismatch)[0])
         failures.append(
@@ -329,45 +346,44 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
 
     diag = np.zeros(d)
     for i in dag.topological_order():
-        acc = sum(diag[k - 1] * chi[k - 1, i - 1] for k in dag.ancestors(i))
-        diag[i - 1] = 1.0 - acc
+        an = strict[:, i - 1]
+        diag[i - 1] = 1.0 - (diag[an] * chi[an, i - 1]).sum()
     bad = [i + 1 for i in range(d) if diag[i] <= 0.0]
     if bad:
         failures.append(f"(b) nonpositive diagonal at nodes {bad}")
 
     for i in range(1, d + 1):
-        parents = dag.parents(i)
-        for j in dag.ancestors(i):
-            for k in dag.descendants(j) & parents:
-                lhs = chi[j - 1, i - 1]
-                rhs = chi[j - 1, k - 1] * chi[k - 1, i - 1]
-                if not _chi_close(lhs, rhs, tol):
-                    failures.append(
-                        f"(c) chain ({j},{k},{i}): chi={lhs!r} vs product={rhs!r}"
-                    )
-
-    for i in range(1, d + 1):
-        an_i = dag.ancestors_closed(i)
-        for j in range(i + 1, d + 1):
-            if j in an_i or i in dag.ancestors_closed(j):
-                continue
-            shared = an_i & dag.ancestors_closed(j)
-            if not shared:
-                continue
-            rhs = sum(
-                diag[k - 1] * min(chi[k - 1, i - 1], chi[k - 1, j - 1]) for k in shared
+        parents = sorted(dag.parents(i))
+        if not parents:
+            continue
+        pa = np.asarray(parents) - 1
+        lhs = chi[:, i - 1, None]
+        rhs = chi[:, pa] * chi[pa, i - 1]
+        violated = strict[:, pa] & ~_chi_close(lhs, rhs, tol)
+        for j, p in np.argwhere(violated):
+            failures.append(
+                f"(c) chain ({j + 1},{parents[p]},{i}): "
+                f"chi={lhs[j, 0]!r} vs product={rhs[j, p]!r}"
             )
-            if not _chi_close(chi[i - 1, j - 1], rhs, tol):
-                failures.append(
-                    f"(d) pair ({i},{j}): chi={chi[i - 1, j - 1]!r} vs combination={rhs!r}"
-                )
+
+    nodes = np.arange(d)
+    for i in range(1, d + 1):
+        an_i = reach[:, i - 1]
+        js = np.flatnonzero((nodes >= i) & common[i - 1] & ~an_i & ~reach[i - 1])
+        if not js.size:
+            continue
+        shared = an_i[:, None] & reach[:, js]
+        terms = diag[:, None] * np.minimum(chi[:, i - 1, None], chi[:, js])
+        rhs = np.where(shared, terms, 0.0).sum(axis=0)
+        lhs = chi[i - 1, js]
+        for n in np.flatnonzero(~_chi_close(lhs, rhs, tol)):
+            failures.append(
+                f"(d) pair ({i},{js[n] + 1}): chi={lhs[n]!r} vs combination={rhs[n]!r}"
+            )
 
     if failures:
         return RmwmTdmCheck(False, diag, None, tuple(failures))
 
-    bbar = np.zeros((d, d))
-    for i in range(1, d + 1):
-        bbar[i - 1, i - 1] = diag[i - 1]
-        for j in dag.ancestors(i):
-            bbar[j - 1, i - 1] = diag[j - 1] * chi[j - 1, i - 1]
+    bbar = np.where(strict, diag[:, None] * chi, 0.0)
+    np.fill_diagonal(bbar, diag)
     return RmwmTdmCheck(True, diag, bbar, ())

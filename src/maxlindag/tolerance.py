@@ -49,8 +49,8 @@ def rel_residual(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def max_rel_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise relative deviation between two arrays."""
+def rel_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise :func:`rel_residual`, bit for bit."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -58,5 +58,10 @@ def max_rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     diff = np.abs(a - b)
     scale = np.maximum(np.abs(a), np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(diff == 0.0, 0.0, diff / np.where(scale == 0.0, 1.0, scale))
+        return np.where(diff == 0.0, 0.0, diff / np.where(scale == 0.0, 1.0, scale))
+
+
+def max_rel_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entrywise relative deviation between two arrays."""
+    ratio = rel_residuals(a, b)
     return float(ratio.max()) if ratio.size else 0.0

@@ -147,6 +147,63 @@ def is_mlcm_by_reconstruction(bbar: np.ndarray, tol: float = 1e-9) -> bool:
     return bool((np.abs(rebuilt - bbar) <= tol * np.maximum(scale, 1.0)).all())
 
 
+def _rel(a: float, b: float) -> float:
+    # |a - b| / max(|a|, |b|), zero when equal
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def _strict_ancestors(b: np.ndarray) -> list[list[int]]:
+    d = b.shape[0]
+    return [[k for k in range(d) if k != i and b[k, i] > 0] for i in range(d)]
+
+
+def minimum_ml_dag_edges(b: np.ndarray, tol: float = 1e-9) -> set[tuple[int, int]]:
+    """Edges k -> i whose direct coefficient beats every chained route.
+
+    Triple loop over (i, k, l): the edge goes when some intermediate l has
+    ``b_ki <= b_kl * b_li / b_ll`` or lies within ``tol`` of it.
+    """
+    ancestors = _strict_ancestors(b)
+    edges = set()
+    for i in range(b.shape[0]):
+        for k in ancestors[i]:
+            redundant = False
+            for l in ancestors[i]:
+                if l == k or b[k, l] <= 0:
+                    continue
+                through = b[k, l] * b[l, i] / b[l, l]
+                if b[k, i] <= through or _rel(b[k, i], through) <= tol:
+                    redundant = True
+                    break
+            if not redundant:
+                edges.add((k + 1, i + 1))
+    return edges
+
+
+def rmwm_worst_residual(bbar: np.ndarray) -> float:
+    """Largest relative gap between b_ji and b_jk * b_ki / b_kk over chains j -> k -> i."""
+    ancestors = _strict_ancestors(bbar)
+    worst = 0.0
+    for i in range(bbar.shape[0]):
+        for k in ancestors[i]:
+            for j in ancestors[k]:
+                through = bbar[j, k] * bbar[k, i] / bbar[k, k]
+                worst = max(worst, _rel(bbar[j, i], through))
+    return worst
+
+
+def clique_filter(chi: np.ndarray, clique, tol: float = 1e-9) -> bool:
+    """Initial-set filter pair by pair: chi(i, j) >= sum_W min(chi(k, i), chi(k, j)) - tol."""
+    d = chi.shape[0]
+    widx = sorted(v - 1 for v in clique)
+    rest = [v for v in range(d) if v not in widx]
+    for i in rest:
+        for j in rest:
+            if j >= i and chi[i, j] < np.minimum(chi[widx, i], chi[widx, j]).sum() - tol:
+                return False
+    return True
+
+
 def chartdm_conditions(
     d: int, edges: set[tuple[int, int]], chi: np.ndarray, tol: float = 1e-9
 ) -> bool:

@@ -236,6 +236,77 @@ class TestMinimumMlDag:
             assert minimum_ml_dag(raw) == minimum_ml_dag(entry.bbar)
 
 
+def large_bbars() -> list[tuple[str, np.ndarray]]:
+    """Standardized matrices of every kind at d = 12 .. 60, from a fixed seed."""
+    rng = np.random.default_rng(4242)
+    out = []
+    for d in (12, 25, 40, 60):
+        for kind in ("general", "polytree", "homogeneous"):
+            model = random_weighted_model(
+                d, float(rng.uniform(0.1, 0.6)), (0.5, 2.0), 1.0, rng,
+                polytree=kind == "polytree", homogeneous=kind == "homogeneous",
+            )
+            out.append((f"{kind}-{d}", standardize(mlcm_from_weights(model), 1.0)))
+    return out
+
+
+def scaled_chained_entry(bbar: np.ndarray, factor: float) -> np.ndarray:
+    """Copy with the first entry that has an intermediate node scaled by ``factor``."""
+    pattern = bbar > 0
+    d = bbar.shape[0]
+    for j in range(d):
+        for i in range(d):
+            if j != i and pattern[j, i] and any(
+                l not in (j, i) and pattern[j, l] and pattern[l, i] for l in range(d)
+            ):
+                out = bbar.copy()
+                out[j, i] *= factor
+                return out
+    raise AssertionError("no chained entry")
+
+
+LARGE_BBARS = large_bbars()
+BOUNDARY_FACTORS = (1 + 0.5e-9, 1 - 0.5e-9, 1 + 2e-9, 1 - 2e-9)
+
+
+class TestChecksAgainstTripleLoops:
+    @pytest.mark.parametrize("name,bbar", LARGE_BBARS, ids=[n for n, _ in LARGE_BBARS])
+    def test_minimum_ml_dag_same_edges(self, name, bbar):
+        assert set(minimum_ml_dag(bbar).edges) == oracles.minimum_ml_dag_edges(bbar)
+
+    @pytest.mark.parametrize("name,bbar", LARGE_BBARS, ids=[n for n, _ in LARGE_BBARS])
+    def test_is_rmwm_mlcm_bit_equal_residual(self, name, bbar):
+        verdict = is_rmwm_mlcm(bbar)
+        worst = oracles.rmwm_worst_residual(bbar)
+        assert verdict.residual.hex() == worst.hex()
+        assert verdict.ok == (worst <= 1e-9)
+        if not name.startswith("general"):
+            assert verdict.ok
+
+    @pytest.mark.parametrize("factor", BOUNDARY_FACTORS)
+    @pytest.mark.parametrize("kind", ["polytree", "homogeneous"])
+    def test_tolerance_boundary(self, kind, factor):
+        bbar = dict(LARGE_BBARS)[f"{kind}-40"]
+        scaled = scaled_chained_entry(bbar, factor)
+        verdict = is_rmwm_mlcm(scaled)
+        worst = oracles.rmwm_worst_residual(scaled)
+        assert verdict.residual.hex() == worst.hex()
+        assert verdict.ok == (abs(factor - 1) < 1e-9)
+        assert set(minimum_ml_dag(scaled).edges) == oracles.minimum_ml_dag_edges(scaled)
+
+    def test_boundary_decides_a_redundant_edge(self):
+        # 1 -> 2 -> 3 plus 1 -> 3 with every path max-weighted: b_13 equals
+        # the route through 2, so 1 -> 3 goes until it beats it by > 1e-9.
+        dag = Dag(3, {(1, 2), (2, 3), (1, 3)})
+        bbar = standardize(mlcm_from_weights(homogeneous_model(dag, 1.0)), 1.0)
+        for factor in BOUNDARY_FACTORS:
+            scaled = bbar.copy()
+            scaled[0, 2] *= factor
+            edges = set(minimum_ml_dag(scaled).edges)
+            assert edges == oracles.minimum_ml_dag_edges(scaled)
+            assert ((1, 3) in edges) == (factor > 1 + 1e-9)
+
+
 class TestIsMlcm:
     def test_triangle_valid_matrix_accepted(self):
         assert is_mlcm(BBAR_TRIANGLE_VALID).ok

@@ -30,6 +30,7 @@ from maxlindag import (
     mlcm_from_weights,
     mu_coefficients,
     mu_representation,
+    random_weighted_model,
     reachability_matrix,
     standardize,
     tdm_from_std_mlcm,
@@ -180,6 +181,35 @@ class TestCliqueInitialFilter:
         chi = hom_chi(Dag(3, {(1, 2), (2, 3)}))
         with pytest.raises(ValidationError):
             clique_initial_filter(chi, (1, 2))
+
+    def test_tolerance_boundary(self):
+        # 2 <- 1 -> 3: chi(2, 3) meets its bound min(chi(1, 2), chi(1, 3)) exactly.
+        chi = hom_chi(Dag(3, {(1, 2), (1, 3)}))
+        for gap, kept in ((0.5e-9, True), (2e-9, False)):
+            lowered = chi.copy()
+            lowered[1, 2] = lowered[2, 1] = chi[1, 2] - gap
+            assert clique_initial_filter(lowered, (1,)) == kept
+            assert oracles.clique_filter(lowered, (1,)) == kept
+
+    def test_node_paired_with_itself_counts(self):
+        # chi(3, 3) = 1 falls short of chi(1, 3) + chi(2, 3) = 1.2
+        chi = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [0.6, 0.6, 1.0]])
+        assert not clique_initial_filter(chi, (1, 2))
+        assert not oracles.clique_filter(chi, (1, 2))
+
+    def test_agrees_with_pairwise_loop_on_every_maximum_clique(self, corpus):
+        # d = 40 polytrees have cliques of 9 and more nodes, where numpy's
+        # 1-d sum stops adding left to right
+        chis = [entry.chi for entry in corpus[:200]]
+        model = random_weighted_model(40, alpha=1.0, seed_or_rng=8, polytree=True)
+        chis.append(tdm_from_std_mlcm(standardize(mlcm_from_weights(model), 1.0)))
+        outcomes = set()
+        for chi in chis:
+            for clique in maximum_chi_cliques(chi):
+                ours = clique_initial_filter(chi, clique)
+                assert ours == oracles.clique_filter(chi, clique)
+                outcomes.add(ours)
+        assert outcomes == {True, False}
 
 
 class TestLambdaRepresentation:
@@ -420,16 +450,35 @@ class TestCheckRmwmTdm:
 
     def test_agrees_with_condition_oracle(self, rmwm_corpus):
         rng = np.random.default_rng(55)
-        for entry in rmwm_corpus[:40]:
-            edges = set(entry.dag.edges)
-            ok = bool(check_rmwm_tdm(entry.dag, entry.chi))
-            assert ok == oracles.chartdm_conditions(entry.dag.d, edges, entry.chi)
-            if entry.dag.d < 2:
+        model_rng = np.random.default_rng(56)
+        cases = [(entry.dag, entry.chi) for entry in rmwm_corpus[:40]]
+        for d in (40, 48):
+            for kind in ("general", "polytree", "homogeneous"):
+                model = random_weighted_model(
+                    d, 0.15, (0.5, 2.0), 1.0, model_rng,
+                    polytree=kind == "polytree", homogeneous=kind == "homogeneous",
+                )
+                bbar = standardize(mlcm_from_weights(model), 1.0)
+                cases.append((model.dag, tdm_from_std_mlcm(bbar)))
+        for dag, entry_chi in cases:
+            edges = set(dag.edges)
+            ok = bool(check_rmwm_tdm(dag, entry_chi))
+            assert ok == oracles.chartdm_conditions(dag.d, edges, entry_chi)
+            if dag.d < 2:
                 continue
-            chi = entry.chi.copy()
-            i, j = sorted(rng.choice(entry.dag.d, size=2, replace=False))
+            chi = entry_chi.copy()
+            i, j = sorted(rng.choice(dag.d, size=2, replace=False))
             delta = 0.05 if rng.random() < 0.5 else -0.05
             chi[i, j] = chi[j, i] = float(np.clip(chi[i, j] + delta, 0.0, 1.0))
-            assert bool(check_rmwm_tdm(entry.dag, chi)) == oracles.chartdm_conditions(
-                entry.dag.d, edges, chi
+            assert bool(check_rmwm_tdm(dag, chi)) == oracles.chartdm_conditions(
+                dag.d, edges, chi
             )
+
+    def test_failures_listed_in_ascending_order(self):
+        # 2 -> 3 <- 9 and 3 -> 10: lowering chi(3, 10) breaks the chain
+        # conditions (2, 3, 10) and (9, 3, 10) and nothing else of (c).
+        dag = Dag(10, {(2, 3), (9, 3), (3, 10)})
+        chi = hom_chi(dag)
+        chi[2, 9] = chi[9, 2] = chi[2, 9] - 0.1
+        chains = [f for f in check_rmwm_tdm(dag, chi).failures if f.startswith("(c)")]
+        assert [f.split(":")[0] for f in chains] == ["(c) chain (2,3,10)", "(c) chain (9,3,10)"]
