@@ -6,6 +6,7 @@ round trip is lossless.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -62,16 +63,28 @@ def read_model(path: str | Path) -> WeightedModel:
     return loads_model(Path(path).read_text())
 
 
-def dumps_matrix(matrix: np.ndarray) -> str:
-    """Serialize a matrix as plain CSV, row-major."""
+def _csv_lines(matrix: np.ndarray) -> Iterator[str]:
+    # The CSV lines of a matrix, 17 significant digits, converted one row at
+    # a time; the shape is checked before the first line is asked for.
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise FormatError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix) + "\n"
+    if not len(matrix):
+        return iter(["\n"])
+    line = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return (line % tuple(row.tolist()) for row in matrix)
+
+
+def dumps_matrix(matrix: np.ndarray) -> str:
+    """Serialize a matrix as plain CSV, row-major."""
+    return "".join(_csv_lines(matrix))
 
 
 def write_matrix(matrix: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(dumps_matrix(matrix))
+    """Write the text of :func:`dumps_matrix` row by row, never all of it at once."""
+    lines = _csv_lines(matrix)
+    with open(path, "w") as fh:
+        fh.writelines(lines)
 
 
 def loads_matrix(text: str) -> np.ndarray:

@@ -1,12 +1,21 @@
 """Forward simulation and limit distributions for max-linear models.
 
-Sampling evaluates the noise representation ``X_i = max_j b_ji * Z_j``
-directly with i.i.d. regularly varying noise (Pareto or Frechet, both by
-inverse-CDF transform).  The empirical tail dependence estimator is the
-standard exceedance ratio above empirical marginal quantiles.  The limit
-distribution of scaled componentwise maxima is available in closed form for
-Monte Carlo validation: ``2 + log G_ij`` at the unit-Frechet scale points
-reproduces the tail dependence coefficient exactly.
+Sampling draws i.i.d. regularly varying noise (Pareto or Frechet, both by
+inverse-CDF transform) and evaluates the noise representation
+``X_i = max_j b_ji * Z_j`` one column at a time over the support of B: b_ji
+is positive exactly when j is an ancestor of i, so column i folds in only
+its ancestors' noise, one product and one running maximum per ancestor.
+That costs O(n * nnz(B)) time and a cache-sized scratch block instead of
+O(n * d**2) with (n, d) temporaries.  Each product is the same single
+multiplication as in the dense evaluation and the maximum is exact, so the
+samples equal the dense ones bit for bit.  A draw that overflows float64
+raises :class:`ValidationError`.
+
+The empirical tail dependence estimator is the standard exceedance ratio
+above empirical marginal quantiles.  The limit distribution of scaled
+componentwise maxima is available in closed form for Monte Carlo
+validation: ``2 + log G_ij`` at the unit-Frechet scale points reproduces
+the tail dependence coefficient exactly.
 """
 from __future__ import annotations
 
@@ -57,21 +66,54 @@ class SampleBlock:
         return self.values.shape[0]
 
 
+_ROWS = 16384  # rows per block in _evaluate: the block's noise stays in cache
+
+
 def _draw_noise(rng: np.random.Generator, noise: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse-CDF sampling; u clamped into the open interval to keep the
-    # transforms finite.
+    # Inverse-CDF sampling, in place; u clamped into the open interval.
+    # Overflow is left to _draw, which raises on any infinite value.
     u = rng.random(shape)
     np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-    if noise.family == "pareto":
-        return u ** (-1.0 / noise.alpha)
-    return (-np.log(u)) ** (-1.0 / noise.alpha)
+    if noise.family == "frechet":
+        np.log(u, out=u)
+        np.negative(u, out=u)
+    u **= -1.0 / noise.alpha
+    return u
 
 
 def _evaluate(mlcm: np.ndarray, z: np.ndarray) -> np.ndarray:
-    d = mlcm.shape[0]
-    x = np.empty_like(z)
-    for i in range(d):
-        x[:, i] = (z * mlcm[:, i]).max(axis=1)
+    """``X_i = max_j b_ji * Z_j`` for each row of ``z``, as a column-major (n, d) array.
+
+    Column i folds in only the j with ``b_ji > 0``.  Rows go in blocks whose
+    transposed noise fits in cache, so every product reads a contiguous row.
+    """
+    n, d = z.shape
+    support = [np.flatnonzero(mlcm[:, i] > 0) for i in range(d)]
+    xt = np.empty((d, n))
+    zt = np.empty((d, min(n, _ROWS)))
+    tmp = np.empty(min(n, _ROWS))
+    for start in range(0, n, _ROWS):
+        stop = min(start + _ROWS, n)
+        zb, t = zt[:, : stop - start], tmp[: stop - start]
+        np.copyto(zb, z[start:stop].T)
+        for i, (first, *rest) in enumerate(support):
+            x = xt[i, start:stop]
+            np.multiply(zb[first], mlcm[first, i], out=x)
+            for j in rest:
+                np.multiply(zb[j], mlcm[j, i], out=t)
+                np.maximum(x, t, out=x)
+    return xt.T
+
+
+def _draw(mlcm: np.ndarray, noise: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    # x_j >= b_jj * z_j with b_jj > 0, so an infinite draw shows in x too.
+    with np.errstate(over="ignore"):
+        x = _evaluate(mlcm, _draw_noise(rng, noise, (n, mlcm.shape[0])))
+    if not np.isfinite(x.max()):
+        raise ValidationError(
+            f"{noise.family} noise with tail index {noise.alpha} overflowed float64; "
+            "a larger tail index keeps the draws finite"
+        )
     return x
 
 
@@ -88,8 +130,8 @@ def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleB
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
         )
     rng = np.random.default_rng(seed)
-    z = _draw_noise(rng, noise, (int(n), model.d))
-    return SampleBlock(_evaluate(mlcm_from_weights(model), z), int(seed), model, noise)
+    x = _draw(mlcm_from_weights(model), noise, rng, int(n))
+    return SampleBlock(x, int(seed), model, noise)
 
 
 def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
@@ -109,11 +151,13 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
         )
     values = block.values
     quantiles = np.quantile(values, u, axis=0)
-    exceed = values > quantiles[None, :]
-    counts = exceed.sum(axis=0)
+    # One float 0/1 array for the exceedances: its sums and products count
+    # exactly, and it is the only (n, d) temporary besides the quantile's.
+    hits = np.greater(values, quantiles[None, :], out=np.empty_like(values, dtype=np.float64))
+    counts = hits.sum(axis=0)
     if (counts == 0).any():
         raise TailSampleError("a margin has no exceedances above its empirical quantile")
-    joint = exceed.T.astype(np.float64) @ exceed.astype(np.float64)
+    joint = hits.T @ hits
     chi = 2.0 * joint / (counts[:, None] + counts[None, :])
     np.fill_diagonal(chi, 1.0)
     return chi
@@ -206,9 +250,8 @@ def scaled_block_maxima(
     while done < n_blocks:
         take = min(chunk_blocks, n_blocks - done)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk_index)))
-        z = _draw_noise(rng, noise, (take * block_size, model.d))
-        x = _evaluate(b, z).reshape(take, block_size, model.d)
-        out[done : done + take] = x.max(axis=1) * scale
+        xt = _draw(b, noise, rng, take * block_size).T
+        out[done : done + take] = xt.reshape(model.d, take, block_size).max(axis=2).T * scale
         done += take
         chunk_index += 1
     return out

@@ -298,3 +298,34 @@ def kolmogorov_distance(sample: np.ndarray, cdf) -> float:
     upper = np.abs(np.arange(1, n + 1) / n - values)
     lower = np.abs(np.arange(0, n) / n - values)
     return float(np.maximum(upper, lower).max())
+
+
+def noise(rng: np.random.Generator, family: str, alpha: float, shape: tuple) -> np.ndarray:
+    """Pareto or Frechet draws by inverse CDF, u clamped into (0, 1)."""
+    u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
+    if family == "pareto":
+        return u ** (-1.0 / alpha)
+    return (-np.log(u)) ** (-1.0 / alpha)
+
+
+def max_linear_sample(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``X_i = max_j b_ji * Z_j`` per row, one dense product over all j per column."""
+    x = np.empty_like(z)
+    for i in range(b.shape[0]):
+        x[:, i] = (z * b[:, i]).max(axis=1)
+    return x
+
+
+def scaled_block_maxima(
+    b: np.ndarray, family: str, alpha: float, block_size: int, n_blocks: int, seed: int,
+    chunk_blocks: int,
+) -> np.ndarray:
+    """Block maxima of dense samples, chunk c drawn from the seed ``(seed, c)``."""
+    d = b.shape[0]
+    chunks = []
+    for c, start in enumerate(range(0, n_blocks, chunk_blocks)):
+        take = min(chunk_blocks, n_blocks - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
+        x = max_linear_sample(b, noise(rng, family, alpha, (take * block_size, d)))
+        chunks.append(x.reshape(take, block_size, d).max(axis=1))
+    return np.concatenate(chunks) * float(block_size) ** (-1.0 / alpha)

@@ -74,6 +74,27 @@ class TestMatrixFiles:
         with pytest.raises(FormatError):
             loads_matrix("\n\n")
 
+    @pytest.mark.parametrize("shape", [(1, 1), (37, 1), (2000, 10)])
+    def test_written_bytes_equal_dumps(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0])
+        matrix = 10.0 ** rng.uniform(-300, 300, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        path = tmp_path / "m.csv"
+        write_matrix(np.asfortranarray(matrix), path)
+        assert path.read_bytes() == dumps_matrix(matrix).encode()
+
+    def test_seventeen_digits_for_special_values(self):
+        values = np.array([[0.0, -0.0, 5e-324, 1 / 3, np.inf, -np.inf, np.nan]])
+        expected = ",".join(f"{v:.17g}" for v in values[0]) + "\n"
+        assert dumps_matrix(values) == expected
+        assert expected == "0,-0,4.9406564584124654e-324,0.33333333333333331,inf,-inf,nan\n"
+
+    def test_non_matrix_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1\n")
+        with pytest.raises(FormatError):
+            write_matrix(np.zeros(3), path)
+        assert path.read_text() == "1\n"
+
 
 class TestDotExport:
     def test_edges_labeled_with_six_significant_digits(self):
@@ -276,6 +297,16 @@ class TestCliPipeline:
         chi_hat = read_matrix(chi_out)
         assert chi_hat.shape == (3, 3)
         assert abs(chi_hat[0, 1] - 0.5) < 0.08
+
+    def test_simulate_overflow_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "heavy.json"
+        write_model(random_weighted_model(5, density=0.5, alpha=0.01, seed_or_rng=1), path)
+        code, _, err = run(
+            capsys, "simulate", "--model", str(path), "--noise", "pareto", "--n", "10000",
+            "--seed", "2", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "tail index 0.01" in err
 
     def test_simulate_without_outputs_is_an_error(self, capsys, model_file):
         code, _, err = run(capsys, "simulate", "--model", model_file, "--n", "10", "--seed", "1")

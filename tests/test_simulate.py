@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from maxlindag import (
     limit_cdf,
     mlcm_from_weights,
     model_from_std_mlcm,
+    random_weighted_model,
     sample,
     scaled_block_maxima,
     standardize,
     tdm_from_std_mlcm,
     unit_frechet_points,
 )
+from maxlindag.simulate import _ROWS
 
 
 def single_edge_model(b: float, alpha: float = 1.0) -> WeightedModel:
@@ -72,6 +76,82 @@ class TestSample:
         model = single_edge_model(0.5)
         with pytest.raises(ValidationError):
             sample(model, NoiseSpec("frechet", 1.0), 0, seed=0)
+
+
+def kind_model(kind: str, d: int, alpha: float, seed: int) -> WeightedModel:
+    return random_weighted_model(
+        d, density=0.4, alpha=alpha, seed_or_rng=seed,
+        polytree=kind == "polytree", homogeneous=kind == "homogeneous",
+    )
+
+
+def overflowing_model() -> WeightedModel:
+    # At tail index 0.01 either family overflows float64 with probability
+    # about 8e-4 per draw, so some of these 5 x 10 000 draws do
+    return random_weighted_model(5, density=0.5, alpha=0.01, seed_or_rng=1)
+
+
+class TestColumnKernel:
+    """The support-restricted kernel against the dense product over all of B."""
+
+    @pytest.mark.parametrize("family,alpha", [("pareto", 1.0), ("frechet", 0.7)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 20, 50])
+    @pytest.mark.parametrize("kind", ["general", "polytree", "homogeneous"])
+    def test_sample_equals_dense_reference(self, kind, d, family, alpha):
+        model = kind_model(kind, d, alpha, seed=d)
+        block = sample(model, NoiseSpec(family, alpha), 1000, seed=100 + d)
+        z = oracles.noise(np.random.default_rng(100 + d), family, alpha, (1000, d))
+        expected = oracles.max_linear_sample(mlcm_from_weights(model), z)
+        assert np.array_equal(block.values, expected)
+
+    @pytest.mark.parametrize("family,alpha", [("pareto", 2.0), ("frechet", 1.0)])
+    def test_sample_across_row_blocks(self, family, alpha):
+        n = 2 * _ROWS + 17
+        model = kind_model("general", 12, alpha, seed=4)
+        block = sample(model, NoiseSpec(family, alpha), n, seed=8)
+        z = oracles.noise(np.random.default_rng(8), family, alpha, (n, 12))
+        expected = oracles.max_linear_sample(mlcm_from_weights(model), z)
+        assert np.array_equal(block.values, expected)
+
+    @pytest.mark.parametrize("family,alpha", [("pareto", 1.0), ("frechet", 2.0)])
+    @pytest.mark.parametrize("kind", ["general", "polytree", "homogeneous"])
+    def test_block_maxima_equal_dense_reference(self, kind, family, alpha):
+        # 300 blocks in chunks of 128: the last chunk is short, and a full
+        # chunk of 128 * 150 rows spans two row blocks of the kernel
+        model = kind_model(kind, 6, alpha, seed=11)
+        maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), 150, 300, seed=5)
+        expected = oracles.scaled_block_maxima(
+            mlcm_from_weights(model), family, alpha, 150, 300, 5, chunk_blocks=128
+        )
+        assert np.array_equal(maxima, expected)
+
+    def test_empirical_tdm_counts_are_exact(self):
+        model = kind_model("general", 8, 1.0, seed=3)
+        block = sample(model, NoiseSpec("pareto", 1.0), 20_000, seed=3)
+        values = block.values
+        exceed = values > np.quantile(values, 0.95, axis=0)
+        joint = np.array([[np.sum(exceed[:, i] & exceed[:, j]) for j in range(8)]
+                          for i in range(8)])
+        counts = exceed.sum(axis=0)
+        expected = 2.0 * joint / (counts[:, None] + counts[None, :])
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(empirical_tdm(block, 0.95), expected)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("family", ["pareto", "frechet"])
+    def test_sample_raises(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="tail index 0.01"):
+                sample(overflowing_model(), NoiseSpec(family, 0.01), 10_000, seed=2)
+
+    @pytest.mark.parametrize("family", ["pareto", "frechet"])
+    def test_block_maxima_raise(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="tail index 0.01"):
+                scaled_block_maxima(overflowing_model(), NoiseSpec(family, 0.01), 100, 100, seed=2)
 
 
 class TestEmpiricalTdm:
