@@ -3,15 +3,18 @@
 The standardized coefficient matrix bbar is never identifiable from the
 tail dependence matrix chi alone (chi is symmetric, bbar is not), but it
 becomes identifiable once the reachability relation, a causal ordering, or
-(for max-weighted models) the initial nodes are known.  Each recovery runs
-the same row recursion
+(for max-weighted models) the initial nodes are known.  Every recovery, and
+both enumerators on top of them, fill rows in an order compatible with that
+information through one function, ``_settled_row``.  It computes
 
-    bbar_ji = chi(j, i) - sum_{k earlier} min(bbar_ki, bbar_kj)
+    bbar_ji = chi(j, i) - sum_{k placed} min(bbar_ki, bbar_kj)
 
-over rows taken in an order compatible with the extra information.  On top
-of the recoveries sit two enumerators that output the standardized
-coefficient matrices of every model, or every max-weighted model,
-compatible with a given chi.
+and then applies four rules: (1) columns the information rules out are set
+to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`;
+(3) entries within ``tol`` of zero snap to zero; (4) a diagonal entry that
+is not positive raises :class:`NotRealizableError`.  The enumerators output
+the standardized coefficient matrices of every model, or every max-weighted
+model, compatible with a given chi.
 """
 from __future__ import annotations
 
@@ -29,8 +32,11 @@ from .errors import (
 from .graph import CausalOrdering, Dag, is_reachability_matrix
 from .mlcm import is_mlcm, is_rmwm_mlcm, minimum_ml_dag
 from .taildep import (
+    _independent_nodes,
     _positive_mask,
+    _rmwm_std_mlcm,
     clique_initial_filter,
+    independence_pattern_check,
     maximum_chi_cliques,
     tdm_from_std_mlcm,
     validate_tdm,
@@ -38,33 +44,40 @@ from .taildep import (
 from .tolerance import DEFAULT_TOL, ZERO_TOL, max_rel_residual
 
 
-def _partial_row(chi: np.ndarray, bbar: np.ndarray, placed: Sequence[int], node: int) -> np.ndarray:
-    # Row of `node` given the rows already placed; 1-based node, full width.
-    row = chi[node - 1].copy()
-    if placed:
-        idx = [p - 1 for p in placed]
-        prior = bbar[idx, :]
-        at_node = bbar[idx, node - 1]
-        row -= np.minimum(prior, at_node[:, None]).sum(axis=0)
-    return row
-
-
-def _settle_row(row: np.ndarray, zero_cols: Sequence[int], node: int, tol: float) -> np.ndarray:
-    # Zero forced columns and reject genuinely negative values.  Entries
+def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int], node: int,
+                 forced: list[int] | np.ndarray, tol: float) -> np.ndarray:
+    # Row `node` of bbar from the rows `placed` (0-based nodes), with the
+    # columns `forced` (indices or a boolean mask) held at zero.  Entries
     # within tol of zero snap to exact zero: they are cancellation residue
-    # of the recursion, and a stray 1e-16 would corrupt the support
-    # pattern that downstream validity checks read off the matrix.
-    for c in zero_cols:
-        row[c - 1] = 0.0
+    # of the recursion, and a stray 1e-16 would corrupt the support pattern
+    # that downstream validity checks read off the matrix.
+    row = chi[node].copy()
+    if placed:
+        prior = bbar[placed]
+        row -= np.minimum(prior, prior[:, node, None]).sum(axis=0)
+    row[forced] = 0.0
     worst = row.min()
     if worst < -tol:
         col = int(np.argmin(row)) + 1
         raise NotRealizableError(
-            f"row recursion for node {node} produced {worst!r} at column {col}; "
+            f"row recursion for node {node + 1} produced {worst!r} at column {col}; "
             "the matrix is not realizable with this structure"
         )
     row[np.abs(row) <= tol] = 0.0
+    if row[node] <= 0.0:
+        raise NotRealizableError(
+            f"row recursion for node {node + 1} left the diagonal entry {row[node]!r}; "
+            "the matrix is not realizable with this structure"
+        )
     return row
+
+
+def _recover(chi: np.ndarray, order: list[int], support: np.ndarray, tol: float) -> np.ndarray:
+    # Rows in `order` (0-based nodes); row j may be nonzero on support[j] only.
+    bbar = np.zeros(chi.shape)
+    for n, node in enumerate(order):
+        bbar[node] = _settled_row(chi, bbar, order[:n], node, ~support[node], tol)
+    return bbar
 
 
 def recover_from_ordering(
@@ -78,7 +91,7 @@ def recover_from_ordering(
     are zero.  When the ordering is a causal ordering of a DAG generating
     ``chi``, the output is that model's standardized coefficient matrix.
     Raises :class:`NotRealizableError` when the recursion turns negative
-    beyond ``tol``.
+    beyond ``tol`` or leaves a diagonal entry that is not positive.
     """
     chi = validate_tdm(chi)
     if not isinstance(ordering, CausalOrdering):
@@ -86,29 +99,25 @@ def recover_from_ordering(
     d = chi.shape[0]
     if len(ordering) != d:
         raise ValidationError(f"ordering has length {len(ordering)}, matrix is {d}x{d}")
-    bbar = np.zeros((d, d))
-    placed: list[int] = []
-    for node in ordering.node_order:
-        row = _partial_row(chi, bbar, placed, node)
-        bbar[node - 1] = _settle_row(row, placed, node, tol)
-        placed.append(node)
-    return bbar
+    pos = np.asarray(ordering.positions)
+    order = [v - 1 for v in ordering.node_order]
+    return _recover(chi, order, pos[None, :] >= pos[:, None], tol)
 
 
 def _reach_gate(chi: np.ndarray, reach: np.ndarray, zero_tol: float) -> np.ndarray:
+    # The reachability input as a boolean matrix, once it is one and its
+    # common-ancestor pattern matches the zero pattern of chi.
     reach = np.asarray(reach)
     if not is_reachability_matrix(reach):
         raise ValidationError("reachability input is not a reachability matrix of a DAG")
     if reach.shape != chi.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
-    reach = reach.astype(np.int64)
-    common = (reach.T @ reach) > 0
-    if (_positive_mask(chi, zero_tol) != common).any():
+    if not independence_pattern_check(chi, reach, zero_tol):
         raise PatternMismatchError(
             "zero pattern of the tail dependence matrix does not match the "
             "common-ancestor pattern of the reachability matrix"
         )
-    return reach
+    return reach.astype(bool)
 
 
 def recover_from_reachability(
@@ -122,21 +131,13 @@ def recover_from_reachability(
     Exact inverse of the tail dependence computation given the true
     reachability: rows are filled in increasing ancestor count, supported on
     De(j) only.  Raises :class:`PatternMismatchError` when the zero patterns
-    disagree and :class:`NotRealizableError` on negative recursion values.
+    disagree and :class:`NotRealizableError` on negative recursion values or
+    a diagonal entry that is not positive.
     """
     chi = validate_tdm(chi)
     reach = _reach_gate(chi, reach, zero_tol)
-    d = chi.shape[0]
-    n_anc = reach.sum(axis=0) - 1
-    order = sorted(range(1, d + 1), key=lambda j: (n_anc[j - 1], j))
-    bbar = np.zeros((d, d))
-    placed: list[int] = []
-    for node in order:
-        row = _partial_row(chi, bbar, placed, node)
-        outside = [i for i in range(1, d + 1) if not reach[node - 1, i - 1]]
-        bbar[node - 1] = _settle_row(row, outside, node, tol)
-        placed.append(node)
-    return bbar
+    order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
+    return _recover(chi, order, reach, tol)
 
 
 def recover_from_reachability_rmwm(
@@ -147,27 +148,20 @@ def recover_from_reachability_rmwm(
 ) -> np.ndarray:
     """Max-weighted shortcut for :func:`recover_from_reachability`.
 
-    Uses ``bbar_jj = 1 - sum_{k in an(j)} bbar_kj`` followed by
+    Uses ``bbar_jj = 1 - sum_{k in an(j)} bbar_kk * chi(k, j)`` followed by
     ``bbar_ji = bbar_jj * chi(j, i)`` on the descendants; agrees with the
-    general recovery whenever the underlying model is max-weighted.
+    general recovery whenever the underlying model is max-weighted.  A
+    diagonal entry that is not positive raises :class:`NotRealizableError`;
+    ``tol`` does not enter.
     """
     chi = validate_tdm(chi)
     reach = _reach_gate(chi, reach, zero_tol)
-    d = chi.shape[0]
-    n_anc = reach.sum(axis=0) - 1
-    order = sorted(range(1, d + 1), key=lambda j: (n_anc[j - 1], j))
-    bbar = np.zeros((d, d))
-    for node in order:
-        j = node - 1
-        diag = 1.0 - bbar[:, j].sum()
-        if diag < -tol:
-            raise NotRealizableError(
-                f"diagonal recursion for node {node} produced {diag!r}"
-            )
-        diag = max(diag, 0.0)
-        row = np.where(reach[j], diag * chi[j], 0.0)
-        row[j] = diag
-        bbar[j] = row
+    diag, bbar = _rmwm_std_mlcm(chi, reach)
+    if diag.min(initial=1.0) <= 0.0:
+        node = int(np.argmin(diag))
+        raise NotRealizableError(
+            f"diagonal recursion for node {node + 1} produced {diag[node]!r}"
+        )
     return bbar
 
 
@@ -187,14 +181,7 @@ def ordering_from_initials(
     chi = validate_tdm(chi)
     positive = _positive_mask(chi, zero_tol)
     d = chi.shape[0]
-    w = sorted({int(v) for v in initials})
-    if not w or w[0] < 1 or w[-1] > d:
-        raise ValidationError(f"initial nodes {initials} outside node range 1..{d}")
-    for a in w:
-        for b in w:
-            if a < b and positive[a - 1, b - 1]:
-                raise ValidationError(f"nodes {a} and {b} have positive tail dependence")
-    widx = [v - 1 for v in w]
+    widx = [v - 1 for v in _independent_nodes(positive, initials, "initial nodes")]
     counts = positive[widx, :].sum(axis=0)
     if (counts == 0).any():
         node = int(np.flatnonzero(counts == 0)[0]) + 1
@@ -325,29 +312,29 @@ def enumerate_all(
             continue
         widx = [v - 1 for v in clique]
         counts = positive[widx, :].sum(axis=0)
-        if any(counts[j - 1] == 0 for j in range(1, d + 1) if j not in clique):
+        rest = [j for j in range(d) if j not in widx]
+        if any(counts[j] == 0 for j in rest):
             continue
         layers = []
         for level in range(1, len(clique) + 1):
-            layer = [j for j in range(1, d + 1) if j not in clique and counts[j - 1] == level]
+            layer = [j for j in rest if counts[j] == level]
             if layer:
                 layers.append(layer)
 
         # Clique members are pinned to the first positions in ascending
-        # order: their internal order never changes the recovered matrix,
-        # and their rows cannot go negative (pairwise zero dependence).
+        # order: their internal order never changes the recovered matrix.
+        # `placed` and `layers` hold 0-based nodes.
         bbar = np.zeros((d, d))
         placed: list[int] = []
-        for node in clique:
-            row = _partial_row(chi, bbar, placed, node)
-            for c in placed:
-                row[c - 1] = 0.0
-            row[np.abs(row) <= tol] = 0.0
-            bbar[node - 1] = row
-            placed.append(node)
+        try:
+            for node in widx:
+                bbar[node] = _settled_row(chi, bbar, placed, node, placed, tol)
+                placed.append(node)
+        except NotRealizableError:
+            continue
 
         def on_leaf() -> None:
-            ordering = CausalOrdering.from_node_order(placed)
+            ordering = CausalOrdering.from_node_order([v + 1 for v in placed])
             if any(_ordering_fits_pattern(ordering, p) for p in found_patterns):
                 return
             candidate = bbar.copy()
@@ -378,21 +365,16 @@ def enumerate_all(
                     descend(level + 1, list(layers[level + 1]))
                 return
             for node in list(remaining):
-                row = _partial_row(chi, bbar, placed, node)
-                for c in placed:
-                    row[c - 1] = 0.0
-                if row.min() < -tol:
+                try:
+                    bbar[node] = _settled_row(chi, bbar, placed, node, placed, tol)
+                except NotRealizableError:
                     continue
-                row[np.abs(row) <= tol] = 0.0
-                if row[node - 1] <= 0.0:
-                    continue
-                bbar[node - 1] = row
                 placed.append(node)
                 remaining.remove(node)
                 descend(level, remaining)
                 remaining.append(node)
                 placed.pop()
-                bbar[node - 1] = 0.0
+                bbar[node] = 0.0
 
         descend(0, list(layers[0]) if layers else [])
 

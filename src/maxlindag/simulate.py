@@ -236,8 +236,8 @@ def scaled_block_maxima(
     results are bit-reproducible for a fixed ``(seed, chunk_blocks)`` pair
     and chunks could be generated concurrently without changing them.
     """
-    if block_size < 1 or n_blocks < 1:
-        raise ValidationError("block size and block count must be at least 1")
+    if block_size < 1 or n_blocks < 1 or chunk_blocks < 1:
+        raise ValidationError("block size, block count and chunk size must be at least 1")
     if noise.alpha != model.alpha:
         raise ValidationError(
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"

@@ -154,6 +154,19 @@ def _bron_kerbosch(
         excluded.add(v)
 
 
+def _independent_nodes(positive: np.ndarray, nodes: Sequence[int], name: str) -> list[int]:
+    # Sorted distinct nodes, checked in range and pairwise independent.
+    d = positive.shape[0]
+    w = sorted({int(v) for v in nodes})
+    if not w or w[0] < 1 or w[-1] > d:
+        raise ValidationError(f"{name} {nodes} outside node range 1..{d}")
+    for a in w:
+        for b in w:
+            if a < b and positive[a - 1, b - 1]:
+                raise ValidationError(f"nodes {a} and {b} have positive tail dependence")
+    return w
+
+
 def clique_initial_filter(
     chi: np.ndarray,
     clique: Sequence[int],
@@ -168,15 +181,7 @@ def clique_initial_filter(
     initial nodes W; True keeps W as a candidate.
     """
     chi = validate_tdm(chi)
-    positive = _positive_mask(chi, zero_tol)
-    d = chi.shape[0]
-    w = sorted({int(v) for v in clique})
-    if not w or w[0] < 1 or w[-1] > d:
-        raise ValidationError(f"clique {clique} outside node range 1..{d}")
-    for a in w:
-        for b in w:
-            if a < b and positive[a - 1, b - 1]:
-                raise ValidationError(f"nodes {a} and {b} have positive tail dependence")
+    w = _independent_nodes(_positive_mask(chi, zero_tol), clique, "clique")
     # The bound for every pair outside W is one sum over W's contiguous
     # last axis, so it adds in the same order as a sum over a 1-d vector
     # does; rows are taken in blocks of at most _FILTER_BLOCK elements.
@@ -203,12 +208,15 @@ def lambda_coefficients(dag: Dag, j: int) -> dict[int, float]:
     lambda_jl``; transitive-reduction parents of ``j`` get coefficient one.
     Values may be zero or negative by design.
     """
-    ancestors = dag.ancestors(j)
+    return _down_set_coefficients(dag, dag.ancestors(j))
+
+
+def _down_set_coefficients(dag: Dag, members: frozenset[int]) -> dict[int, float]:
+    # coeff_k = 1 - sum_{l in de(k) & members} coeff_l, sinks first.
     coeffs: dict[int, float] = {}
     for k in reversed(dag.topological_order()):
-        if k not in ancestors:
-            continue
-        coeffs[k] = 1.0 - sum(coeffs[l] for l in dag.descendants(k) & ancestors)
+        if k in members:
+            coeffs[k] = 1.0 - sum(coeffs[l] for l in dag.descendants(k) & members)
     return coeffs
 
 
@@ -242,13 +250,7 @@ def mu_coefficients(dag: Dag, i: int, j: int) -> dict[int, float]:
     Recursion ``mu_ij,k = 1 - sum_{l in de(k) & An(i) & An(j)} mu_ij,l``;
     lowest common ancestors get coefficient one.
     """
-    common = dag.ancestors_closed(i) & dag.ancestors_closed(j)
-    coeffs: dict[int, float] = {}
-    for k in reversed(dag.topological_order()):
-        if k not in common:
-            continue
-        coeffs[k] = 1.0 - sum(coeffs[l] for l in dag.descendants(k) & common)
-    return coeffs
+    return _down_set_coefficients(dag, dag.ancestors_closed(i) & dag.ancestors_closed(j))
 
 
 class MuRepresentation(NamedTuple):
@@ -303,6 +305,19 @@ def _chi_close(a, b, tol: float):
     return np.abs(a - b) <= tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
+def _rmwm_std_mlcm(chi: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # bbar_ii = 1 - sum_{k in an(i)} bbar_kk * chi(k, i) by ancestor count,
+    # and bbar_ki = bbar_kk * chi(k, i) for k in an(i); ``reach`` is boolean.
+    strict = reach & ~np.eye(len(reach), dtype=bool)
+    diag = np.zeros(len(reach))
+    for i in np.argsort(reach.sum(axis=0), kind="stable"):
+        an = strict[:, i]
+        diag[i] = 1.0 - (diag[an] * chi[an, i]).sum()
+    bbar = np.where(strict, diag[:, None] * chi, 0.0)
+    np.fill_diagonal(bbar, diag)
+    return diag, bbar
+
+
 def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmTdmCheck:
     """Is ``chi`` the tail dependence matrix of a max-weighted model on ``dag``?
 
@@ -344,10 +359,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
             f"(a) zero pattern: entry ({a + 1},{b + 1}) disagrees with common-ancestor pattern"
         )
 
-    diag = np.zeros(d)
-    for i in dag.topological_order():
-        an = strict[:, i - 1]
-        diag[i - 1] = 1.0 - (diag[an] * chi[an, i - 1]).sum()
+    diag, bbar = _rmwm_std_mlcm(chi, reach)
     bad = [i + 1 for i in range(d) if diag[i] <= 0.0]
     if bad:
         failures.append(f"(b) nonpositive diagonal at nodes {bad}")
@@ -383,7 +395,4 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
 
     if failures:
         return RmwmTdmCheck(False, diag, None, tuple(failures))
-
-    bbar = np.where(strict, diag[:, None] * chi, 0.0)
-    np.fill_diagonal(bbar, diag)
     return RmwmTdmCheck(True, diag, bbar, ())

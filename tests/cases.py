@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maxlindag import Dag
+from maxlindag import Dag, WeightedModel, random_weighted_model
 
 
 def bbar_single_edge(b: float) -> np.ndarray:
@@ -188,3 +188,17 @@ def three_strand_join_dag() -> Dag:
     edges |= _strand(3, 33)
     edges |= _strand(65, 94)
     return Dag(97, edges)
+
+
+def large_models() -> list[tuple[str, WeightedModel]]:
+    """Models of every kind at d = 12 .. 60 (alpha 1), from a fixed seed."""
+    rng = np.random.default_rng(4242)
+    out = []
+    for d in (12, 25, 40, 60):
+        for kind in ("general", "polytree", "homogeneous"):
+            model = random_weighted_model(
+                d, float(rng.uniform(0.1, 0.6)), (0.5, 2.0), 1.0, rng,
+                polytree=kind == "polytree", homogeneous=kind == "homogeneous",
+            )
+            out.append((f"{kind}-{d}", model))
+    return out

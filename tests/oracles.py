@@ -266,6 +266,76 @@ def recover_by_ordering(chi: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     return b
 
 
+def _partial_row(chi: np.ndarray, bbar: np.ndarray, placed, node: int) -> np.ndarray:
+    # Row of `node` given the rows already placed; 1-based node, full width.
+    row = chi[node - 1].copy()
+    if placed:
+        idx = [p - 1 for p in placed]
+        prior = bbar[idx, :]
+        at_node = bbar[idx, node - 1]
+        row -= np.minimum(prior, at_node[:, None]).sum(axis=0)
+    return row
+
+
+def _settle_row(row: np.ndarray, zero_cols, node: int, tol: float) -> np.ndarray:
+    # Zero the forced columns, reject values below -tol, snap |v| <= tol to 0.
+    for c in zero_cols:
+        row[c - 1] = 0.0
+    worst = row.min()
+    if worst < -tol:
+        raise ValueError(f"row recursion for node {node} produced {worst!r}")
+    row[np.abs(row) <= tol] = 0.0
+    return row
+
+
+def recover_by_rows(chi: np.ndarray, order, reach=None, tol: float = 1e-9) -> np.ndarray:
+    """Row recursion in ``order`` (1-based), one row at a time.
+
+    Without ``reach``, row j is zero on the columns placed before it (the
+    recovery from a causal ordering); with it, row j is zero outside the
+    descendants ``reach[j - 1]`` (the recovery from the reachability
+    matrix).  Raises ``ValueError`` on a value below ``-tol``; a diagonal
+    entry of zero is returned as it is.
+    """
+    d = chi.shape[0]
+    bbar = np.zeros((d, d))
+    placed: list[int] = []
+    for node in order:
+        row = _partial_row(chi, bbar, placed, node)
+        if reach is None:
+            outside = placed
+        else:
+            outside = [i for i in range(1, d + 1) if not reach[node - 1, i - 1]]
+        bbar[node - 1] = _settle_row(row, outside, node, tol)
+        placed.append(node)
+    return bbar
+
+
+def down_set_coefficients(d: int, edges: set[tuple[int, int]], members: set[int]) -> dict[int, float]:
+    """``coeff_k = 1 - sum_{l in de(k) & members} coeff_l``, sinks of ``members`` first."""
+    de = closed_descendants(d, edges)
+    coeffs: dict[int, float] = {}
+    pending = set(members)
+    while pending:
+        for k in sorted(pending):
+            below = (de[k] - {k}) & members
+            if below <= coeffs.keys():
+                coeffs[k] = 1.0 - sum(coeffs[l] for l in below)
+                pending.remove(k)
+    return coeffs
+
+
+def rmwm_diagonal(chi: np.ndarray, order, reach: np.ndarray) -> np.ndarray:
+    """``bbar_ii = 1 - sum_{k in an(i)} bbar_kk * chi(k, i)`` over a topological ``order``."""
+    d = chi.shape[0]
+    strict = reach.astype(bool) & ~np.eye(d, dtype=bool)
+    diag = np.zeros(d)
+    for i in order:
+        an = strict[:, i - 1]
+        diag[i - 1] = 1.0 - (diag[an] * chi[an, i - 1]).sum()
+    return diag
+
+
 def enumerate_by_permutation_scan(chi: np.ndarray, tol: float = 1e-9) -> set[bytes]:
     """Keys of all valid standardized matrices, scanning every node order.
 

@@ -17,6 +17,7 @@ from cases import (
     bbar_single_edge,
     bbar_single_edge_reversed,
     chi_single_edge,
+    large_models,
     three_strand_dag,
 )
 from maxlindag import (
@@ -49,6 +50,80 @@ from maxlindag import (
 def hom_setup(dag: Dag, alpha: float = 1.0):
     bbar = standardize(mlcm_from_weights(homogeneous_model(dag, alpha)), alpha)
     return bbar, tdm_from_std_mlcm(bbar)
+
+
+def large_cases() -> list[tuple[str, Dag, np.ndarray]]:
+    """(name, DAG, chi) of every kind at d = 12 .. 60."""
+    return [
+        (name, m.dag, tdm_from_std_mlcm(standardize(mlcm_from_weights(m), 1.0)))
+        for name, m in large_models()
+    ]
+
+
+LARGE_CASES = large_cases()
+
+# chi(1, 2) = 1 with 1 before 2 forces the whole of column 2 onto node 1,
+# leaving node 2 a zero diagonal entry.
+CHI_ZERO_DIAGONAL = np.ones((2, 2))
+REACH_ZERO_DIAGONAL = np.array([[1, 1], [0, 1]])
+
+
+def assert_same_as_row_loop(recover, chi, order, reach=None):
+    """``recover()`` equals the one-row-at-a-time loop bit for bit, or both reject."""
+    try:
+        expected = oracles.recover_by_rows(chi, order, reach)
+    except ValueError:
+        expected = None
+    if expected is None or (np.diag(expected) <= 0).any():
+        with pytest.raises(NotRealizableError):
+            recover()
+    else:
+        assert np.array_equal(recover(), expected)
+
+
+class TestRowRecursionAgainstRowLoop:
+    @pytest.mark.parametrize("name,dag,chi", LARGE_CASES, ids=[c[0] for c in LARGE_CASES])
+    def test_large_models(self, name, dag, chi):
+        reach = reachability_matrix(dag)
+        by_ancestors = sorted(range(1, dag.d + 1), key=lambda j: (reach[:, j - 1].sum(), j))
+        assert_same_as_row_loop(
+            lambda: recover_from_reachability(chi, reach), chi, by_ancestors, reach
+        )
+        shuffled = tuple(np.random.default_rng(dag.d).permutation(dag.d) + 1)
+        for order in (dag.topological_order(), shuffled):
+            assert_same_as_row_loop(
+                lambda: recover_from_ordering(chi, CausalOrdering.from_node_order(order)),
+                chi, order,
+            )
+
+    def test_corpus(self, corpus):
+        rng = np.random.default_rng(12)
+        for entry in corpus:
+            d = entry.dag.d
+            by_ancestors = sorted(range(1, d + 1), key=lambda j: (entry.reach[:, j - 1].sum(), j))
+            assert_same_as_row_loop(
+                lambda: recover_from_reachability(entry.chi, entry.reach),
+                entry.chi, by_ancestors, entry.reach,
+            )
+            for order in (entry.dag.topological_order(), tuple(rng.permutation(d) + 1)):
+                assert_same_as_row_loop(
+                    lambda: recover_from_ordering(entry.chi, CausalOrdering.from_node_order(order)),
+                    entry.chi, order,
+                )
+
+
+class TestZeroDiagonalRejected:
+    def test_ordering(self):
+        with pytest.raises(NotRealizableError, match="diagonal"):
+            recover_from_ordering(CHI_ZERO_DIAGONAL, (1, 2))
+
+    def test_reachability(self):
+        with pytest.raises(NotRealizableError, match="diagonal"):
+            recover_from_reachability(CHI_ZERO_DIAGONAL, REACH_ZERO_DIAGONAL)
+
+    def test_reachability_rmwm(self):
+        with pytest.raises(NotRealizableError, match="diagonal"):
+            recover_from_reachability_rmwm(CHI_ZERO_DIAGONAL, REACH_ZERO_DIAGONAL)
 
 
 CHAIN3 = Dag(3, {(1, 2), (2, 3)})
@@ -133,6 +208,16 @@ class TestRecoverFromOrdering:
         swapped = recover_from_ordering(CHI_TRIANGLE, CausalOrdering.from_node_order([1, 3, 2]))
         np.testing.assert_allclose(identity, BBAR_TRIANGLE_VALID, atol=1e-12)
         np.testing.assert_allclose(swapped, BBAR_TRIANGLE_INVALID, atol=1e-12)
+
+    def test_negativity_and_snap_boundary(self):
+        # Row 2 at column 3 is chi(2, 3) - min(chi(1, 2), chi(1, 3)) = -eps.
+        def chi_with(eps):
+            return np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5 - eps], [0.5, 0.5 - eps, 1.0]])
+
+        with pytest.raises(NotRealizableError, match="at column 3"):
+            recover_from_ordering(chi_with(2e-9), (1, 2, 3))
+        out = recover_from_ordering(chi_with(0.5e-9), (1, 2, 3))
+        assert out[1, 2] == 0.0 and out[2, 2] == 0.5
 
     def test_edgeless_identity(self):
         out = recover_from_ordering(np.eye(4), CausalOrdering.from_node_order([3, 1, 4, 2]))

@@ -134,6 +134,14 @@ class TestCliRecover:
         assert code == 0
         np.testing.assert_allclose(loads_matrix(out), [[1.0, 0.5], [0.0, 0.5]])
 
+    def test_zero_diagonal_is_domain_rejection(self, capsys, tmp_path):
+        chi = tmp_path / "chi.csv"
+        write_matrix(np.ones((2, 2)), chi)
+        code, out, err = run(capsys, "recover", "--chi", str(chi), "--ordering", "1,2")
+        assert code == 1
+        assert out == ""
+        assert "diagonal" in err
+
     def test_recover_with_reachability(self, capsys, two_cliques_chi_file, tmp_path):
         reach = tmp_path / "reach.csv"
         write_matrix(reachability_matrix(TWO_CLIQUES_MW_DAG), reach)

@@ -10,6 +10,7 @@ from cases import (
     BBAR_TRIANGLE_INVALID,
     BBAR_TRIANGLE_VALID,
     DENSE4_EDGES,
+    large_models,
 )
 from maxlindag import (
     Dag,
@@ -238,16 +239,7 @@ class TestMinimumMlDag:
 
 def large_bbars() -> list[tuple[str, np.ndarray]]:
     """Standardized matrices of every kind at d = 12 .. 60, from a fixed seed."""
-    rng = np.random.default_rng(4242)
-    out = []
-    for d in (12, 25, 40, 60):
-        for kind in ("general", "polytree", "homogeneous"):
-            model = random_weighted_model(
-                d, float(rng.uniform(0.1, 0.6)), (0.5, 2.0), 1.0, rng,
-                polytree=kind == "polytree", homogeneous=kind == "homogeneous",
-            )
-            out.append((f"{kind}-{d}", standardize(mlcm_from_weights(model), 1.0)))
-    return out
+    return [(name, standardize(mlcm_from_weights(m), 1.0)) for name, m in large_models()]
 
 
 def scaled_chained_entry(bbar: np.ndarray, factor: float) -> np.ndarray:

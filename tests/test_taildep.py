@@ -351,6 +351,21 @@ class TestMuRepresentation:
         assert lowest_common_ancestors(dag, 1, 3) == {1}
 
 
+class TestDownSetCoefficients:
+    def test_lambda_and_mu_equal_the_down_set_recursion(self, corpus):
+        for entry in corpus[:300]:
+            d, edges = entry.dag.d, set(entry.dag.edges)
+            an = oracles.closed_ancestors(d, edges)
+            for j in range(1, d + 1):
+                assert lambda_coefficients(entry.dag, j) == oracles.down_set_coefficients(
+                    d, edges, an[j] - {j}
+                )
+                for i in range(j, d + 1):
+                    assert mu_coefficients(entry.dag, i, j) == oracles.down_set_coefficients(
+                        d, edges, an[i] & an[j]
+                    )
+
+
 class TestInitialNodeStructure:
     def test_distinct_initial_nodes_have_zero_dependence(self, corpus):
         for entry in corpus[:200]:
@@ -414,6 +429,24 @@ class TestMaxWeightedChiStructure:
                     assert holds == (k in dag.ancestors_closed(i))
 
 
+def large_tdm_cases() -> list[tuple[Dag, np.ndarray]]:
+    """(DAG, chi) of every kind at d = 40 and 48, from a fixed seed."""
+    model_rng = np.random.default_rng(56)
+    cases = []
+    for d in (40, 48):
+        for kind in ("general", "polytree", "homogeneous"):
+            model = random_weighted_model(
+                d, 0.15, (0.5, 2.0), 1.0, model_rng,
+                polytree=kind == "polytree", homogeneous=kind == "homogeneous",
+            )
+            bbar = standardize(mlcm_from_weights(model), 1.0)
+            cases.append((model.dag, tdm_from_std_mlcm(bbar)))
+    return cases
+
+
+LARGE_TDM_CASES = large_tdm_cases()
+
+
 class TestCheckRmwmTdm:
     def test_accepts_on_the_right_dag_and_recovers_bbar(self):
         result = check_rmwm_tdm(TWO_CLIQUES_MW_DAG, CHI_TWO_CLIQUES)
@@ -450,16 +483,7 @@ class TestCheckRmwmTdm:
 
     def test_agrees_with_condition_oracle(self, rmwm_corpus):
         rng = np.random.default_rng(55)
-        model_rng = np.random.default_rng(56)
-        cases = [(entry.dag, entry.chi) for entry in rmwm_corpus[:40]]
-        for d in (40, 48):
-            for kind in ("general", "polytree", "homogeneous"):
-                model = random_weighted_model(
-                    d, 0.15, (0.5, 2.0), 1.0, model_rng,
-                    polytree=kind == "polytree", homogeneous=kind == "homogeneous",
-                )
-                bbar = standardize(mlcm_from_weights(model), 1.0)
-                cases.append((model.dag, tdm_from_std_mlcm(bbar)))
+        cases = [(entry.dag, entry.chi) for entry in rmwm_corpus[:40]] + LARGE_TDM_CASES
         for dag, entry_chi in cases:
             edges = set(dag.edges)
             ok = bool(check_rmwm_tdm(dag, entry_chi))
@@ -473,6 +497,21 @@ class TestCheckRmwmTdm:
             assert bool(check_rmwm_tdm(dag, chi)) == oracles.chartdm_conditions(
                 dag.d, edges, chi
             )
+
+    @pytest.mark.parametrize("case", range(len(LARGE_TDM_CASES)))
+    def test_diagonal_and_matrix_equal_the_topological_recursion(self, case):
+        dag, chi = LARGE_TDM_CASES[case]
+        reach = reachability_matrix(dag).astype(bool)
+        diag = oracles.rmwm_diagonal(chi, dag.topological_order(), reach)
+        result = check_rmwm_tdm(dag, chi)
+        assert np.array_equal(result.diag, diag)
+        bad = [i + 1 for i in range(dag.d) if diag[i] <= 0.0]
+        expected = [f"(b) nonpositive diagonal at nodes {bad}"] if bad else []
+        assert [f for f in result.failures if f.startswith("(b)")] == expected
+        if result.ok:
+            strict = reach & ~np.eye(dag.d, dtype=bool)
+            bbar = np.where(strict, diag[:, None] * chi, 0.0) + np.diag(diag)
+            assert np.array_equal(result.std_mlcm, bbar)
 
     def test_failures_listed_in_ascending_order(self):
         # 2 -> 3 <- 9 and 3 -> 10: lowering chi(3, 10) breaks the chain
