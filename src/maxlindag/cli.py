@@ -201,13 +201,14 @@ def cmd_simulate(args: argparse.Namespace, tol: float) -> int:
 
 
 def cmd_gen(args: argparse.Namespace, tol: float) -> int:
-    weight_range = tuple(float(p) for p in args.weight_range.split(","))
-    if len(weight_range) != 2:
-        raise FormatError(f"--weight-range expects LO,HI, got {args.weight_range!r}")
+    try:
+        lo, hi = (float(p) for p in args.weight_range.split(","))
+    except ValueError as exc:
+        raise FormatError(f"--weight-range expects LO,HI, got {args.weight_range!r}") from exc
     model = random_weighted_model(
         args.d,
         density=args.density,
-        weight_range=weight_range,
+        weight_range=(lo, hi),
         alpha=args.alpha,
         seed_or_rng=args.seed,
         polytree=args.polytree,

@@ -234,38 +234,27 @@ def dag_from_reachability(matrix: np.ndarray) -> Dag:
     m = np.asarray(matrix)
     if not is_reachability_matrix(m):
         raise ValidationError("matrix is not a reachability matrix of a DAG")
-    d = m.shape[0]
-    edges = {(j + 1, i + 1) for j in range(d) for i in range(d) if j != i and m[j, i]}
-    return Dag(d, edges)
+    return _dag_on(m.astype(bool))
 
 
 def transitive_reduction(dag: Dag) -> Dag:
     """Unique DAG with the same reachability and no redundant edge.
 
     An edge ``k -> i`` is redundant when ``i`` stays reachable from ``k``
-    after removing it; for DAGs, removing all redundant edges at once yields
-    the minimum-edge representative of the reachability relation.
+    after removing it, that is when some strict descendant of ``k`` is a
+    strict ancestor of ``i`` (read from the cached reachability matrix); for
+    DAGs, removing all redundant edges at once yields the minimum-edge
+    representative of the reachability relation.
     """
-    kept = set()
-    for k, i in dag.edges:
-        if not _reachable_avoiding(dag, k, i):
-            kept.add((k, i))
-    return Dag(dag.d, kept)
+    strict = dag._reachability() & ~np.eye(dag.d, dtype=bool)
+    counts = strict.astype(float)  # BLAS product; path counts stay exact below 2**53
+    return _dag_on(strict & ~((counts @ counts) > 0))
 
 
-def _reachable_avoiding(dag: Dag, k: int, i: int) -> bool:
-    # Is i reachable from k without using the edge (k, i) itself?
-    stack = [c for c in dag.children(k) if c != i]
-    seen = set(stack)
-    while stack:
-        v = stack.pop()
-        if v == i:
-            return True
-        for c in dag.children(v):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
+def _dag_on(pairs: np.ndarray) -> Dag:
+    # DAG with an edge k -> i for every off-diagonal True at [k-1, i-1].
+    ks, is_ = np.nonzero(pairs & ~np.eye(len(pairs), dtype=bool))
+    return Dag(len(pairs), zip((ks + 1).tolist(), (is_ + 1).tolist()))
 
 
 def validate_causal_ordering(dag: Dag, ordering: CausalOrdering | Sequence[int]) -> bool:

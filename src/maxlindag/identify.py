@@ -18,6 +18,7 @@ model, compatible with a given chi.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import CausalOrdering, Dag, is_reachability_matrix
-from .mlcm import is_mlcm, is_rmwm_mlcm, minimum_ml_dag
+from .mlcm import _analysis, is_mlcm
 from .taildep import (
     _independent_nodes,
     _positive_mask,
@@ -305,7 +306,6 @@ def enumerate_all(
     positive = _positive_mask(chi, zero_tol)
     found: list[IdentifiedModel] = []
     found_patterns: list[np.ndarray] = []
-    seen: set[bytes] = set()
 
     for clique in maximum_chi_cliques(chi, zero_tol):
         if not clique_initial_filter(chi, clique, tol, zero_tol):
@@ -342,17 +342,14 @@ def enumerate_all(
                 return
             if max_rel_residual(tdm_from_std_mlcm(candidate), chi) > tol:
                 return
-            key = _quantized_key(candidate, tol)
-            if key in seen:
-                return
-            seen.add(key)
+            analysis = _analysis(candidate)
             found.append(
                 IdentifiedModel(
                     std_mlcm=candidate,
-                    min_ml_dag=minimum_ml_dag(candidate, tol),
+                    min_ml_dag=analysis.minimum_ml_dag(tol),
                     initial_nodes=tuple(clique),
                     ordering_used=ordering,
-                    max_weighted=bool(is_rmwm_mlcm(candidate, tol)),
+                    max_weighted=analysis.is_rmwm(tol).ok,
                 )
             )
             found_patterns.append((candidate > 0).astype(np.int64))
@@ -403,9 +400,8 @@ def enumerate_all_rmwm(
             bbar = recover_from_ordering(chi, ordering, tol)
         except NotRealizableError:
             continue
-        if not is_reachability_matrix((bbar > 0).astype(np.int64)):
-            continue
-        if not is_rmwm_mlcm(bbar, tol):
+        analysis = _analysis(bbar)
+        if analysis.fault is not None or not analysis.is_rmwm(tol):
             continue
         try:
             if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
@@ -415,7 +411,7 @@ def enumerate_all_rmwm(
         found.append(
             IdentifiedModel(
                 std_mlcm=bbar,
-                min_ml_dag=minimum_ml_dag(bbar, tol),
+                min_ml_dag=analysis.minimum_ml_dag(tol),
                 initial_nodes=tuple(clique),
                 ordering_used=ordering,
                 max_weighted=True,
@@ -493,20 +489,13 @@ def rmwm_equivalence_constraints(
             )
 
     alt: Dag | None = None
-    try:
-        bbar = recover_rmwm_from_initials(chi, other_initials, tol, zero_tol)
-        if is_reachability_matrix((bbar > 0).astype(np.int64)) and is_rmwm_mlcm(bbar, tol):
-            alt = minimum_ml_dag(bbar, tol)
-        else:
-            violations.append(
-                "(b) no max-weighted model with the alternative initial nodes exists"
-            )
-    except (NotRealizableError, ValidationError):
-        violations.append(
-            "(b) no max-weighted model with the alternative initial nodes exists"
-        )
-
-    if alt is not None:
+    with suppress(NotRealizableError, ValidationError):
+        analysis = _analysis(recover_rmwm_from_initials(chi, other_initials, tol, zero_tol))
+        if analysis.fault is None and analysis.is_rmwm(tol):
+            alt = analysis.minimum_ml_dag(tol)
+    if alt is None:
+        violations.append("(b) no max-weighted model with the alternative initial nodes exists")
+    else:
         for j in moved:
             for path in _all_paths(transitive_reduction, j, phi[j]):
                 missing = [

@@ -16,21 +16,23 @@ and what the minimum representing DAG is.
 
 Those structural questions all compare ``b_ki`` with the max-times
 "through" values ``b_kl * b_li / b_ll`` over intermediate nodes ``l``.  One
-private kernel, :func:`_through`, computes their largest and smallest value
-for every pair at once; :func:`minimum_ml_dag`, :func:`is_rmwm_mlcm` and,
-through the former, :func:`is_mlcm` read their answers from it.  The kernel
-works in blocks whose temporaries hold at most ``_THROUGH_BLOCK`` elements
-(512 KB of float64), beside its two d x d outputs.
+private analysis, :func:`_analysis`, gates a matrix (square, finite,
+nonnegative, a reachability matrix as support) and then runs one kernel,
+:func:`_through`, for the largest and smallest through value of every pair.
+:func:`minimum_ml_dag`, :func:`is_rmwm_mlcm` and :func:`is_mlcm` run one
+analysis each; the enumerators read a candidate's minimum DAG and verdict
+from one.  The kernel works in blocks whose temporaries hold at most
+``_THROUGH_BLOCK`` elements (512 KB of float64), beside its d x d outputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Dag, is_reachability_matrix
+from .graph import Dag, _dag_on, is_reachability_matrix
 from .tolerance import DEFAULT_TOL, Verdict, max_rel_residual, rel_residual, rel_residuals
 
 # Element cap on each temporary of the through kernel.
@@ -92,16 +94,18 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
     return b
 
 
-def _validate_mlcm_shape(b: np.ndarray) -> np.ndarray:
+def _validate_mlcm(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValidationError(f"coefficient matrix must be square, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValidationError("coefficient matrix has non-finite entries")
     return b
 
 
 def sign_pattern(b: np.ndarray) -> np.ndarray:
     """0/1 support pattern of a nonnegative matrix."""
-    b = _validate_mlcm_shape(b)
+    b = _validate_mlcm(b)
     if (b < 0).any():
         raise ValidationError("coefficient matrix has negative entries")
     return (b > 0).astype(np.int64)
@@ -114,7 +118,7 @@ def standardize(b: np.ndarray, alpha: float) -> np.ndarray:
     the scale-free representative shared by all models with the same tail
     dependence matrix.
     """
-    b = _validate_mlcm_shape(b)
+    b = _validate_mlcm(b)
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValidationError(f"tail index must be finite and positive, got {alpha}")
     if (b < 0).any() or (np.diag(b) <= 0).any():
@@ -129,7 +133,7 @@ def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float
     Maps ``b_ij -> beta_j * b_ij**(1/alpha)``; running :func:`standardize`
     on the result with the same ``alpha`` recovers ``bbar``.
     """
-    bbar = _validate_mlcm_shape(bbar)
+    bbar = _validate_mlcm(bbar)
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValidationError(f"tail index must be finite and positive, got {alpha}")
     beta = np.broadcast_to(np.asarray(betas, dtype=float), (bbar.shape[0],))
@@ -180,7 +184,7 @@ def max_weighted_triple(
     the support pattern.  True iff ``b_ji == b_jk * b_ki / b_kk`` within
     ``tol``; the left side always dominates the right for valid matrices.
     """
-    bbar = _validate_mlcm_shape(bbar)
+    bbar = _validate_mlcm(bbar)
     d = bbar.shape[0]
     for node in (j, k, i):
         if not (1 <= node <= d):
@@ -194,6 +198,47 @@ def max_weighted_triple(
     return Verdict(residual <= tol, residual)
 
 
+class _Analysis(NamedTuple):
+    # A square finite matrix after the support gate.  ``fault`` says why its
+    # support is not that of a coefficient matrix; without one, ``hi`` and
+    # ``lo`` are its through values, and answers can be read off.
+    b: np.ndarray
+    fault: str | None
+    hi: np.ndarray | None = None
+    lo: np.ndarray | None = None
+
+    def minimum_ml_dag(self, tol: float) -> Dag:
+        if self.fault:
+            raise ValidationError(self.fault)
+        redundant = (self.b <= self.hi) | (rel_residuals(self.b, self.hi) <= tol)
+        return _dag_on((self.b > 0) & ~redundant)
+
+    def is_rmwm(self, tol: float) -> Verdict:
+        if self.fault:
+            raise ValidationError(self.fault)
+        chained = self.hi != -np.inf
+        if not chained.any():
+            return Verdict(True, 0.0)
+        # Exact to the bit while a through value stays below 2 * b_ji, the
+        # only range where a residual can pass any tolerance below one half.
+        direct = self.b[chained]
+        worst = max(
+            float(rel_residuals(direct, self.hi[chained]).max()),
+            float(rel_residuals(direct, self.lo[chained]).max()),
+        )
+        return Verdict(worst <= tol, worst)
+
+
+def _analysis(b: np.ndarray) -> _Analysis:
+    # The support gate, then one kernel pass if it holds; b must be square and finite.
+    b = _validate_mlcm(b)
+    if (b < 0).any():
+        return _Analysis(b, "coefficient matrix has negative entries")
+    if not is_reachability_matrix(b > 0):
+        return _Analysis(b, "support pattern is not a reachability matrix of a DAG")
+    return _Analysis(b, None, *_through(b))
+
+
 def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     """Does ``bbar`` belong to a model in which every path is max-weighted?
 
@@ -201,27 +246,12 @@ def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     support pattern.  The pattern itself must be a reachability matrix;
     anything else is a precondition violation, not a negative verdict.
 
-    The worst residual is read from the through kernel (temporaries capped
-    at ``_THROUGH_BLOCK`` elements): a relative residual against ``b_ji``
-    peaks at the largest or the smallest through value, so only those two
-    are compared.
+    The worst residual is read from one pass of the through kernel
+    (temporaries capped at ``_THROUGH_BLOCK`` elements): a relative residual
+    against ``b_ji`` peaks at the largest or the smallest through value, so
+    only those two are compared.
     """
-    bbar = _validate_mlcm_shape(bbar)
-    pattern = sign_pattern(bbar)
-    if not is_reachability_matrix(pattern):
-        raise ValidationError("support pattern is not a reachability matrix of a DAG")
-    hi, lo = _through(bbar)
-    chained = hi != -np.inf
-    if not chained.any():
-        return Verdict(True, 0.0)
-    # Exact to the bit while a through value stays below 2 * b_ji, the only
-    # range where a residual can pass any tolerance below one half.
-    direct = bbar[chained]
-    worst = max(
-        float(rel_residuals(direct, hi[chained]).max()),
-        float(rel_residuals(direct, lo[chained]).max()),
-    )
-    return Verdict(worst <= tol, worst)
+    return _analysis(bbar).is_rmwm(tol)
 
 
 def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
@@ -233,20 +263,11 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
     standardized and unstandardized matrices alike since the criterion is
     scale-free.
 
-    Only the largest through value from the kernel (temporaries capped at
-    ``_THROUGH_BLOCK`` elements) is compared: the relative gap below
-    ``b_ki`` shrinks as the through value grows.
+    Only the largest through value from one pass of the kernel (temporaries
+    capped at ``_THROUGH_BLOCK`` elements) is compared: the relative gap
+    below ``b_ki`` shrinks as the through value grows.
     """
-    b = _validate_mlcm_shape(b)
-    pattern = sign_pattern(b)
-    if not is_reachability_matrix(pattern):
-        raise ValidationError("support pattern is not a reachability matrix of a DAG")
-    hi, _ = _through(b)
-    strict = pattern.astype(bool)
-    np.fill_diagonal(strict, False)
-    redundant = (b <= hi) | (rel_residuals(b, hi) <= tol)
-    ks, is_ = np.nonzero(strict & ~redundant)
-    return Dag(b.shape[0], zip((ks + 1).tolist(), (is_ + 1).tolist()))
+    return _analysis(b).minimum_ml_dag(tol)
 
 
 def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
@@ -259,12 +280,10 @@ def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     is valid iff the recomputation reproduces it entrywise.  Negative
     verdicts carry ``reason`` "sign_pattern" or "recomposition".
     """
-    bbar = _validate_mlcm_shape(bbar)
-    if (bbar < 0).any() or (np.diag(bbar) <= 0).any():
+    analysis = _analysis(bbar)
+    if analysis.fault is not None:
         return Verdict(False, float("inf"), "sign_pattern")
-    if not is_reachability_matrix((bbar > 0).astype(np.int64)):
-        return Verdict(False, float("inf"), "sign_pattern")
-    dag = minimum_ml_dag(bbar, tol)
+    bbar, dag = analysis.b, analysis.minimum_ml_dag(tol)
     weights = {(k, i): bbar[k - 1, i - 1] / bbar[k - 1, k - 1] for k, i in dag.edges}
     model = WeightedModel(dag, weights, tuple(np.diag(bbar)), 1.0)
     residual = max_rel_residual(mlcm_from_weights(model), bbar)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import IllConditionedError, ValidationError
 from .graph import Dag, reachability_matrix
+from .mlcm import _validate_mlcm
 from .tolerance import DEFAULT_TOL, ZERO_TOL
 
 # Element cap on each temporary of the clique filter.
@@ -29,10 +30,12 @@ _FILTER_BLOCK = 1 << 16
 
 
 def validate_tdm(chi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check symmetry, unit diagonal, and [0, 1] range; return as float array."""
+    """Check finiteness, symmetry, unit diagonal, and [0, 1] range; return as float array."""
     chi = np.asarray(chi, dtype=float)
     if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
         raise ValidationError(f"tail dependence matrix must be square, got shape {chi.shape}")
+    if not np.isfinite(chi).all():
+        raise ValidationError("tail dependence matrix has non-finite entries")
     asym = np.abs(chi - chi.T)
     if asym.max(initial=0.0) > tol:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
@@ -54,12 +57,10 @@ def validate_tdm(chi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def tdm_from_std_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Tail dependence matrix of a standardized coefficient matrix.
 
-    Column sums of ``bbar`` must be one within ``tol``; the output is
-    symmetric with unit diagonal by construction.
+    Entries must be finite and column sums of ``bbar`` one within ``tol``;
+    the output is symmetric with unit diagonal by construction.
     """
-    bbar = np.asarray(bbar, dtype=float)
-    if bbar.ndim != 2 or bbar.shape[0] != bbar.shape[1]:
-        raise ValidationError(f"coefficient matrix must be square, got shape {bbar.shape}")
+    bbar = _validate_mlcm(bbar)
     if (bbar < 0).any() or (np.diag(bbar) <= 0).any():
         raise ValidationError("matrix must be nonnegative with positive diagonal")
     colsums = bbar.sum(axis=0)

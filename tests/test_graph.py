@@ -138,6 +138,22 @@ class TestTransitiveReduction:
                 oracles.transitive_reduction_edges(d, set(dag.edges))
             )
 
+    @pytest.mark.parametrize("d,density", [(30, 0.2), (60, 0.5)])
+    def test_large_dag_and_its_closure_reduce_alike(self, d, density):
+        dag = random_dag(d, density, d)
+        reach = reachability_matrix(dag)
+        closure = dag_from_reachability(reach)
+        assert closure.edges == frozenset(
+            (j + 1, i + 1) for j, i in zip(*np.nonzero(reach)) if j != i
+        )
+        reduced = transitive_reduction(dag)
+        assert transitive_reduction(closure) == reduced
+        assert reduced.edges <= dag.edges
+        assert np.array_equal(reachability_matrix(reduced), reach)
+        for edge in reduced.edges:
+            thinned = Dag(d, reduced.edges - {edge})
+            assert not np.array_equal(reachability_matrix(thinned), reach)
+
 
 class TestCausalOrdering:
     def test_chain_identity_is_causal(self):

@@ -253,6 +253,28 @@ class TestCliCheck:
         assert code == 2
 
 
+NAN_CHI = np.array([[1.0, np.nan], [np.nan, 1.0]])
+
+
+class TestCliNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("recover", "--ordering", "1,2", "--chi"),
+            ("enumerate", "--chi"),
+            ("check", "--mlcm"),
+        ],
+        ids=["recover", "enumerate", "check-mlcm"],
+    )
+    def test_nan_is_malformed(self, capsys, tmp_path, argv):
+        path = tmp_path / "nan.csv"
+        write_matrix(NAN_CHI, path)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+
 class TestCliPipeline:
     def test_tdm_matches_library(self, capsys, model_file):
         code, out, _ = run(capsys, "tdm", "--model", model_file)
@@ -279,6 +301,13 @@ class TestCliPipeline:
     def test_gen_requires_seed(self, capsys):
         code, _, err = run(capsys, "gen", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("weights", ["a,b", "0.5", "0.5,1,2"])
+    def test_gen_malformed_weight_range(self, capsys, weights):
+        code, out, err = run(capsys, "gen", "5", "--seed", "1", "--weight-range", weights)
+        assert code == 2
+        assert out == ""
+        assert "--weight-range" in err
 
     def test_gen_homogeneous_weights_follow_ancestor_counts(self, capsys):
         code, out, _ = run(

@@ -346,6 +346,87 @@ class TestIsMlcm:
         with pytest.raises(ValidationError):
             is_mlcm(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("check", [is_mlcm, is_rmwm_mlcm, minimum_ml_dag])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_raises(self, check, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            check(np.array([[1.0, value], [0.0, 1.0]]))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Counts of through-kernel passes and reachability checks in ``mlcm``."""
+    from maxlindag import mlcm
+
+    calls = {"through": 0, "reach": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(mlcm, "_through", counted("through", mlcm._through))
+    monkeypatch.setattr(
+        mlcm, "is_reachability_matrix", counted("reach", mlcm.is_reachability_matrix)
+    )
+    return calls
+
+
+class TestOneAnalysisPerCheck:
+    @pytest.mark.parametrize("check", [is_mlcm, is_rmwm_mlcm, minimum_ml_dag])
+    @pytest.mark.parametrize("name,bbar", LARGE_BBARS[:3], ids=[n for n, _ in LARGE_BBARS[:3]])
+    def test_one_kernel_pass_and_one_support_check(self, kernel_calls, check, name, bbar):
+        check(bbar)
+        assert kernel_calls == {"through": 1, "reach": 1}
+
+    def test_sign_pattern_rejection_runs_no_kernel(self, kernel_calls):
+        assert is_mlcm(np.array([[1.0, -0.1], [0.0, 1.0]])).reason == "sign_pattern"
+        assert kernel_calls == {"through": 0, "reach": 0}
+        not_closed = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+        assert is_mlcm(not_closed).reason == "sign_pattern"
+        assert kernel_calls == {"through": 0, "reach": 1}
+
+    def test_enumerate_all_rmwm_one_analysis_per_candidate(
+        self, kernel_calls, monkeypatch, corpus
+    ):
+        from maxlindag import enumerate_all_rmwm, identify
+
+        candidates = []
+        original = identify.recover_from_ordering
+
+        def recover(*args):
+            candidates.append(original(*args))
+            return candidates[-1]
+
+        monkeypatch.setattr(identify, "recover_from_ordering", recover)
+        for entry in corpus[:60]:
+            kernel_calls.update(through=0, reach=0)
+            candidates.clear()
+            models = enumerate_all_rmwm(entry.chi)
+            assert kernel_calls["reach"] == len(candidates)
+            assert len(models) <= kernel_calls["through"] <= len(candidates)
+
+    def test_enumerate_all_one_pass_per_leaf_and_model(self, kernel_calls, monkeypatch, corpus):
+        from maxlindag import enumerate_all, identify
+
+        leaf_passes = []
+
+        def leaf_check(bbar, tol):
+            before = kernel_calls["through"]
+            verdict = is_mlcm(bbar, tol)
+            leaf_passes.append(kernel_calls["through"] - before)
+            return verdict
+
+        monkeypatch.setattr(identify, "is_mlcm", leaf_check)
+        for entry in corpus[:40]:
+            kernel_calls["through"] = 0
+            leaf_passes.clear()
+            models = enumerate_all(entry.chi)
+            assert set(leaf_passes) <= {0, 1}
+            assert kernel_calls["through"] == sum(leaf_passes) + len(models)
+
 
 class TestHomogeneousModel:
     def test_chain_column_is_uniform(self):

@@ -102,6 +102,13 @@ class TestValidateTdm:
         with pytest.raises(ValidationError, match="outside"):
             validate_tdm(np.array([[1.0, 1.2], [1.2, 1.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_tdm(np.array([[1.0, value], [value, 1.0]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            tdm_from_std_mlcm(np.array([[1.0, value], [0.0, 1.0]]))
+
 
 class TestIndependencePattern:
     def test_holds_on_generated_models(self, corpus):
