@@ -41,7 +41,7 @@ from .io import (
     write_matrix,
 )
 from .generate import random_weighted_model
-from .mlcm import is_mlcm, is_rmwm_mlcm, mlcm_from_weights, standardize
+from .mlcm import _analysis, is_mlcm, mlcm_from_weights, standardize
 from .simulate import NoiseSpec, empirical_tdm, sample
 from .taildep import check_rmwm_tdm, tdm_from_std_mlcm
 from .tolerance import DEFAULT_TOL
@@ -157,11 +157,11 @@ def cmd_check(args: argparse.Namespace, tol: float) -> int:
         print(f"invalid: {verdict.reason} (residual {verdict.residual:.3g})")
         return EXIT_REJECTED
     if args.rmwm:
-        matrix = read_matrix(args.rmwm)
-        if not is_mlcm(matrix, tol):
+        analysis = _analysis(read_matrix(args.rmwm))
+        if not analysis.is_mlcm(tol):
             print("invalid: not a coefficient matrix of any model")
             return EXIT_REJECTED
-        verdict = is_rmwm_mlcm(matrix, tol)
+        verdict = analysis.is_rmwm(tol)
         if verdict:
             print(f"valid max-weighted coefficient matrix (residual {verdict.residual:.3g})")
             return EXIT_OK

@@ -39,4 +39,4 @@ class NotRealizableError(MaxlinError):
 
 
 class IllConditionedError(MaxlinError):
-    """An entry sits between exact zero and the zero tolerance."""
+    """A value cannot be told apart from zero, or does not fit in float64."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -274,29 +275,23 @@ def causal_orderings(dag: Dag, limit: int | None = None) -> Iterator[CausalOrder
     in d even for moderate graphs.
     """
     indeg = {v: len(dag.parents(v)) for v in range(1, dag.d + 1)}
-    prefix: list[int] = []
-    produced = 0
+    return islice(_extensions(dag, indeg, []), None if limit is None else max(limit, 0))
 
-    def extend() -> Iterator[CausalOrdering]:
-        nonlocal produced
-        if limit is not None and produced >= limit:
-            return
-        if len(prefix) == dag.d:
-            produced += 1
-            yield CausalOrdering.from_node_order(prefix)
-            return
-        for v in sorted(indeg):
-            if indeg[v] == 0:
-                del indeg[v]
-                for c in dag.children(v):
-                    indeg[c] -= 1
-                prefix.append(v)
-                yield from extend()
-                prefix.pop()
-                for c in dag.children(v):
-                    indeg[c] += 1
-                indeg[v] = 0
-                if limit is not None and produced >= limit:
-                    return
 
-    return extend()
+def _extensions(dag: Dag, indeg: dict[int, int], prefix: list[int]) -> Iterator[CausalOrdering]:
+    # Causal orderings that start with `prefix`; `indeg` counts the unplaced
+    # parents of every unplaced node.
+    if len(prefix) == dag.d:
+        yield CausalOrdering.from_node_order(prefix)
+        return
+    for v in sorted(indeg):
+        if indeg[v] == 0:
+            del indeg[v]
+            for c in dag.children(v):
+                indeg[c] -= 1
+            prefix.append(v)
+            yield from _extensions(dag, indeg, prefix)
+            prefix.pop()
+            for c in dag.children(v):
+                indeg[c] += 1
+            indeg[v] = 0

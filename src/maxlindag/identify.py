@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -276,6 +276,31 @@ def _sorted_models(models: list[IdentifiedModel], tol: float) -> list[Identified
     )
 
 
+def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], layers: list[list[int]],
+            level: int, remaining: list[int], tol: float) -> Iterator[None]:
+    # Depth-first over the orders of `remaining` (0-based nodes of layer
+    # `level`) and of the layers after it, settling each row on the way.
+    # Yields at every leaf with `bbar` and `placed` filled in; a prefix whose
+    # row recursion fails is abandoned.
+    if not remaining:
+        if level + 1 < len(layers):
+            yield from _leaves(chi, bbar, placed, layers, level + 1, list(layers[level + 1]), tol)
+        else:
+            yield
+        return
+    for node in list(remaining):
+        try:
+            bbar[node] = _settled_row(chi, bbar, placed, node, placed, tol)
+        except NotRealizableError:
+            continue
+        placed.append(node)
+        remaining.remove(node)
+        yield from _leaves(chi, bbar, placed, layers, level, remaining, tol)
+        remaining.append(node)
+        placed.pop()
+        bbar[node] = 0.0
+
+
 def enumerate_all(
     chi: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -315,33 +340,22 @@ def enumerate_all(
         rest = [j for j in range(d) if j not in widx]
         if any(counts[j] == 0 for j in rest):
             continue
-        layers = []
-        for level in range(1, len(clique) + 1):
-            layer = [j for j in rest if counts[j] == level]
-            if layer:
-                layers.append(layer)
-
-        # Clique members are pinned to the first positions in ascending
-        # order: their internal order never changes the recovered matrix.
+        # Clique members come first, pinned in ascending order as one-node
+        # layers: their internal order never changes the recovered matrix.
         # `placed` and `layers` hold 0-based nodes.
+        levels = sorted({int(counts[j]) for j in rest})
+        layers = [[w] for w in widx] + [[j for j in rest if counts[j] == c] for c in levels]
         bbar = np.zeros((d, d))
         placed: list[int] = []
-        try:
-            for node in widx:
-                bbar[node] = _settled_row(chi, bbar, placed, node, placed, tol)
-                placed.append(node)
-        except NotRealizableError:
-            continue
-
-        def on_leaf() -> None:
+        for _ in _leaves(chi, bbar, placed, layers, 0, list(layers[0]), tol):
             ordering = CausalOrdering.from_node_order([v + 1 for v in placed])
             if any(_ordering_fits_pattern(ordering, p) for p in found_patterns):
-                return
+                continue
             candidate = bbar.copy()
             if not is_mlcm(candidate, tol):
-                return
+                continue
             if max_rel_residual(tdm_from_std_mlcm(candidate), chi) > tol:
-                return
+                continue
             analysis = _analysis(candidate)
             found.append(
                 IdentifiedModel(
@@ -353,27 +367,6 @@ def enumerate_all(
                 )
             )
             found_patterns.append((candidate > 0).astype(np.int64))
-
-        def descend(level: int, remaining: list[int]) -> None:
-            if not remaining:
-                if level + 1 >= len(layers):
-                    on_leaf()
-                else:
-                    descend(level + 1, list(layers[level + 1]))
-                return
-            for node in list(remaining):
-                try:
-                    bbar[node] = _settled_row(chi, bbar, placed, node, placed, tol)
-                except NotRealizableError:
-                    continue
-                placed.append(node)
-                remaining.remove(node)
-                descend(level, remaining)
-                remaining.append(node)
-                placed.pop()
-                bbar[node] = 0.0
-
-        descend(0, list(layers[0]) if layers else [])
 
     return _sorted_models(found, tol)
 

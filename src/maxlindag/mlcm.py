@@ -10,18 +10,20 @@ which unrolls to ``X_i = max_{j in An(i)} b_ji * Z_j``.  The coefficient
 ``c_jj`` times the product of its edge weights.  This module computes the
 coefficient matrix B from edge weights (max-times dynamic programming over a
 topological order), standardizes it to unit column sums, and decides the
-structural questions that drive identifiability: which paths are
-max-weighted, whether a matrix is a valid (max-weighted) coefficient matrix,
-and what the minimum representing DAG is.
+structural questions that drive identifiability: whether a matrix is a
+coefficient matrix at all, whether all its paths are max-weighted, and what
+its minimum representing DAG is.
 
-Those structural questions all compare ``b_ki`` with the max-times
-"through" values ``b_kl * b_li / b_ll`` over intermediate nodes ``l``.  One
-private analysis, :func:`_analysis`, gates a matrix (square, finite,
+Each question compares ``b_ki`` with the max-times "through" values
+``b_kl * b_li / b_ll`` over intermediate nodes ``l``: a matrix is valid iff
+no through value exceeds its entry, max-weighted iff every through value
+equals it, and ``k -> i`` is a minimum-DAG edge iff ``b_ki`` beats them all.
+One private analysis, :func:`_analysis`, gates a matrix (square, finite,
 nonnegative, a reachability matrix as support) and then runs one kernel,
-:func:`_through`, for the largest and smallest through value of every pair.
-:func:`minimum_ml_dag`, :func:`is_rmwm_mlcm` and :func:`is_mlcm` run one
-analysis each; the enumerators read a candidate's minimum DAG and verdict
-from one.  The kernel works in blocks whose temporaries hold at most
+:func:`_through`, for the largest and smallest through value of every pair;
+:func:`is_mlcm`, :func:`is_rmwm_mlcm` and :func:`minimum_ml_dag` read their
+answers off one analysis each, and callers that need several answers share
+one.  The kernel works in blocks whose temporaries hold at most
 ``_THROUGH_BLOCK`` elements (512 KB of float64), beside its d x d outputs.
 """
 from __future__ import annotations
@@ -31,9 +33,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IllConditionedError, ValidationError
 from .graph import Dag, _dag_on, is_reachability_matrix
-from .tolerance import DEFAULT_TOL, Verdict, max_rel_residual, rel_residual, rel_residuals
+from .tolerance import DEFAULT_TOL, Verdict, rel_residuals
 
 # Element cap on each temporary of the through kernel.
 _THROUGH_BLOCK = 1 << 16
@@ -116,15 +118,24 @@ def standardize(b: np.ndarray, alpha: float) -> np.ndarray:
 
     The result is itself a valid coefficient matrix on the same DAG and is
     the scale-free representative shared by all models with the same tail
-    dependence matrix.
+    dependence matrix.  A column that overflows, or whose diagonal entry
+    underflows to zero, in float64 raises :class:`IllConditionedError`.
     """
     b = _validate_mlcm(b)
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValidationError(f"tail index must be finite and positive, got {alpha}")
     if (b < 0).any() or (np.diag(b) <= 0).any():
         raise ValidationError("matrix must be nonnegative with positive diagonal")
-    powered = b**alpha
-    return powered / powered.sum(axis=0)
+    with np.errstate(all="ignore"):
+        powered = b**alpha
+        bbar = powered / powered.sum(axis=0)
+    lost = ~np.isfinite(bbar).all(axis=0) | (np.diag(bbar) == 0.0)
+    if lost.any():
+        col = int(np.argmax(lost)) + 1
+        raise IllConditionedError(
+            f"column {col} under- or overflows float64 when raised to the power {alpha}"
+        )
+    return bbar
 
 
 def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float) -> np.ndarray:
@@ -194,7 +205,7 @@ def max_weighted_triple(
     if k == i or bbar[k - 1, i - 1] <= 0:
         raise ValidationError(f"node {k} is not a strict ancestor of {i}")
     through = bbar[j - 1, k - 1] * bbar[k - 1, i - 1] / bbar[k - 1, k - 1]
-    residual = rel_residual(bbar[j - 1, i - 1], through)
+    residual = float(rel_residuals(bbar[j - 1, i - 1], through))
     return Verdict(residual <= tol, residual)
 
 
@@ -207,6 +218,15 @@ class _Analysis(NamedTuple):
     hi: np.ndarray | None = None
     lo: np.ndarray | None = None
 
+    def is_mlcm(self, tol: float) -> Verdict:
+        if self.fault:
+            return Verdict(False, float("inf"), "sign_pattern")
+        short = self.hi > self.b
+        residual = float(rel_residuals(self.b[short], self.hi[short]).max(initial=0.0))
+        if residual <= tol:
+            return Verdict(True, residual)
+        return Verdict(False, residual, "recomposition")
+
     def minimum_ml_dag(self, tol: float) -> Dag:
         if self.fault:
             raise ValidationError(self.fault)
@@ -216,16 +236,12 @@ class _Analysis(NamedTuple):
     def is_rmwm(self, tol: float) -> Verdict:
         if self.fault:
             raise ValidationError(self.fault)
-        chained = self.hi != -np.inf
-        if not chained.any():
-            return Verdict(True, 0.0)
         # Exact to the bit while a through value stays below 2 * b_ji, the
         # only range where a residual can pass any tolerance below one half.
+        chained = self.hi != -np.inf
         direct = self.b[chained]
-        worst = max(
-            float(rel_residuals(direct, self.hi[chained]).max()),
-            float(rel_residuals(direct, self.lo[chained]).max()),
-        )
+        worst = float(max(rel_residuals(direct, self.hi[chained]).max(initial=0.0),
+                          rel_residuals(direct, self.lo[chained]).max(initial=0.0)))
         return Verdict(worst <= tol, worst)
 
 
@@ -244,12 +260,9 @@ def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
 
     Checks ``b_ji == b_jk * b_ki / b_kk`` for every chained triple of the
     support pattern.  The pattern itself must be a reachability matrix;
-    anything else is a precondition violation, not a negative verdict.
-
-    The worst residual is read from one pass of the through kernel
-    (temporaries capped at ``_THROUGH_BLOCK`` elements): a relative residual
-    against ``b_ji`` peaks at the largest or the smallest through value, so
-    only those two are compared.
+    anything else is a precondition violation, not a negative verdict.  A
+    relative residual against ``b_ji`` peaks at the largest or the smallest
+    through value, so only those two are compared.
     """
     return _analysis(bbar).is_rmwm(tol)
 
@@ -259,13 +272,14 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
 
     Keeps edge ``k -> i`` exactly when the direct edge is the unique
     max-weighted k-to-i path, i.e. ``b_ki`` strictly exceeds every
-    ``b_kl * b_li / b_ll`` over intermediate nodes ``l``.  Works for
-    standardized and unstandardized matrices alike since the criterion is
-    scale-free.
-
-    Only the largest through value from one pass of the kernel (temporaries
-    capped at ``_THROUGH_BLOCK`` elements) is compared: the relative gap
-    below ``b_ki`` shrinks as the through value grows.
+    ``b_kl * b_li / b_ll`` over intermediate nodes ``l``.  The criterion is
+    invariant under column scaling, so a matrix and its standardization
+    share their minimum DAG up to rounding.  It is not invariant under the
+    entrywise power ``b**alpha`` of :func:`standardize`, which scales the
+    relative gaps by about ``alpha``: an edge whose gap lies near ``tol`` can
+    be kept for ``b`` and dropped for its standardization, or the reverse.
+    Only the largest through value is compared: the relative gap below
+    ``b_ki`` shrinks as the through value grows.
     """
     return _analysis(b).minimum_ml_dag(tol)
 
@@ -273,23 +287,24 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
 def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     """Is ``bbar`` the coefficient matrix of some recursive max-linear model?
 
-    Decision by reconstruction: the support pattern must be a reachability
-    matrix; then the minimum representing DAG is extracted, its uniquely
-    determined edge weights ``c_ki = b_ki / b_kk`` and ``c_ii = b_ii`` are
-    read off, and the coefficient matrix is recomputed from them.  ``bbar``
-    is valid iff the recomputation reproduces it entrywise.  Negative
-    verdicts carry ``reason`` "sign_pattern" or "recomposition".
+    B is the Kleene star of its edge weights, so a nonnegative matrix whose
+    support is a reachability matrix is one iff ``b_ki >= b_kl * b_li / b_ll``
+    over every chain k -> l -> i, i.e. iff ``b >= hi`` for the largest
+    through value ``hi``.  Each through value is a k-to-i path weight, hence
+    necessity.  Sufficiency goes by induction over the column recursion that
+    recomposes B from the minimum DAG's read-off weights ``c_ki = b_ki / b_kk``,
+    ``c_ii = b_ii``, columns in topological order and rows from ``i`` upwards:
+    a minimum-DAG edge reproduces its own entry, and any other entry equals
+    ``hi_ki = b_kl * b_li / b_ll`` for some ``l`` between k and i, which by
+    the induction is a product along minimum-DAG edges.
+
+    ``residual`` is the largest ``rel(b_ki, hi_ki)`` over the entries with
+    ``hi > b``, or 0 when there is none; the verdict is positive iff it is
+    at most ``tol``.  Negative verdicts carry ``reason`` "sign_pattern"
+    (negative entries, or a support that is not a reachability matrix) or
+    "recomposition".
     """
-    analysis = _analysis(bbar)
-    if analysis.fault is not None:
-        return Verdict(False, float("inf"), "sign_pattern")
-    bbar, dag = analysis.b, analysis.minimum_ml_dag(tol)
-    weights = {(k, i): bbar[k - 1, i - 1] / bbar[k - 1, k - 1] for k, i in dag.edges}
-    model = WeightedModel(dag, weights, tuple(np.diag(bbar)), 1.0)
-    residual = max_rel_residual(mlcm_from_weights(model), bbar)
-    if residual <= tol:
-        return Verdict(True, residual)
-    return Verdict(False, residual, "recomposition")
+    return _analysis(bbar).is_mlcm(tol)
 
 
 def homogeneous_model(dag: Dag, alpha: float) -> WeightedModel:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Relative tolerance for equality-based classification (max-weighted paths,
-# matrix recomposition, recursion feasibility).
+# coefficient-matrix validity, recursion feasibility).
 DEFAULT_TOL = 1e-9
 
 # Absolute tolerance separating "exactly zero" from "positive" tail
@@ -41,16 +41,8 @@ class Verdict:
         return self.ok
 
 
-def rel_residual(a: float, b: float) -> float:
-    """Relative deviation |a-b| / max(|a|,|b|); zero when both are zero."""
-    if a == b:
-        return 0.0
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale
-
-
 def rel_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise :func:`rel_residual`, bit for bit."""
+    """Entrywise relative deviation |a-b| / max(|a|,|b|); zero where a == b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:

@@ -118,6 +118,21 @@ def linear_extensions(d: int, edges: set[tuple[int, int]]) -> list[tuple[int, ..
     return out
 
 
+def is_partial_order(pattern: np.ndarray) -> bool:
+    """Reflexive, antisymmetric and transitive, pair by pair."""
+    d = pattern.shape[0]
+    if not np.diag(pattern).all():
+        return False
+    for i in range(d):
+        for j in range(d):
+            if i != j and pattern[i, j] and pattern[j, i]:
+                return False
+            for k in range(d):
+                if pattern[i, j] and pattern[j, k] and not pattern[i, k]:
+                    return False
+    return True
+
+
 def is_mlcm_by_reconstruction(bbar: np.ndarray, tol: float = 1e-9) -> bool:
     """Validity oracle: rebuild from the full reachability DAG and compare.
 
@@ -130,15 +145,8 @@ def is_mlcm_by_reconstruction(bbar: np.ndarray, tol: float = 1e-9) -> bool:
     if (bbar < 0).any() or (np.diag(bbar) <= 0).any():
         return False
     pattern = bbar > 0
-    if not np.diag(pattern).all():
+    if not is_partial_order(pattern):
         return False
-    for i in range(d):
-        for j in range(d):
-            if i != j and pattern[i, j] and pattern[j, i]:
-                return False
-            for k in range(d):
-                if pattern[i, j] and pattern[j, k] and not pattern[i, k]:
-                    return False
     edges = {(j + 1, i + 1) for j in range(d) for i in range(d) if j != i and pattern[j, i]}
     weights = {(k, i): bbar[k - 1, i - 1] / bbar[k - 1, k - 1] for k, i in edges}
     scales = {i: bbar[i - 1, i - 1] for i in range(1, d + 1)}
@@ -178,6 +186,46 @@ def minimum_ml_dag_edges(b: np.ndarray, tol: float = 1e-9) -> set[tuple[int, int
             if not redundant:
                 edges.add((k + 1, i + 1))
     return edges
+
+
+def is_mlcm_by_recomposition(bbar: np.ndarray, tol: float = 1e-9) -> tuple[bool, str | None]:
+    """Validity as ``(ok, reason)`` by recomposing the matrix from its minimum DAG.
+
+    A negative entry or a support that is not a partial order gives
+    "sign_pattern".  Otherwise the weights ``c_ki = b_ki / b_kk`` and
+    ``c_ii = b_ii`` are read off the minimum DAG, the coefficient matrix is
+    recomputed column by column in topological order, and the matrix is
+    accepted iff every entry is reproduced within a relative ``tol``; else
+    "recomposition".
+    """
+    pattern = bbar > 0
+    if (bbar < 0).any() or not is_partial_order(pattern):
+        return False, "sign_pattern"
+    d = bbar.shape[0]
+    edges = minimum_ml_dag_edges(bbar, tol)
+    rebuilt = np.zeros((d, d))
+    for i in sorted(range(d), key=lambda i: pattern[:, i].sum()):  # ancestors first
+        for k in range(d):
+            if (k + 1, i + 1) in edges:
+                weight = bbar[k, i] / bbar[k, k]
+                rebuilt[:, i] = np.maximum(rebuilt[:, i], rebuilt[:, k] * weight)
+        rebuilt[i, i] = bbar[i, i]
+    worst = max(_rel(a, b) for a, b in zip(rebuilt.flat, bbar.flat))
+    return (True, None) if worst <= tol else (False, "recomposition")
+
+
+def mlcm_shortfall(bbar: np.ndarray) -> float:
+    """Largest ``rel(b_ki, b_kl * b_li / b_ll)`` over chains where the route exceeds ``b_ki``."""
+    ancestors = _strict_ancestors(bbar)
+    worst = 0.0
+    for i in range(bbar.shape[0]):
+        for k in ancestors[i]:
+            for l in ancestors[i]:
+                if l != k and bbar[k, l] > 0:
+                    through = bbar[k, l] * bbar[l, i] / bbar[l, l]
+                    if through > bbar[k, i]:
+                        worst = max(worst, _rel(bbar[k, i], through))
+    return worst
 
 
 def rmwm_worst_residual(bbar: np.ndarray) -> float:

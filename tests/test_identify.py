@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -481,3 +483,18 @@ class TestEnumerateAllRmwm:
             }
             for m in enumerate_all_rmwm(entry.chi):
                 assert np.round(m.std_mlcm, 9).tobytes() in general
+
+
+def test_searches_free_themselves_without_the_cycle_collector(corpus):
+    # A search whose recursion keeps a reference cycle (a nested function
+    # that calls itself) leaves its frames for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        for entry in corpus[:150]:
+            enumerate_all(entry.chi)
+            enumerate_all_rmwm(entry.chi)
+            list(causal_orderings(entry.dag, limit=5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

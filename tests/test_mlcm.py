@@ -14,6 +14,7 @@ from cases import (
 )
 from maxlindag import (
     Dag,
+    IllConditionedError,
     ValidationError,
     WeightedModel,
     destandardize,
@@ -123,6 +124,19 @@ class TestStandardize:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
             standardize(np.array([[1.0, -0.1], [0.0, 1.0]]), 1.0)
+
+    @pytest.mark.parametrize(
+        "b,column",
+        [
+            ([[1.0, 1.0], [0.0, 1e-200]], 2),  # the powered diagonal underflows
+            ([[1e-200, 1.0], [0.0, 1e-200]], 1),  # a whole column underflows
+            ([[1e200, 1.0], [0.0, 1.0]], 1),  # a powered entry overflows
+        ],
+        ids=["zero-diagonal", "zero-column", "overflow"],
+    )
+    def test_column_lost_in_float64_raises(self, b, column):
+        with pytest.raises(IllConditionedError, match=f"column {column} "):
+            standardize(np.array(b), 2.0)
 
 
 class TestDestandardize:
@@ -353,6 +367,53 @@ class TestIsMlcm:
             check(np.array([[1.0, value], [0.0, 1.0]]))
 
 
+PERTURBATION_FACTORS = (0.5, 0.9, 1 + 1e-10, 1 + 1e-8, 1.1, 2.0)
+
+
+def perturbed(corpus, factor: float) -> list[np.ndarray]:
+    """Each corpus matrix with one seeded random positive entry scaled by ``factor``."""
+    rng = np.random.default_rng(7021)
+    out = []
+    for entry in corpus:
+        k, i = rng.choice(np.argwhere(entry.bbar > 0))
+        bbar = entry.bbar.copy()
+        bbar[k, i] *= factor
+        out.append(bbar)
+    return out
+
+
+def same_as_recomposition(bbar: np.ndarray) -> None:
+    verdict = is_mlcm(bbar)
+    assert (verdict.ok, verdict.reason) == oracles.is_mlcm_by_recomposition(bbar)
+    if verdict.reason != "sign_pattern":
+        assert verdict.residual.hex() == oracles.mlcm_shortfall(bbar).hex()
+
+
+class TestIsMlcmAgainstRecomposition:
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            same_as_recomposition(entry.bbar)
+
+    @pytest.mark.parametrize("factor", PERTURBATION_FACTORS)
+    def test_single_entry_perturbations(self, corpus, factor):
+        verdicts = []
+        for bbar in perturbed(corpus, factor):
+            same_as_recomposition(bbar)
+            verdicts.append(is_mlcm(bbar).ok)
+        if factor != 1 + 1e-10:
+            assert not all(verdicts)  # the perturbations break some matrices
+
+    @pytest.mark.parametrize("name,bbar", LARGE_BBARS, ids=[n for n, _ in LARGE_BBARS])
+    def test_large_matrices(self, name, bbar):
+        same_as_recomposition(bbar)
+        for factor in PERTURBATION_FACTORS:
+            same_as_recomposition(scaled_chained_entry(bbar, factor))
+
+    def test_no_shortfall_means_zero_residual(self):
+        assert is_mlcm(np.eye(3)).residual == 0.0
+        assert is_mlcm(BBAR_TRIANGLE_VALID).residual == 0.0
+
+
 @pytest.fixture()
 def kernel_calls(monkeypatch):
     """Counts of through-kernel passes and reachability checks in ``mlcm``."""
@@ -380,6 +441,22 @@ class TestOneAnalysisPerCheck:
     def test_one_kernel_pass_and_one_support_check(self, kernel_calls, check, name, bbar):
         check(bbar)
         assert kernel_calls == {"through": 1, "reach": 1}
+
+    @pytest.mark.parametrize("name,bbar", LARGE_BBARS[:3], ids=[n for n, _ in LARGE_BBARS[:3]])
+    def test_cli_check_rmwm_one_analysis(self, kernel_calls, tmp_path, name, bbar):
+        from maxlindag.cli import main
+        from maxlindag.io import write_matrix
+
+        path = tmp_path / "bbar.csv"
+        codes = []
+        for matrix in (bbar, scaled_chained_entry(bbar, 0.5)):
+            write_matrix(matrix, path)
+            valid = is_mlcm(matrix).ok and is_rmwm_mlcm(matrix).ok
+            kernel_calls.update(through=0, reach=0)
+            codes.append(main(["check", "--rmwm", str(path)]))
+            assert codes[-1] == (0 if valid else 1)
+            assert kernel_calls == {"through": 1, "reach": 1}
+        assert codes[1] == 1
 
     def test_sign_pattern_rejection_runs_no_kernel(self, kernel_calls):
         assert is_mlcm(np.array([[1.0, -0.1], [0.0, 1.0]])).reason == "sign_pattern"
