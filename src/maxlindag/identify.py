@@ -255,25 +255,10 @@ class IdentifiedModel:
     max_weighted: bool
 
 
-def _quantized_key(bbar: np.ndarray, tol: float) -> bytes:
-    # support pattern plus values quantized at the tolerance
-    pattern = (bbar > 0).astype(np.int8).tobytes()
-    return pattern + np.round(bbar / max(tol, 1e-15)).astype(np.int64).tobytes()
-
-
-def _ordering_fits_pattern(ordering: CausalOrdering, pattern: np.ndarray) -> bool:
-    # Is this a causal ordering of the DAG with the given reachability?
-    pos = np.asarray(ordering.positions)
-    violation = (pattern > 0) & (pos[:, None] >= pos[None, :])
-    np.fill_diagonal(violation, False)
-    return not violation.any()
-
-
-def _sorted_models(models: list[IdentifiedModel], tol: float) -> list[IdentifiedModel]:
-    return sorted(
-        models,
-        key=lambda m: (m.initial_nodes, _quantized_key(m.std_mlcm, tol)),
-    )
+def _sorted_models(models: list[IdentifiedModel]) -> list[IdentifiedModel]:
+    # A support fixes the initial nodes, and the accepted supports are
+    # distinct, so this key never ties.
+    return sorted(models, key=lambda m: (m.initial_nodes, (m.std_mlcm > 0).tobytes()))
 
 
 def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], layers: list[list[int]],
@@ -312,11 +297,21 @@ def enumerate_all(
     For every maximum chi-clique surviving the initial-set filter, the
     candidate causal orderings (clique first, remaining nodes grouped by how
     many clique members they depend on) are explored depth-first; a prefix
-    is abandoned as soon as its row recursion turns negative, and orderings
-    of an already-found reachability pattern are skipped since they would
-    reproduce the same matrix.  Each surviving matrix must pass the full
-    coefficient-matrix validity check and reproduce ``chi``.  An empty list
-    means no recursive max-linear model has this tail dependence matrix.
+    is abandoned as soon as its row recursion turns negative.  Each leaf
+    matrix must pass the full coefficient-matrix validity check and
+    reproduce ``chi``.  An empty list means no recursive max-linear model
+    has this tail dependence matrix.
+
+    A leaf whose support pattern was already accepted is skipped: given chi
+    and a causal ordering of its DAG, the row recursion returns that DAG's
+    unique matrix, so a found model is fixed by its support.  Skipping on
+    the support skips exactly the orderings that are causal for a found
+    model's DAG.  (i) The recursion holds each row at zero on the columns
+    placed before it, so a leaf's ordering is causal for the leaf's own
+    support: a leaf that repeats a found support has an ordering causal for
+    that model's DAG, with no rounding involved.  (ii) Conversely, an
+    ordering causal for a found model's DAG re-derives that model's matrix,
+    so its support repeats.
 
     The search is capped at ``max_d`` nodes (default 10) because its worst
     case is factorial; larger inputs raise :class:`EnumerationCapError`.
@@ -330,45 +325,42 @@ def enumerate_all(
         )
     positive = _positive_mask(chi, zero_tol)
     found: list[IdentifiedModel] = []
-    found_patterns: list[np.ndarray] = []
+    seen: set[bytes] = set()
 
     for clique in maximum_chi_cliques(chi, zero_tol):
         if not clique_initial_filter(chi, clique, tol, zero_tol):
             continue
+        # Clique members come first, pinned in ascending order as one-node
+        # layers: their internal order never changes the recovered matrix.
+        # Every other node depends on some member, or it would extend the
+        # maximum clique.  `placed` and `layers` hold 0-based nodes.
         widx = [v - 1 for v in clique]
         counts = positive[widx, :].sum(axis=0)
         rest = [j for j in range(d) if j not in widx]
-        if any(counts[j] == 0 for j in rest):
-            continue
-        # Clique members come first, pinned in ascending order as one-node
-        # layers: their internal order never changes the recovered matrix.
-        # `placed` and `layers` hold 0-based nodes.
         levels = sorted({int(counts[j]) for j in rest})
         layers = [[w] for w in widx] + [[j for j in rest if counts[j] == c] for c in levels]
         bbar = np.zeros((d, d))
         placed: list[int] = []
         for _ in _leaves(chi, bbar, placed, layers, 0, list(layers[0]), tol):
-            ordering = CausalOrdering.from_node_order([v + 1 for v in placed])
-            if any(_ordering_fits_pattern(ordering, p) for p in found_patterns):
+            support = (bbar > 0).tobytes()
+            if support in seen or not is_mlcm(bbar, tol):
                 continue
+            if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
+                continue
+            seen.add(support)
             candidate = bbar.copy()
-            if not is_mlcm(candidate, tol):
-                continue
-            if max_rel_residual(tdm_from_std_mlcm(candidate), chi) > tol:
-                continue
             analysis = _analysis(candidate)
             found.append(
                 IdentifiedModel(
                     std_mlcm=candidate,
                     min_ml_dag=analysis.minimum_ml_dag(tol),
                     initial_nodes=tuple(clique),
-                    ordering_used=ordering,
+                    ordering_used=CausalOrdering.from_node_order([v + 1 for v in placed]),
                     max_weighted=analysis.is_rmwm(tol).ok,
                 )
             )
-            found_patterns.append((candidate > 0).astype(np.int64))
 
-    return _sorted_models(found, tol)
+    return _sorted_models(found)
 
 
 def enumerate_all_rmwm(
@@ -410,7 +402,7 @@ def enumerate_all_rmwm(
                 max_weighted=True,
             )
         )
-    return _sorted_models(found, tol)
+    return _sorted_models(found)
 
 
 @dataclass(frozen=True, eq=False)

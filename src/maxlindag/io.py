@@ -123,13 +123,3 @@ def model_to_dot(model: WeightedModel) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def dag_to_dot(dag: Dag) -> str:
-    """DOT description of a bare DAG."""
-    lines = ["digraph dag {"]
-    for i in range(1, dag.d + 1):
-        lines.append(f"  {i};")
-    for k, i in sorted(dag.edges):
-        lines.append(f"  {k} -> {i};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -121,36 +121,49 @@ def standardize(b: np.ndarray, alpha: float) -> np.ndarray:
     dependence matrix.  A column that overflows, or whose diagonal entry
     underflows to zero, in float64 raises :class:`IllConditionedError`.
     """
+    b = _power_input(b, alpha)
+    with np.errstate(all="ignore"):
+        powered = b**alpha
+        bbar = powered / powered.sum(axis=0)
+    return _kept_columns(bbar, alpha)
+
+
+def _power_input(b: np.ndarray, alpha: float) -> np.ndarray:
     b = _validate_mlcm(b)
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValidationError(f"tail index must be finite and positive, got {alpha}")
     if (b < 0).any() or (np.diag(b) <= 0).any():
         raise ValidationError("matrix must be nonnegative with positive diagonal")
-    with np.errstate(all="ignore"):
-        powered = b**alpha
-        bbar = powered / powered.sum(axis=0)
-    lost = ~np.isfinite(bbar).all(axis=0) | (np.diag(bbar) == 0.0)
+    return b
+
+
+def _kept_columns(b: np.ndarray, power: float) -> np.ndarray:
+    # ``b`` after an entrywise power and a column scaling, once no column
+    # has turned non-finite and no diagonal entry has underflowed to zero.
+    lost = ~np.isfinite(b).all(axis=0) | (np.diag(b) == 0.0)
     if lost.any():
         col = int(np.argmax(lost)) + 1
         raise IllConditionedError(
-            f"column {col} under- or overflows float64 when raised to the power {alpha}"
+            f"column {col} under- or overflows float64 when raised to the power {power}"
         )
-    return bbar
+    return b
 
 
 def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float) -> np.ndarray:
     """Inverse of :func:`standardize` up to column scaling.
 
     Maps ``b_ij -> beta_j * b_ij**(1/alpha)``; running :func:`standardize`
-    on the result with the same ``alpha`` recovers ``bbar``.
+    on the result with the same ``alpha`` recovers ``bbar``.  A column that
+    overflows, or whose diagonal entry underflows to zero, in float64
+    raises :class:`IllConditionedError`.
     """
-    bbar = _validate_mlcm(bbar)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValidationError(f"tail index must be finite and positive, got {alpha}")
+    bbar = _power_input(bbar, alpha)
     beta = np.broadcast_to(np.asarray(betas, dtype=float), (bbar.shape[0],))
     if (beta <= 0).any() or not np.isfinite(beta).all():
         raise ValidationError("column scalings must be finite and strictly positive")
-    return bbar ** (1.0 / alpha) * beta[None, :]
+    with np.errstate(all="ignore"):
+        b = bbar ** (1.0 / alpha) * beta[None, :]
+    return _kept_columns(b, 1.0 / alpha)
 
 
 def _through(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -202,3 +202,15 @@ def large_models() -> list[tuple[str, WeightedModel]]:
             )
             out.append((f"{kind}-{d}", model))
     return out
+
+
+def enumeration_models() -> list[WeightedModel]:
+    """d = 11 and 12 models (density 0.3, alpha 1) past the default enumeration cap."""
+    seeds = [(11, s) for s in (100, 101, 102, 103)] + [(12, s) for s in (101, 102, 103)]
+    kinds = ("general", "polytree", "homogeneous")
+    runs = [(d, s, kind) for d, s in seeds for kind in kinds] + [(12, 100, "polytree")]
+    return [
+        random_weighted_model(d, density=0.3, seed_or_rng=s,
+                              polytree=kind == "polytree", homogeneous=kind == "homogeneous")
+        for d, s, kind in runs
+    ]

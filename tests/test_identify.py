@@ -19,6 +19,7 @@ from cases import (
     bbar_single_edge,
     bbar_single_edge_reversed,
     chi_single_edge,
+    enumeration_models,
     large_models,
     three_strand_dag,
 )
@@ -63,6 +64,12 @@ def large_cases() -> list[tuple[str, Dag, np.ndarray]]:
 
 
 LARGE_CASES = large_cases()
+
+# (bbar, chi) past the default enumeration cap of d = 10.
+ENUMERATION_CASES = [
+    (bbar, tdm_from_std_mlcm(bbar))
+    for bbar in (standardize(mlcm_from_weights(m), m.alpha) for m in enumeration_models())
+]
 
 # chi(1, 2) = 1 with 1 before 2 forces the whole of column 2 onto node 1,
 # leaving node 2 a zero diagonal entry.
@@ -396,21 +403,20 @@ class TestEnumerateAll:
         assert len(enumerate_all(chi, max_d=11)) == 1
 
     def test_outputs_are_valid_and_reproduce_chi(self, corpus):
-        from maxlindag import is_mlcm
+        from maxlindag import is_mlcm, validate_causal_ordering
 
-        for entry in corpus[:80]:
-            models = enumerate_all(entry.chi)
+        cases = [(entry.bbar, entry.chi) for entry in corpus[:80]] + ENUMERATION_CASES
+        for bbar, chi in cases:
+            models = enumerate_all(chi, max_d=12)
             assert models, "generating model must always be found"
             clique_sizes = {len(m.initial_nodes) for m in models}
             assert len(clique_sizes) == 1
-            assert any(
-                np.allclose(m.std_mlcm, entry.bbar, atol=1e-9) for m in models
-            )
+            assert any(np.allclose(m.std_mlcm, bbar, atol=1e-9) for m in models)
+            assert len({(m.std_mlcm > 0).tobytes() for m in models}) == len(models)
             for m in models:
                 assert is_mlcm(m.std_mlcm).ok
-                np.testing.assert_allclose(
-                    tdm_from_std_mlcm(m.std_mlcm), entry.chi, atol=1e-9
-                )
+                assert validate_causal_ordering(m.min_ml_dag, m.ordering_used)
+                np.testing.assert_allclose(tdm_from_std_mlcm(m.std_mlcm), chi, atol=1e-9)
 
     def test_matches_permutation_scan_oracle(self, corpus):
         checked = 0

@@ -153,6 +153,22 @@ class TestDestandardize:
         with pytest.raises(ValidationError):
             destandardize(np.eye(2), (1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "bbar,column",
+        [
+            ([[1.0, 0.5], [0.0, 1e-200]], 2),  # the powered diagonal underflows
+            ([[1.0, 0.0], [0.0, 1e200]], 2),  # a powered entry overflows
+        ],
+        ids=["zero-diagonal", "overflow"],
+    )
+    def test_column_lost_in_float64_raises(self, bbar, column):
+        with pytest.raises(IllConditionedError, match=f"column {column} "):
+            destandardize(np.array(bbar), 1.0, 0.5)
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValidationError):
+            destandardize(np.array([[1.0, -0.5], [0.0, 1.0]]), 1.0, 0.5)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 10_000),
