@@ -3,14 +3,14 @@
 Exit codes separate mathematics from plumbing: 0 on success, 1 when the
 input is well-formed but mathematically rejected (not a tail dependence
 matrix of any model, invalid coefficient matrix, pattern mismatch), 2 on
-malformed input or infeasible requests.  The default tolerance can be
-overridden through the ``MAXLINDAG_TOL`` environment variable, and every
-randomized subcommand demands an explicit ``--seed``.
+malformed input or infeasible requests.  The subcommands that compare
+numbers (``tdm``, ``recover``, ``enumerate`` and ``check``) take ``--tol``,
+a positive finite number that defaults to ``DEFAULT_TOL``; every randomized
+subcommand demands an explicit ``--seed``.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -46,23 +46,18 @@ from .simulate import NoiseSpec, empirical_tdm, sample
 from .taildep import check_rmwm_tdm, tdm_from_std_mlcm
 from .tolerance import DEFAULT_TOL
 
-ENV_TOL = "MAXLINDAG_TOL"
-
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_MALFORMED = 2
 
 
-def _env_tol() -> float:
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return DEFAULT_TOL
+def _tolerance(text: str) -> float:
     try:
-        value = float(raw)
-    except ValueError as exc:
-        raise FormatError(f"{ENV_TOL}={raw!r} is not a number") from exc
-    if not np.isfinite(value) or value <= 0:
-        raise FormatError(f"{ENV_TOL}={raw!r} must be a positive number")
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
 
@@ -88,30 +83,30 @@ def _emit_matrix(matrix: np.ndarray, out: str | None) -> None:
         sys.stdout.write(dumps_matrix(matrix))
 
 
-def cmd_tdm(args: argparse.Namespace, tol: float) -> int:
+def cmd_tdm(args: argparse.Namespace) -> int:
     model = read_model(args.model)
     bbar = standardize(mlcm_from_weights(model), model.alpha)
-    _emit_matrix(tdm_from_std_mlcm(bbar, tol), args.out)
+    _emit_matrix(tdm_from_std_mlcm(bbar, args.tol), args.out)
     return EXIT_OK
 
 
-def cmd_standardize(args: argparse.Namespace, tol: float) -> int:
+def cmd_standardize(args: argparse.Namespace) -> int:
     matrix = read_matrix(args.matrix)
     _emit_matrix(standardize(matrix, args.alpha), args.out)
     return EXIT_OK
 
 
-def cmd_recover(args: argparse.Namespace, tol: float) -> int:
+def cmd_recover(args: argparse.Namespace) -> int:
     chi = read_matrix(args.chi)
     if args.reachability:
         reach = read_matrix(args.reachability)
         recover = recover_from_reachability_rmwm if args.rmwm else recover_from_reachability
-        bbar = recover(chi, reach, tol)
+        bbar = recover(chi, reach, args.tol)
     elif args.ordering:
         ordering = CausalOrdering.from_node_order(_parse_node_list(args.ordering))
-        bbar = recover_from_ordering(chi, ordering, tol)
+        bbar = recover_from_ordering(chi, ordering, args.tol)
     else:
-        bbar = recover_rmwm_from_initials(chi, _parse_node_list(args.initials), tol)
+        bbar = recover_rmwm_from_initials(chi, _parse_node_list(args.initials), args.tol)
     _emit_matrix(bbar, args.out)
     return EXIT_OK
 
@@ -133,13 +128,13 @@ def _format_models(models) -> str:
     return "\n".join(lines)
 
 
-def cmd_enumerate(args: argparse.Namespace, tol: float) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     chi = read_matrix(args.chi)
     if args.rmwm:
-        models = enumerate_all_rmwm(chi, tol)
+        models = enumerate_all_rmwm(chi, args.tol)
         kind = "max-weighted model"
     else:
-        models = enumerate_all(chi, tol, max_d=args.max_d)
+        models = enumerate_all(chi, args.tol, max_d=args.max_d)
         kind = "recursive max-linear model"
     if not models:
         print(f"rejected: not the tail dependence matrix of any {kind}", file=sys.stderr)
@@ -148,9 +143,9 @@ def cmd_enumerate(args: argparse.Namespace, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace, tol: float) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     if args.mlcm:
-        verdict = is_mlcm(read_matrix(args.mlcm), tol)
+        verdict = is_mlcm(read_matrix(args.mlcm), args.tol)
         if verdict:
             print(f"valid coefficient matrix (residual {verdict.residual:.3g})")
             return EXIT_OK
@@ -158,10 +153,10 @@ def cmd_check(args: argparse.Namespace, tol: float) -> int:
         return EXIT_REJECTED
     if args.rmwm:
         analysis = _analysis(read_matrix(args.rmwm))
-        if not analysis.is_mlcm(tol):
+        if not analysis.is_mlcm(args.tol):
             print("invalid: not a coefficient matrix of any model")
             return EXIT_REJECTED
-        verdict = analysis.is_rmwm(tol)
+        verdict = analysis.is_rmwm(args.tol)
         if verdict:
             print(f"valid max-weighted coefficient matrix (residual {verdict.residual:.3g})")
             return EXIT_OK
@@ -174,7 +169,7 @@ def cmd_check(args: argparse.Namespace, tol: float) -> int:
     else:
         reach = read_matrix(args.reachability)
         dag = transitive_reduction(dag_from_reachability(reach))
-    result = check_rmwm_tdm(dag, chi, tol)
+    result = check_rmwm_tdm(dag, chi, args.tol)
     if result.ok:
         diag = ",".join(f"{v:.12g}" for v in result.diag)
         print(f"valid tail dependence matrix on this DAG (diagonal {diag})")
@@ -184,7 +179,7 @@ def cmd_check(args: argparse.Namespace, tol: float) -> int:
     return EXIT_REJECTED
 
 
-def cmd_simulate(args: argparse.Namespace, tol: float) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None and args.u is None:
         raise ValidationError(
             "nothing to do: pass --out for samples and/or --u for an empirical "
@@ -200,7 +195,7 @@ def cmd_simulate(args: argparse.Namespace, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace, tol: float) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     try:
         lo, hi = (float(p) for p in args.weight_range.split(","))
     except ValueError as exc:
@@ -218,7 +213,7 @@ def cmd_gen(args: argparse.Namespace, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_dot(args: argparse.Namespace, tol: float) -> int:
+def cmd_dot(args: argparse.Namespace) -> int:
     _emit(model_to_dot(read_model(args.model)), args.out)
     return EXIT_OK
 
@@ -230,19 +225,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=None, help="numerical tolerance")
+    def add_tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="numerical tolerance")
+
+    def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("tdm", help="tail dependence matrix of a model file")
     p.add_argument("--model", required=True)
-    add_common(p)
+    add_tol(p)
+    add_out(p)
     p.set_defaults(func=cmd_tdm)
 
     p = sub.add_parser("standardize", help="standardize a coefficient matrix")
     p.add_argument("matrix", help="CSV coefficient matrix")
     p.add_argument("--alpha", type=float, required=True, help="tail index")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_standardize)
 
     p = sub.add_parser("recover", help="recover the standardized coefficient matrix from chi")
@@ -253,14 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--initials", help="initial nodes, e.g. 1,2 (max-weighted recovery)")
     p.add_argument("--rmwm", action="store_true",
                    help="use the max-weighted shortcut with --reachability")
-    add_common(p)
+    add_tol(p)
+    add_out(p)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("enumerate", help="all standardized coefficient matrices with this chi")
     p.add_argument("--chi", required=True, help="CSV tail dependence matrix")
     p.add_argument("--rmwm", action="store_true", help="enumerate max-weighted models only")
     p.add_argument("--max-d", type=int, default=10, help="refusal cap for the general search")
-    add_common(p)
+    add_tol(p)
+    add_out(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("check", help="validity checks for matrices")
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", help="CSV tail dependence matrix (with --tdm-on-dag)")
     p.add_argument("--reachability", help="CSV 0/1 reachability matrix (with --tdm-on-dag)")
     p.add_argument("--model", help="model file providing the DAG (with --tdm-on-dag)")
-    add_common(p)
+    add_tol(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="draw samples and estimate the tail dependence matrix")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="random seed (mandatory)")
     p.add_argument("--u", type=float, default=None, help="quantile level for the estimate")
     p.add_argument("--chi-out", default=None, help="write the estimate to this file")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen", help="generate a random model file")
@@ -295,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polytree", action="store_true", help="draw a random polytree")
     p.add_argument("--homogeneous", action="store_true",
                    help="use ancestor-count weights (max-weighted on any DAG)")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dot", help="DOT export of a model's DAG with weight labels")
     p.add_argument("--model", required=True)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_dot)
 
     return parser
@@ -321,10 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             return EXIT_MALFORMED
     try:
-        tol = args.tol if args.tol is not None else _env_tol()
-        if not np.isfinite(tol) or tol <= 0:
-            raise FormatError(f"--tol must be a positive number, got {tol}")
-        return args.func(args, tol)
+        return args.func(args)
     except (FormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

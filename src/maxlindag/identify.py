@@ -42,7 +42,7 @@ from .taildep import (
     tdm_from_std_mlcm,
     validate_tdm,
 )
-from .tolerance import DEFAULT_TOL, ZERO_TOL, max_rel_residual
+from .tolerance import DEFAULT_TOL, max_rel_residual
 
 
 def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int], node: int,
@@ -105,7 +105,7 @@ def recover_from_ordering(
     return _recover(chi, order, pos[None, :] >= pos[:, None], tol)
 
 
-def _reach_gate(chi: np.ndarray, reach: np.ndarray, zero_tol: float) -> np.ndarray:
+def _reach_gate(chi: np.ndarray, reach: np.ndarray) -> np.ndarray:
     # The reachability input as a boolean matrix, once it is one and its
     # common-ancestor pattern matches the zero pattern of chi.
     reach = np.asarray(reach)
@@ -113,7 +113,7 @@ def _reach_gate(chi: np.ndarray, reach: np.ndarray, zero_tol: float) -> np.ndarr
         raise ValidationError("reachability input is not a reachability matrix of a DAG")
     if reach.shape != chi.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
-    if not independence_pattern_check(chi, reach, zero_tol):
+    if not independence_pattern_check(chi, reach):
         raise PatternMismatchError(
             "zero pattern of the tail dependence matrix does not match the "
             "common-ancestor pattern of the reachability matrix"
@@ -125,7 +125,6 @@ def recover_from_reachability(
     chi: np.ndarray,
     reach: np.ndarray,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> np.ndarray:
     """Standardized coefficient matrix from chi and the reachability matrix.
 
@@ -136,7 +135,7 @@ def recover_from_reachability(
     a diagonal entry that is not positive.
     """
     chi = validate_tdm(chi)
-    reach = _reach_gate(chi, reach, zero_tol)
+    reach = _reach_gate(chi, reach)
     order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
     return _recover(chi, order, reach, tol)
 
@@ -145,7 +144,6 @@ def recover_from_reachability_rmwm(
     chi: np.ndarray,
     reach: np.ndarray,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> np.ndarray:
     """Max-weighted shortcut for :func:`recover_from_reachability`.
 
@@ -156,7 +154,7 @@ def recover_from_reachability_rmwm(
     ``tol`` does not enter.
     """
     chi = validate_tdm(chi)
-    reach = _reach_gate(chi, reach, zero_tol)
+    reach = _reach_gate(chi, reach)
     diag, bbar = _rmwm_std_mlcm(chi, reach)
     if diag.min(initial=1.0) <= 0.0:
         node = int(np.argmin(diag))
@@ -169,7 +167,6 @@ def recover_from_reachability_rmwm(
 def ordering_from_initials(
     chi: np.ndarray,
     initials: Sequence[int],
-    zero_tol: float = ZERO_TOL,
 ) -> CausalOrdering:
     """Causal ordering implied by chi and a candidate initial node set.
 
@@ -180,7 +177,7 @@ def ordering_from_initials(
     is a valid causal ordering of that DAG.
     """
     chi = validate_tdm(chi)
-    positive = _positive_mask(chi, zero_tol)
+    positive = _positive_mask(chi)
     d = chi.shape[0]
     widx = [v - 1 for v in _independent_nodes(positive, initials, "initial nodes")]
     counts = positive[widx, :].sum(axis=0)
@@ -199,7 +196,6 @@ def recover_rmwm_from_initials(
     chi: np.ndarray,
     initials: Sequence[int],
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> np.ndarray:
     """Standardized coefficient matrix of a max-weighted model from chi and V0.
 
@@ -207,7 +203,7 @@ def recover_rmwm_from_initials(
     :func:`recover_from_ordering`; unique for max-weighted models.  Outside
     that class the result need not reproduce the generating matrix.
     """
-    ordering = ordering_from_initials(chi, initials, zero_tol)
+    ordering = ordering_from_initials(chi, initials)
     return recover_from_ordering(chi, ordering, tol)
 
 
@@ -215,7 +211,6 @@ def initial_bijection(
     chi: np.ndarray,
     initials: Sequence[int],
     other_initials: Sequence[int],
-    zero_tol: float = ZERO_TOL,
 ) -> dict[int, int]:
     """The unique dependence-preserving bijection between two initial sets.
 
@@ -226,7 +221,7 @@ def initial_bijection(
     sets of models sharing ``chi``.
     """
     chi = validate_tdm(chi)
-    positive = _positive_mask(chi, zero_tol)
+    positive = _positive_mask(chi)
     v0 = sorted({int(v) for v in initials})
     v0t = sorted({int(v) for v in other_initials})
     if len(v0) != len(v0t):
@@ -290,7 +285,6 @@ def enumerate_all(
     chi: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_d: int = 10,
-    zero_tol: float = ZERO_TOL,
 ) -> list[IdentifiedModel]:
     """All standardized coefficient matrices whose models have this chi.
 
@@ -323,12 +317,12 @@ def enumerate_all(
             f"enumeration over {d} nodes exceeds the cap of {max_d}; "
             "raise max_d explicitly to proceed"
         )
-    positive = _positive_mask(chi, zero_tol)
+    positive = _positive_mask(chi)
     found: list[IdentifiedModel] = []
     seen: set[bytes] = set()
 
-    for clique in maximum_chi_cliques(chi, zero_tol):
-        if not clique_initial_filter(chi, clique, tol, zero_tol):
+    for clique in maximum_chi_cliques(chi):
+        if not clique_initial_filter(chi, clique, tol):
             continue
         # Clique members come first, pinned in ascending order as one-node
         # layers: their internal order never changes the recovered matrix.
@@ -366,21 +360,22 @@ def enumerate_all(
 def enumerate_all_rmwm(
     chi: np.ndarray,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> list[IdentifiedModel]:
     """All standardized coefficient matrices of max-weighted models with this chi.
 
     One candidate per surviving maximum chi-clique: recover through the
     implied causal ordering, then accept iff the support pattern is a
-    reachability matrix and the max-weighted path identities hold.  Runtime
-    is bounded by the clique count, no permutation search is involved.
+    reachability matrix and the max-weighted path identities hold.  No
+    permutation search is involved, but the clique count itself can grow
+    exponentially with d: the random 50-node polytree of seed 2 has 21 504
+    maximum cliques.
     """
     chi = validate_tdm(chi)
     found: list[IdentifiedModel] = []
-    for clique in maximum_chi_cliques(chi, zero_tol):
-        if not clique_initial_filter(chi, clique, tol, zero_tol):
+    for clique in maximum_chi_cliques(chi):
+        if not clique_initial_filter(chi, clique, tol):
             continue
-        ordering = ordering_from_initials(chi, clique, zero_tol)
+        ordering = ordering_from_initials(chi, clique)
         try:
             bbar = recover_from_ordering(chi, ordering, tol)
         except NotRealizableError:
@@ -388,10 +383,8 @@ def enumerate_all_rmwm(
         analysis = _analysis(bbar)
         if analysis.fault is not None or not analysis.is_rmwm(tol):
             continue
-        try:
-            if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
-                continue
-        except ValidationError:
+        # Cannot raise: column i of bbar sums to chi(i, i) up to rounding.
+        if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
             continue
         found.append(
             IdentifiedModel(
@@ -449,7 +442,6 @@ def rmwm_equivalence_constraints(
     other_initials: Sequence[int],
     transitive_reduction: Dag,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> EquivalenceReport:
     """Check the structural constraints between chi-equivalent max-weighted models.
 
@@ -461,7 +453,7 @@ def rmwm_equivalence_constraints(
     derived from ``chi`` and ``other_initials``.
     """
     chi = validate_tdm(chi)
-    phi = initial_bijection(chi, initials, other_initials, zero_tol)
+    phi = initial_bijection(chi, initials, other_initials)
     moved = tuple(j for j in sorted(phi) if phi[j] != j)
     violations: list[str] = []
 
@@ -475,7 +467,7 @@ def rmwm_equivalence_constraints(
 
     alt: Dag | None = None
     with suppress(NotRealizableError, ValidationError):
-        analysis = _analysis(recover_rmwm_from_initials(chi, other_initials, tol, zero_tol))
+        analysis = _analysis(recover_rmwm_from_initials(chi, other_initials, tol))
         if analysis.fault is None and analysis.is_rmwm(tol):
             alt = analysis.minimum_ml_dag(tol)
     if alt is None:

@@ -27,6 +27,7 @@ from .errors import TailSampleError, ValidationError
 from .mlcm import WeightedModel, mlcm_from_weights
 
 _FAMILIES = ("pareto", "frechet")
+_CHUNK_BLOCKS = 128  # blocks per generator in scaled_block_maxima: it fixes the seeded output
 
 
 @dataclass(frozen=True)
@@ -226,18 +227,17 @@ def scaled_block_maxima(
     block_size: int,
     n_blocks: int,
     seed: int,
-    chunk_blocks: int = 128,
 ) -> np.ndarray:
     """Componentwise block maxima scaled by ``block_size**(-1/alpha)``.
 
     Returns an ``(n_blocks, d)`` array whose rows converge in distribution
-    to the limit law of :func:`limit_cdf`.  Blocks are generated in chunks,
-    each chunk from its own generator seeded by ``(seed, chunk_index)``;
-    results are bit-reproducible for a fixed ``(seed, chunk_blocks)`` pair
+    to the limit law of :func:`limit_cdf`.  Blocks are generated in chunks
+    of ``_CHUNK_BLOCKS``, each chunk from its own generator seeded by
+    ``(seed, chunk_index)``; results are bit-reproducible for a given seed
     and chunks could be generated concurrently without changing them.
     """
-    if block_size < 1 or n_blocks < 1 or chunk_blocks < 1:
-        raise ValidationError("block size, block count and chunk size must be at least 1")
+    if block_size < 1 or n_blocks < 1:
+        raise ValidationError("block size and block count must be at least 1")
     if noise.alpha != model.alpha:
         raise ValidationError(
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
@@ -248,7 +248,7 @@ def scaled_block_maxima(
     done = 0
     chunk_index = 0
     while done < n_blocks:
-        take = min(chunk_blocks, n_blocks - done)
+        take = min(_CHUNK_BLOCKS, n_blocks - done)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk_index)))
         xt = _draw(b, noise, rng, take * block_size).T
         out[done : done + take] = xt.reshape(model.d, take, block_size).max(axis=2).T * scale

@@ -75,25 +75,24 @@ def tdm_from_std_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return chi
 
 
-def _positive_mask(chi: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Classify entries as positive (True) or zero (False).
+def _positive_mask(chi: np.ndarray) -> np.ndarray:
+    """The one zero rule for chi: positive (True) or zero (False).
 
-    Entries strictly between zero and ``zero_tol`` are neither: they raise
+    Entries strictly between zero and ``ZERO_TOL`` are neither: they raise
     :class:`IllConditionedError` instead of being classified silently.
     """
     chi = np.asarray(chi, dtype=float)
-    band = (chi > 0.0) & (chi < zero_tol)
+    band = (chi > 0.0) & (chi < ZERO_TOL)
     if band.any():
         i, j = map(int, np.argwhere(band)[0])
         raise IllConditionedError(
-            f"entry ({i + 1},{j + 1}) = {chi[i, j]!r} lies in (0, {zero_tol}); "
+            f"entry ({i + 1},{j + 1}) = {chi[i, j]!r} lies in (0, {ZERO_TOL}); "
             "refusing to classify it as zero or positive"
         )
-    return chi >= zero_tol
+    return chi >= ZERO_TOL
 
 
-def independence_pattern_check(chi: np.ndarray, reach: np.ndarray,
-                               zero_tol: float = ZERO_TOL) -> bool:
+def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
     """True iff the zero pattern of chi matches sgn(R^T R).
 
     The (i, j) entry of R^T R counts common ancestors, so this verifies
@@ -104,17 +103,17 @@ def independence_pattern_check(chi: np.ndarray, reach: np.ndarray,
     if chi.shape != reach.shape or chi.ndim != 2:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
     common = (reach.astype(np.int64).T @ reach.astype(np.int64)) > 0
-    return bool((_positive_mask(chi, zero_tol) == common).all())
+    return bool((_positive_mask(chi) == common).all())
 
 
-def chi_complement_graph(chi: np.ndarray, zero_tol: float = ZERO_TOL) -> dict[int, frozenset[int]]:
+def chi_complement_graph(chi: np.ndarray) -> dict[int, frozenset[int]]:
     """Adjacency of the complement of the chi-graph.
 
     Nodes i != j are adjacent iff chi(i, j) is zero, i.e. iff the
     corresponding components are independent.
     """
     chi = validate_tdm(chi)
-    positive = _positive_mask(chi, zero_tol)
+    positive = _positive_mask(chi)
     d = chi.shape[0]
     return {
         i: frozenset(j for j in range(1, d + 1) if j != i and not positive[i - 1, j - 1])
@@ -122,13 +121,13 @@ def chi_complement_graph(chi: np.ndarray, zero_tol: float = ZERO_TOL) -> dict[in
     }
 
 
-def maximum_chi_cliques(chi: np.ndarray, zero_tol: float = ZERO_TOL) -> list[tuple[int, ...]]:
+def maximum_chi_cliques(chi: np.ndarray) -> list[tuple[int, ...]]:
     """All maximum cliques of the chi-complement graph.
 
     Every initial node set of a DAG generating ``chi`` appears among them.
     Cliques are returned sorted ascending, the list lexicographically.
     """
-    adjacency = chi_complement_graph(chi, zero_tol)
+    adjacency = chi_complement_graph(chi)
     cliques: list[frozenset[int]] = []
     _bron_kerbosch(adjacency, frozenset(), set(adjacency), set(), cliques)
     best = max(len(c) for c in cliques)
@@ -172,7 +171,6 @@ def clique_initial_filter(
     chi: np.ndarray,
     clique: Sequence[int],
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> bool:
     """Necessary condition for a maximum chi-clique to be an initial node set.
 
@@ -182,7 +180,7 @@ def clique_initial_filter(
     initial nodes W; True keeps W as a candidate.
     """
     chi = validate_tdm(chi)
-    w = _independent_nodes(_positive_mask(chi, zero_tol), clique, "clique")
+    w = _independent_nodes(_positive_mask(chi), clique, "clique")
     # The bound for every pair outside W is one sum over W's contiguous
     # last axis, so it adds in the same order as a sum over a 1-d vector
     # does; rows are taken in blocks of at most _FILTER_BLOCK elements.

@@ -15,7 +15,12 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 # Absolute tolerance separating "exactly zero" from "positive" tail
-# dependence entries in the clique machinery.
+# dependence entries.  Its only reader is taildep._positive_mask, the zero
+# rule of every clique, pattern and initial-set computation.  Condition (a)
+# of check_rmwm_tdm still calls an entry zero when it is at most ``tol``:
+# acceptance criterion 3 adds 1e-10 to chi(1, 2), which is zero in some of
+# its models, and requires the verdict to stand.  One rule for both needs
+# forward-error bounds on chi.
 ZERO_TOL = 1e-12
 
 

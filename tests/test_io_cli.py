@@ -363,18 +363,31 @@ class TestCliPipeline:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_env_tolerance_override(self, capsys, two_cliques_chi_file, monkeypatch):
-        monkeypatch.setenv("MAXLINDAG_TOL", "not-a-number")
-        code, _, err = run(capsys, "enumerate", "--chi", two_cliques_chi_file)
-        assert code == 2
-        assert "MAXLINDAG_TOL" in err
-        monkeypatch.setenv("MAXLINDAG_TOL", "1e-10")
-        code, out, _ = run(capsys, "enumerate", "--chi", two_cliques_chi_file)
-        assert code == 0
-
     def test_invalid_tol_flag(self, capsys, two_cliques_chi_file):
-        code, _, _ = run(capsys, "enumerate", "--chi", two_cliques_chi_file, "--tol", "-1")
+        for tol in ("0", "-1", "nan", "inf", "abc"):
+            code, _, err = run(capsys, "enumerate", "--chi", two_cliques_chi_file, "--tol", tol)
+            assert code == 2
+            assert "--tol" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen", "--tol"), ("dot", "--tol"), ("standardize", "--tol"), ("simulate", "--tol"),
+        ("check", "--out"),
+    ])
+    def test_unread_flag_is_rejected(self, capsys, tmp_path, model_file, command, flag):
+        matrix = tmp_path / "b.csv"
+        write_matrix(np.eye(2), matrix)
+        argv = {
+            "gen": ["gen", "3", "--seed", "1"],
+            "dot": ["dot", "--model", model_file],
+            "standardize": ["standardize", str(matrix), "--alpha", "1.0"],
+            "simulate": ["simulate", "--model", model_file, "--n", "10", "--seed", "1",
+                         "--out", str(tmp_path / "x.csv")],
+            "check": ["check", "--mlcm", str(matrix)],
+        }[command]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, flag, "1e-9" if flag == "--tol" else str(tmp_path / "x"))
         assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
 
 
 class TestConsoleEntryPoint:

@@ -249,13 +249,14 @@ class TestScaledBlockMaxima:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (100, 2)
 
-    @pytest.mark.parametrize("chunk_blocks", [0, -1])
-    def test_chunk_size_validated(self, chunk_blocks):
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_block_size_and_count_validated(self, size):
         model = single_edge_model(0.5)
-        with pytest.raises(ValidationError, match="chunk size"):
-            scaled_block_maxima(
-                model, NoiseSpec("frechet", 1.0), 64, 100, seed=9, chunk_blocks=chunk_blocks
-            )
+        noise = NoiseSpec("frechet", 1.0)
+        with pytest.raises(ValidationError, match="block size"):
+            scaled_block_maxima(model, noise, size, 100, seed=9)
+        with pytest.raises(ValidationError, match="block count"):
+            scaled_block_maxima(model, noise, 64, size, seed=9)
 
     def test_frechet_maxima_match_the_limit_marginals(self):
         dag = Dag(3, {(1, 2), (2, 3)})

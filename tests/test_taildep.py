@@ -21,8 +21,11 @@ from maxlindag import (
     check_rmwm_tdm,
     chi_complement_graph,
     clique_initial_filter,
+    enumerate_all,
+    enumerate_all_rmwm,
     homogeneous_model,
     independence_pattern_check,
+    initial_bijection,
     lambda_coefficients,
     lambda_representation,
     lowest_common_ancestors,
@@ -30,8 +33,13 @@ from maxlindag import (
     mlcm_from_weights,
     mu_coefficients,
     mu_representation,
+    ordering_from_initials,
     random_weighted_model,
     reachability_matrix,
+    recover_from_reachability,
+    recover_from_reachability_rmwm,
+    recover_rmwm_from_initials,
+    rmwm_equivalence_constraints,
     standardize,
     tdm_from_std_mlcm,
     transitive_reduction,
@@ -158,9 +166,26 @@ class TestChiCliques:
             )
 
     def test_ill_conditioned_band_is_an_error(self):
+        # One zero rule for chi: every caller of it refuses the (0, ZERO_TOL) band.
         chi = np.array([[1.0, 1e-13], [1e-13, 1.0]])
-        with pytest.raises(IllConditionedError):
-            maximum_chi_cliques(chi)
+        reach = np.eye(2, dtype=int)
+        calls = [
+            lambda: recover_from_reachability(chi, reach),
+            lambda: recover_from_reachability_rmwm(chi, reach),
+            lambda: ordering_from_initials(chi, [1]),
+            lambda: recover_rmwm_from_initials(chi, [1]),
+            lambda: initial_bijection(chi, [1], [2]),
+            lambda: enumerate_all(chi),
+            lambda: enumerate_all_rmwm(chi),
+            lambda: rmwm_equivalence_constraints(chi, [1], [2], Dag(2, set())),
+            lambda: independence_pattern_check(chi, reach),
+            lambda: chi_complement_graph(chi),
+            lambda: maximum_chi_cliques(chi),
+            lambda: clique_initial_filter(chi, (1,)),
+        ]
+        for call in calls:
+            with pytest.raises(IllConditionedError):
+                call()
 
 
 class TestCliqueInitialFilter:
