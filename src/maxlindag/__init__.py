@@ -39,7 +39,6 @@ from .identify import (
     ordering_from_initials,
     recover_from_ordering,
     recover_from_reachability,
-    recover_from_reachability_rmwm,
     recover_rmwm_from_initials,
     rmwm_equivalence_constraints,
 )

@@ -29,7 +29,6 @@ from .identify import (
     enumerate_all_rmwm,
     recover_from_ordering,
     recover_from_reachability,
-    recover_from_reachability_rmwm,
     recover_rmwm_from_initials,
 )
 from .io import (
@@ -99,9 +98,7 @@ def cmd_standardize(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     chi = read_matrix(args.chi)
     if args.reachability:
-        reach = read_matrix(args.reachability)
-        recover = recover_from_reachability_rmwm if args.rmwm else recover_from_reachability
-        bbar = recover(chi, reach, args.tol)
+        bbar = recover_from_reachability(chi, read_matrix(args.reachability), args.tol)
     elif args.ordering:
         ordering = CausalOrdering.from_node_order(_parse_node_list(args.ordering))
         bbar = recover_from_ordering(chi, ordering, args.tol)
@@ -249,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--reachability", help="CSV 0/1 reachability matrix")
     group.add_argument("--ordering", help="nodes in causal order, e.g. 1,2,3")
     group.add_argument("--initials", help="initial nodes, e.g. 1,2 (max-weighted recovery)")
-    p.add_argument("--rmwm", action="store_true",
-                   help="use the max-weighted shortcut with --reachability")
     add_tol(p)
     add_out(p)
     p.set_defaults(func=cmd_recover)

@@ -35,7 +35,6 @@ from .mlcm import _analysis, is_mlcm
 from .taildep import (
     _independent_nodes,
     _positive_mask,
-    _rmwm_std_mlcm,
     clique_initial_filter,
     independence_pattern_check,
     maximum_chi_cliques,
@@ -61,13 +60,13 @@ def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int], node: int
     if worst < -tol:
         col = int(np.argmin(row)) + 1
         raise NotRealizableError(
-            f"row recursion for node {node + 1} produced {worst!r} at column {col}; "
+            f"row recursion for node {node + 1} produced {float(worst)} at column {col}; "
             "the matrix is not realizable with this structure"
         )
     row[np.abs(row) <= tol] = 0.0
     if row[node] <= 0.0:
         raise NotRealizableError(
-            f"row recursion for node {node + 1} left the diagonal entry {row[node]!r}; "
+            f"row recursion for node {node + 1} left the diagonal entry {float(row[node])}; "
             "the matrix is not realizable with this structure"
         )
     return row
@@ -105,22 +104,6 @@ def recover_from_ordering(
     return _recover(chi, order, pos[None, :] >= pos[:, None], tol)
 
 
-def _reach_gate(chi: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    # The reachability input as a boolean matrix, once it is one and its
-    # common-ancestor pattern matches the zero pattern of chi.
-    reach = np.asarray(reach)
-    if not is_reachability_matrix(reach):
-        raise ValidationError("reachability input is not a reachability matrix of a DAG")
-    if reach.shape != chi.shape:
-        raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
-    if not independence_pattern_check(chi, reach):
-        raise PatternMismatchError(
-            "zero pattern of the tail dependence matrix does not match the "
-            "common-ancestor pattern of the reachability matrix"
-        )
-    return reach.astype(bool)
-
-
 def recover_from_reachability(
     chi: np.ndarray,
     reach: np.ndarray,
@@ -135,33 +118,19 @@ def recover_from_reachability(
     a diagonal entry that is not positive.
     """
     chi = validate_tdm(chi)
-    reach = _reach_gate(chi, reach)
+    reach = np.asarray(reach)
+    if not is_reachability_matrix(reach):
+        raise ValidationError("reachability input is not a reachability matrix of a DAG")
+    if reach.shape != chi.shape:
+        raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
+    if not independence_pattern_check(chi, reach):
+        raise PatternMismatchError(
+            "zero pattern of the tail dependence matrix does not match the "
+            "common-ancestor pattern of the reachability matrix"
+        )
+    reach = reach.astype(bool)
     order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
     return _recover(chi, order, reach, tol)
-
-
-def recover_from_reachability_rmwm(
-    chi: np.ndarray,
-    reach: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Max-weighted shortcut for :func:`recover_from_reachability`.
-
-    Uses ``bbar_jj = 1 - sum_{k in an(j)} bbar_kk * chi(k, j)`` followed by
-    ``bbar_ji = bbar_jj * chi(j, i)`` on the descendants; agrees with the
-    general recovery whenever the underlying model is max-weighted.  A
-    diagonal entry that is not positive raises :class:`NotRealizableError`;
-    ``tol`` does not enter.
-    """
-    chi = validate_tdm(chi)
-    reach = _reach_gate(chi, reach)
-    diag, bbar = _rmwm_std_mlcm(chi, reach)
-    if diag.min(initial=1.0) <= 0.0:
-        node = int(np.argmin(diag))
-        raise NotRealizableError(
-            f"diagonal recursion for node {node + 1} produced {diag[node]!r}"
-        )
-    return bbar
 
 
 def ordering_from_initials(

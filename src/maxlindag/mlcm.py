@@ -23,8 +23,9 @@ nonnegative, a reachability matrix as support) and then runs one kernel,
 :func:`_through`, for the largest and smallest through value of every pair;
 :func:`is_mlcm`, :func:`is_rmwm_mlcm` and :func:`minimum_ml_dag` read their
 answers off one analysis each, and callers that need several answers share
-one.  The kernel works in blocks whose temporaries hold at most
-``_THROUGH_BLOCK`` elements (512 KB of float64), beside its d x d outputs.
+one.  The kernel works in row blocks whose temporaries hold at most
+``_THROUGH_BLOCK`` elements (512 KB of float64), or one row's d x d slab
+when that is larger, beside its d x d outputs.
 """
 from __future__ import annotations
 
@@ -173,9 +174,8 @@ def _through(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``b_kl > 0`` and ``b_li > 0`` count.  Returns ``(hi, lo)``; pairs without
     such an ``l`` get ``-inf`` and ``inf``.  The product is formed first and
     then divided, as in the scalar formula, so every value is bit-identical
-    to it.  Rows of ``k``, and columns of ``i`` when one row is too big, are
-    taken in blocks whose temporaries hold at most ``_THROUGH_BLOCK``
-    elements.
+    to it.  Rows of ``k`` are taken in blocks whose temporaries hold at most
+    ``_THROUGH_BLOCK`` elements, or the d x d of a single row.
     """
     d = b.shape[0]
     off = b <= 0
@@ -183,19 +183,16 @@ def _through(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = np.diag(b)[:, None]
     hi = np.full((d, d), -np.inf)
     lo = np.full((d, d), np.inf)
-    cols = max(1, min(d, _THROUGH_BLOCK // max(d, 1)))
-    rows = max(1, _THROUGH_BLOCK // (d * cols))
+    rows = max(1, _THROUGH_BLOCK // (d * d))
     for k0 in range(0, d, rows):
         ks = slice(k0, k0 + rows)
-        for i0 in range(0, d, cols):
-            cs = slice(i0, i0 + cols)
-            values = b[ks, :, None] * b[None, :, cs]
-            values /= diag
-            off_chain = off[ks, :, None] | off[None, :, cs]
-            np.copyto(values, -np.inf, where=off_chain)
-            hi[ks, cs] = values.max(axis=1)
-            np.copyto(values, np.inf, where=off_chain)
-            lo[ks, cs] = values.min(axis=1)
+        values = b[ks, :, None] * b
+        values /= diag
+        off_chain = off[ks, :, None] | off
+        np.copyto(values, -np.inf, where=off_chain)
+        hi[ks] = values.max(axis=1)
+        np.copyto(values, np.inf, where=off_chain)
+        lo[ks] = values.min(axis=1)
     return hi, lo
 
 

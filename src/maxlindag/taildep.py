@@ -29,28 +29,33 @@ from .tolerance import DEFAULT_TOL, ZERO_TOL
 _FILTER_BLOCK = 1 << 16
 
 
-def validate_tdm(chi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check finiteness, symmetry, unit diagonal, and [0, 1] range; return as float array."""
+def validate_tdm(chi: np.ndarray) -> np.ndarray:
+    """Check finiteness, symmetry, unit diagonal, and [0, 1] range; return as float array.
+
+    Each check allows a deviation of ``DEFAULT_TOL``.
+    """
     chi = np.asarray(chi, dtype=float)
     if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
         raise ValidationError(f"tail dependence matrix must be square, got shape {chi.shape}")
     if not np.isfinite(chi).all():
         raise ValidationError("tail dependence matrix has non-finite entries")
     asym = np.abs(chi - chi.T)
-    if asym.max(initial=0.0) > tol:
+    if asym.max(initial=0.0) > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise ValidationError(
             f"matrix is asymmetric at entry ({i + 1},{j + 1}): "
-            f"{chi[i, j]!r} vs {chi[j, i]!r}"
+            f"{float(chi[i, j])} vs {float(chi[j, i])}"
         )
     diag_off = np.abs(np.diag(chi) - 1.0)
-    if diag_off.max(initial=0.0) > tol:
+    if diag_off.max(initial=0.0) > DEFAULT_TOL:
         i = int(np.argmax(diag_off))
-        raise ValidationError(f"diagonal entry ({i + 1},{i + 1}) is {chi[i, i]!r}, expected 1")
-    out_of_range = (chi < -tol) | (chi > 1.0 + tol)
+        raise ValidationError(
+            f"diagonal entry ({i + 1},{i + 1}) is {float(chi[i, i])}, expected 1"
+        )
+    out_of_range = (chi < -DEFAULT_TOL) | (chi > 1.0 + DEFAULT_TOL)
     if out_of_range.any():
         i, j = map(int, np.argwhere(out_of_range)[0])
-        raise ValidationError(f"entry ({i + 1},{j + 1}) = {chi[i, j]!r} outside [0, 1]")
+        raise ValidationError(f"entry ({i + 1},{j + 1}) = {float(chi[i, j])} outside [0, 1]")
     return chi
 
 
@@ -66,7 +71,7 @@ def tdm_from_std_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     colsums = bbar.sum(axis=0)
     if np.abs(colsums - 1.0).max() > max(tol, 1e-8):
         j = int(np.argmax(np.abs(colsums - 1.0)))
-        raise ValidationError(f"column {j + 1} sums to {colsums[j]!r}, expected 1")
+        raise ValidationError(f"column {j + 1} sums to {float(colsums[j])}, expected 1")
     d = bbar.shape[0]
     chi = np.empty((d, d))
     for j in range(d):
@@ -86,24 +91,30 @@ def _positive_mask(chi: np.ndarray) -> np.ndarray:
     if band.any():
         i, j = map(int, np.argwhere(band)[0])
         raise IllConditionedError(
-            f"entry ({i + 1},{j + 1}) = {chi[i, j]!r} lies in (0, {ZERO_TOL}); "
+            f"entry ({i + 1},{j + 1}) = {float(chi[i, j])} lies in (0, {ZERO_TOL}); "
             "refusing to classify it as zero or positive"
         )
     return chi >= ZERO_TOL
+
+
+def _common_ancestors(reach: np.ndarray) -> np.ndarray:
+    # sgn(R^T R) as a boolean matrix: True where i and j share an ancestor.
+    counts = np.asarray(reach, dtype=float)  # BLAS product; counts stay exact below 2**53
+    return (counts.T @ counts) > 0
 
 
 def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
     """True iff the zero pattern of chi matches sgn(R^T R).
 
     The (i, j) entry of R^T R counts common ancestors, so this verifies
-    that chi vanishes exactly on pairs with disjoint ancestor sets.
+    that chi vanishes exactly on pairs with disjoint ancestor sets.  ``chi``
+    must pass :func:`validate_tdm`.
     """
-    chi = np.asarray(chi, dtype=float)
+    chi = validate_tdm(chi)
     reach = np.asarray(reach)
-    if chi.shape != reach.shape or chi.ndim != 2:
+    if chi.shape != reach.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
-    common = (reach.astype(np.int64).T @ reach.astype(np.int64)) > 0
-    return bool((_positive_mask(chi) == common).all())
+    return bool((_positive_mask(chi) == _common_ancestors(reach)).all())
 
 
 def chi_complement_graph(chi: np.ndarray) -> dict[int, frozenset[int]]:
@@ -304,19 +315,6 @@ def _chi_close(a, b, tol: float):
     return np.abs(a - b) <= tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
-def _rmwm_std_mlcm(chi: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # bbar_ii = 1 - sum_{k in an(i)} bbar_kk * chi(k, i) by ancestor count,
-    # and bbar_ki = bbar_kk * chi(k, i) for k in an(i); ``reach`` is boolean.
-    strict = reach & ~np.eye(len(reach), dtype=bool)
-    diag = np.zeros(len(reach))
-    for i in np.argsort(reach.sum(axis=0), kind="stable"):
-        an = strict[:, i]
-        diag[i] = 1.0 - (diag[an] * chi[an, i]).sum()
-    bbar = np.where(strict, diag[:, None] * chi, 0.0)
-    np.fill_diagonal(bbar, diag)
-    return diag, bbar
-
-
 def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmTdmCheck:
     """Is ``chi`` the tail dependence matrix of a max-weighted model on ``dag``?
 
@@ -333,13 +331,15 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     Zero classification in (a) and the equality comparisons in (c), (d)
     treat ``tol`` absolutely on the [0, 1] scale, so perturbations below
     the tolerance never flip the verdict.  ``failures`` lists (c) in
-    ascending (i, j, k) and (d) in ascending (i, j) order.
+    ascending (i, j, k) and (d) in ascending (i, j) order.  ``chi`` itself
+    must pass :func:`validate_tdm`, whose checks allow ``DEFAULT_TOL``
+    whatever ``tol``.
 
     All ancestry comes from the DAG's cached reachability matrix; (b)-(d)
     and the final ``std_mlcm`` are numpy passes one node at a time, with
     O(d^2) temporaries.  Sums run in numpy's order.
     """
-    chi = validate_tdm(chi, tol)
+    chi = validate_tdm(chi)
     if chi.shape[0] != dag.d:
         raise ValidationError(f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {dag.d} nodes")
     d = dag.d
@@ -347,8 +347,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
 
     reach = reachability_matrix(dag).astype(bool)
     strict = reach & ~np.eye(d, dtype=bool)
-    counts = reach.astype(float)
-    common = (counts.T @ counts) > 0
+    common = _common_ancestors(reach)
     positive = chi > tol
     np.fill_diagonal(positive, True)
     mismatch = positive != common
@@ -358,7 +357,11 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
             f"(a) zero pattern: entry ({a + 1},{b + 1}) disagrees with common-ancestor pattern"
         )
 
-    diag, bbar = _rmwm_std_mlcm(chi, reach)
+    # Diagonal entries by ancestor count, so every ancestor's is settled.
+    diag = np.zeros(d)
+    for i in np.argsort(reach.sum(axis=0), kind="stable"):
+        an = strict[:, i]
+        diag[i] = 1.0 - (diag[an] * chi[an, i]).sum()
     bad = [i + 1 for i in range(d) if diag[i] <= 0.0]
     if bad:
         failures.append(f"(b) nonpositive diagonal at nodes {bad}")
@@ -374,7 +377,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
         for j, p in np.argwhere(violated):
             failures.append(
                 f"(c) chain ({j + 1},{parents[p]},{i}): "
-                f"chi={lhs[j, 0]!r} vs product={rhs[j, p]!r}"
+                f"chi={float(lhs[j, 0])} vs product={float(rhs[j, p])}"
             )
 
     nodes = np.arange(d)
@@ -389,9 +392,13 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
         lhs = chi[i - 1, js]
         for n in np.flatnonzero(~_chi_close(lhs, rhs, tol)):
             failures.append(
-                f"(d) pair ({i},{js[n] + 1}): chi={lhs[n]!r} vs combination={rhs[n]!r}"
+                f"(d) pair ({i},{js[n] + 1}): chi={float(lhs[n])} vs "
+                f"combination={float(rhs[n])}"
             )
 
     if failures:
         return RmwmTdmCheck(False, diag, None, tuple(failures))
+    # bbar_ki = bbar_kk * chi(k, i) for every strict ancestor k of i.
+    bbar = np.where(strict, diag[:, None] * chi, 0.0)
+    np.fill_diagonal(bbar, diag)
     return RmwmTdmCheck(True, diag, bbar, ())

@@ -41,7 +41,6 @@ from maxlindag import (
     reachability_matrix,
     recover_from_ordering,
     recover_from_reachability,
-    recover_from_reachability_rmwm,
     recover_rmwm_from_initials,
     rmwm_equivalence_constraints,
     standardize,
@@ -130,10 +129,6 @@ class TestZeroDiagonalRejected:
         with pytest.raises(NotRealizableError, match="diagonal"):
             recover_from_reachability(CHI_ZERO_DIAGONAL, REACH_ZERO_DIAGONAL)
 
-    def test_reachability_rmwm(self):
-        with pytest.raises(NotRealizableError, match="diagonal"):
-            recover_from_reachability_rmwm(CHI_ZERO_DIAGONAL, REACH_ZERO_DIAGONAL)
-
 
 CHAIN3 = Dag(3, {(1, 2), (2, 3)})
 
@@ -175,31 +170,6 @@ class TestRecoverFromReachability:
     def test_exact_inverse_on_corpus(self, corpus):
         for entry in corpus[:250]:
             out = recover_from_reachability(entry.chi, entry.reach)
-            np.testing.assert_allclose(out, entry.bbar, atol=1e-9)
-
-
-class TestRecoverFromReachabilityRmwm:
-    def test_homogeneous_chain_columns(self):
-        _, chi = hom_setup(CHAIN3)
-        reach = reachability_matrix(CHAIN3)
-        out = recover_from_reachability_rmwm(chi, reach)
-        expected = np.array([[1.0, 0.5, 1 / 3], [0.0, 0.5, 1 / 3], [0.0, 0.0, 1 / 3]])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_agrees_with_general_recovery_on_two_cliques(self):
-        reach = reachability_matrix(TWO_CLIQUES_MW_DAG)
-        fast = recover_from_reachability_rmwm(CHI_TWO_CLIQUES, reach)
-        general = recover_from_reachability(CHI_TWO_CLIQUES, reach)
-        np.testing.assert_allclose(fast, general, atol=1e-15)
-
-    def test_single_node(self):
-        np.testing.assert_allclose(
-            recover_from_reachability_rmwm(np.eye(1), np.eye(1, dtype=int)), np.eye(1)
-        )
-
-    def test_agrees_on_max_weighted_corpus(self, rmwm_corpus):
-        for entry in rmwm_corpus[:200]:
-            out = recover_from_reachability_rmwm(entry.chi, entry.reach)
             np.testing.assert_allclose(out, entry.bbar, atol=1e-9)
 
 

@@ -369,9 +369,25 @@ class TestCliPipeline:
             assert code == 2
             assert "--tol" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--tdm-on-dag", "--reachability"],
+        ["recover", "--reachability"],
+        ["enumerate"],
+    ], ids=["check", "recover", "enumerate"])
+    def test_tol_does_not_loosen_the_chi_gate(self, capsys, tmp_path, argv):
+        chi = tmp_path / "chi.csv"
+        reach = tmp_path / "reach.csv"
+        write_matrix(np.array([[1.0, 1e-7], [0.0, 1.0]]), chi)
+        write_matrix(np.eye(2), reach)
+        if argv[-1] == "--reachability":
+            argv = argv + [str(reach)]
+        code, _, err = run(capsys, *argv, "--chi", str(chi), "--tol", "1e-6")
+        assert code == 2
+        assert "asymmetric at entry (1,2): 1e-07 vs 0.0" in err
+
     @pytest.mark.parametrize("command,flag", [
         ("gen", "--tol"), ("dot", "--tol"), ("standardize", "--tol"), ("simulate", "--tol"),
-        ("check", "--out"),
+        ("check", "--out"), ("recover", "--rmwm"),
     ])
     def test_unread_flag_is_rejected(self, capsys, tmp_path, model_file, command, flag):
         matrix = tmp_path / "b.csv"
@@ -383,9 +399,11 @@ class TestCliPipeline:
             "simulate": ["simulate", "--model", model_file, "--n", "10", "--seed", "1",
                          "--out", str(tmp_path / "x.csv")],
             "check": ["check", "--mlcm", str(matrix)],
+            "recover": ["recover", "--chi", str(matrix), "--reachability", str(matrix)],
         }[command]
+        value = {"--tol": ["1e-9"], "--out": [str(tmp_path / "x")], "--rmwm": []}[flag]
         assert run(capsys, *argv)[0] == 0
-        code, _, err = run(capsys, *argv, flag, "1e-9" if flag == "--tol" else str(tmp_path / "x"))
+        code, _, err = run(capsys, *argv, flag, *value)
         assert code == 2
         assert f"unrecognized arguments: {flag}" in err
 

@@ -430,6 +430,21 @@ class TestIsMlcmAgainstRecomposition:
         assert is_mlcm(BBAR_TRIANGLE_VALID).residual == 0.0
 
 
+class TestThroughBlocks:
+    @pytest.mark.parametrize("block", [1, 300])
+    def test_row_blocks_bit_equal_to_one_pass(self, monkeypatch, block):
+        from maxlindag import mlcm
+
+        model = random_weighted_model(10, density=0.5, seed_or_rng=3)
+        bbar = standardize(mlcm_from_weights(model), 1.0)
+        monkeypatch.setattr(mlcm, "_THROUGH_BLOCK", bbar.size * bbar.shape[0])
+        whole = mlcm._through(bbar)
+        assert np.isfinite(whole[0]).any()
+        monkeypatch.setattr(mlcm, "_THROUGH_BLOCK", block)  # 10 and 4 row blocks
+        for one, blocked in zip(whole, mlcm._through(bbar)):
+            assert one.tobytes() == blocked.tobytes()
+
+
 @pytest.fixture()
 def kernel_calls(monkeypatch):
     """Counts of through-kernel passes and reachability checks in ``mlcm``."""

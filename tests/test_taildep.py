@@ -17,6 +17,7 @@ from cases import (
 from maxlindag import (
     Dag,
     IllConditionedError,
+    NotRealizableError,
     ValidationError,
     check_rmwm_tdm,
     chi_complement_graph,
@@ -36,8 +37,8 @@ from maxlindag import (
     ordering_from_initials,
     random_weighted_model,
     reachability_matrix,
+    recover_from_ordering,
     recover_from_reachability,
-    recover_from_reachability_rmwm,
     recover_rmwm_from_initials,
     rmwm_equivalence_constraints,
     standardize,
@@ -137,6 +138,16 @@ class TestIndependencePattern:
         with pytest.raises(ValidationError):
             independence_pattern_check(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("chi", [
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, 0.3], [0.2, 1.0]],
+        [[1.0, 1.2], [1.2, 1.0]],
+    ], ids=["nan", "inf", "asymmetric", "above-one"])
+    def test_malformed_chi_rejected(self, chi):
+        with pytest.raises(ValidationError):
+            independence_pattern_check(np.array(chi), np.eye(2, dtype=int))
+
 
 class TestChiCliques:
     def test_two_maximum_cliques(self):
@@ -171,7 +182,6 @@ class TestChiCliques:
         reach = np.eye(2, dtype=int)
         calls = [
             lambda: recover_from_reachability(chi, reach),
-            lambda: recover_from_reachability_rmwm(chi, reach),
             lambda: ordering_from_initials(chi, [1]),
             lambda: recover_rmwm_from_initials(chi, [1]),
             lambda: initial_bijection(chi, [1], [2]),
@@ -553,3 +563,36 @@ class TestCheckRmwmTdm:
         chi[2, 9] = chi[9, 2] = chi[2, 9] - 0.1
         chains = [f for f in check_rmwm_tdm(dag, chi).failures if f.startswith("(c)")]
         assert [f.split(":")[0] for f in chains] == ["(c) chain (2,3,10)", "(c) chain (9,3,10)"]
+
+
+class TestMessages:
+    def test_no_numpy_scalar_reprs(self):
+        chain_chi = hom_chi(Dag(3, {(1, 2), (2, 3)}))
+        chain_chi[0, 2] = chain_chi[2, 0] = 0.3  # breaks (c): 1/3 = chi(1,2) * chi(2,3)
+        fork_chi = hom_chi(Dag(3, {(1, 2), (1, 3)}))
+        fork_chi[1, 2] = fork_chi[2, 1] = 0.55  # breaks (d): 0.5 via node 1
+        raising = [
+            lambda: validate_tdm(np.array([[1.0, 1e-7], [0.0, 1.0]])),
+            lambda: validate_tdm(np.array([[0.9, 0.2], [0.2, 1.0]])),
+            lambda: validate_tdm(np.array([[1.0, 1.2], [1.2, 1.0]])),
+            lambda: tdm_from_std_mlcm(np.array([[1.0, 0.5], [0.0, 0.6]])),
+            lambda: maximum_chi_cliques(np.array([[1.0, 1e-13], [1e-13, 1.0]])),
+            lambda: recover_from_ordering(
+                np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.0], [0.9, 0.0, 1.0]]), (1, 2, 3)
+            ),
+            lambda: recover_from_ordering(np.ones((2, 2)), (1, 2)),
+        ]
+        messages = []
+        for call in raising:
+            with pytest.raises((ValidationError, IllConditionedError, NotRealizableError)) as exc:
+                call()
+            messages.append(str(exc.value))
+        for dag, chi, kind in [
+            (Dag(3, {(1, 2), (2, 3)}), chain_chi, "(c)"),
+            (Dag(3, {(1, 2), (1, 3)}), fork_chi, "(d)"),
+        ]:
+            failures = check_rmwm_tdm(dag, chi).failures
+            assert any(f.startswith(kind) for f in failures)
+            messages.extend(failures)
+        assert messages[0] == "matrix is asymmetric at entry (1,2): 1e-07 vs 0.0"
+        assert not [m for m in messages if "np.float64(" in m]
