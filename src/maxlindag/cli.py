@@ -4,7 +4,7 @@ Exit codes separate mathematics from plumbing: 0 on success, 1 when the
 input is well-formed but mathematically rejected (not a tail dependence
 matrix of any model, invalid coefficient matrix, pattern mismatch), 2 on
 malformed input or infeasible requests.  The subcommands that compare
-numbers (``tdm``, ``recover``, ``enumerate`` and ``check``) take ``--tol``,
+numbers (``recover``, ``enumerate`` and ``check``) take ``--tol``,
 a positive finite number that defaults to ``DEFAULT_TOL``; every randomized
 subcommand demands an explicit ``--seed``.
 """
@@ -85,7 +85,7 @@ def _emit_matrix(matrix: np.ndarray, out: str | None) -> None:
 def cmd_tdm(args: argparse.Namespace) -> int:
     model = read_model(args.model)
     bbar = standardize(mlcm_from_weights(model), model.alpha)
-    _emit_matrix(tdm_from_std_mlcm(bbar, args.tol), args.out)
+    _emit_matrix(tdm_from_std_mlcm(bbar), args.out)
     return EXIT_OK
 
 
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tdm", help="tail dependence matrix of a model file")
     p.add_argument("--model", required=True)
-    add_tol(p)
     add_out(p)
     p.set_defaults(func=cmd_tdm)
 

@@ -50,7 +50,8 @@ class Dag:
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ValidationError(f"node count must be a positive integer, got {d!r}")
+            shown = d.item() if isinstance(d, np.generic) else d
+            raise ValidationError(f"node count must be a positive integer, got {shown!r}")
         edge_set = frozenset((int(k), int(i)) for k, i in edges)
         for k, i in edge_set:
             if not (1 <= k <= d and 1 <= i <= d):

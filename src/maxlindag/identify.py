@@ -326,6 +326,31 @@ def enumerate_all(
     return _sorted_models(found)
 
 
+def _rmwm_model(chi: np.ndarray, initials: Sequence[int], tol: float) -> IdentifiedModel | None:
+    # The max-weighted model with these initial nodes, or None when there is
+    # none: the initial nodes fix a causal ordering, the row recursion on it
+    # returns bbar, and bbar must be a max-weighted coefficient matrix whose
+    # tail dependence matrix is chi.
+    ordering = ordering_from_initials(chi, initials)
+    try:
+        bbar = recover_from_ordering(chi, ordering, tol)
+    except NotRealizableError:
+        return None
+    analysis = _analysis(bbar)
+    if analysis.fault is not None or not analysis.is_rmwm(tol):
+        return None
+    # Cannot raise: column i of bbar sums to chi(i, i) up to rounding.
+    if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
+        return None
+    return IdentifiedModel(
+        std_mlcm=bbar,
+        min_ml_dag=analysis.minimum_ml_dag(tol),
+        initial_nodes=tuple(initials),
+        ordering_used=ordering,
+        max_weighted=True,
+    )
+
+
 def enumerate_all_rmwm(
     chi: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -334,37 +359,18 @@ def enumerate_all_rmwm(
 
     One candidate per surviving maximum chi-clique: recover through the
     implied causal ordering, then accept iff the support pattern is a
-    reachability matrix and the max-weighted path identities hold.  No
-    permutation search is involved, but the clique count itself can grow
-    exponentially with d: the random 50-node polytree of seed 2 has 21 504
-    maximum cliques.
+    reachability matrix, the max-weighted path identities hold and the
+    candidate reproduces ``chi``.  No permutation search is involved, but
+    the clique count itself can grow exponentially with d: the random
+    50-node polytree of seed 2 has 21 504 maximum cliques.
     """
     chi = validate_tdm(chi)
-    found: list[IdentifiedModel] = []
-    for clique in maximum_chi_cliques(chi):
-        if not clique_initial_filter(chi, clique, tol):
-            continue
-        ordering = ordering_from_initials(chi, clique)
-        try:
-            bbar = recover_from_ordering(chi, ordering, tol)
-        except NotRealizableError:
-            continue
-        analysis = _analysis(bbar)
-        if analysis.fault is not None or not analysis.is_rmwm(tol):
-            continue
-        # Cannot raise: column i of bbar sums to chi(i, i) up to rounding.
-        if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
-            continue
-        found.append(
-            IdentifiedModel(
-                std_mlcm=bbar,
-                min_ml_dag=analysis.minimum_ml_dag(tol),
-                initial_nodes=tuple(clique),
-                ordering_used=ordering,
-                max_weighted=True,
-            )
-        )
-    return _sorted_models(found)
+    found = [
+        _rmwm_model(chi, clique, tol)
+        for clique in maximum_chi_cliques(chi)
+        if clique_initial_filter(chi, clique, tol)
+    ]
+    return _sorted_models([m for m in found if m is not None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +382,8 @@ class EquivalenceReport:
     every moved node maps to a terminal node of the first DAG and every
     transitive-reduction path to its image appears reversed in the second
     model's transitive reduction (derived from chi and the second initial
-    set, exposed as ``alt_transitive_reduction``).
+    set, exposed as ``alt_transitive_reduction``).  Each moved node and
+    unreversed edge on one of its paths make one violation.
     """
 
     bijection: dict[int, int]
@@ -392,19 +399,6 @@ class EquivalenceReport:
         return self.ok
 
 
-def _all_paths(dag: Dag, start: int, goal: int) -> list[tuple[int, ...]]:
-    paths: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(start, (start,))]
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            paths.append(path)
-            continue
-        for child in sorted(dag.children(node)):
-            stack.append((child, path + (child,)))
-    return paths
-
-
 def rmwm_equivalence_constraints(
     chi: np.ndarray,
     initials: Sequence[int],
@@ -418,8 +412,8 @@ def rmwm_equivalence_constraints(
     node sets, verifies that (a) every initial node moved by the bijection
     maps to a terminal node of the first DAG, and (b) every
     transitive-reduction path from a moved node to its image appears
-    reversed in the transitive reduction of the second model, which is
-    derived from ``chi`` and ``other_initials``.
+    reversed in the transitive reduction of the second model: the one
+    :func:`enumerate_all_rmwm` finds for ``other_initials``, if any.
     """
     chi = validate_tdm(chi)
     phi = initial_bijection(chi, initials, other_initials)
@@ -434,23 +428,24 @@ def rmwm_equivalence_constraints(
                 "which is not a terminal node of the first DAG"
             )
 
-    alt: Dag | None = None
-    with suppress(NotRealizableError, ValidationError):
-        analysis = _analysis(recover_rmwm_from_initials(chi, other_initials, tol))
-        if analysis.fault is None and analysis.is_rmwm(tol):
-            alt = analysis.minimum_ml_dag(tol)
+    model = None
+    with suppress(ValidationError):  # other_initials cannot be an initial node set
+        model = _rmwm_model(chi, other_initials, tol)
+    alt = model.min_ml_dag if model is not None else None
     if alt is None:
         violations.append("(b) no max-weighted model with the alternative initial nodes exists")
     else:
+        # Edge a -> b lies on a path from j to phi(j) iff j reaches a and b
+        # reaches phi(j), so every such path is reversed iff every such edge is.
+        edges = sorted(transitive_reduction.edges)
         for j in moved:
-            for path in _all_paths(transitive_reduction, j, phi[j]):
-                missing = [
-                    (b, a) for a, b in zip(path, path[1:]) if (b, a) not in alt.edges
-                ]
-                if missing:
+            down = transitive_reduction.descendants_closed(j)
+            up = transitive_reduction.ancestors_closed(phi[j])
+            for a, b in edges:
+                if a in down and b in up and (b, a) not in alt.edges:
                     violations.append(
-                        f"(b) path {'->'.join(map(str, path))} is not reversed in the "
-                        f"alternative transitive reduction (missing {missing})"
+                        f"(b) edge {a}->{b} on a path from moved node {j} to {phi[j]} is not "
+                        "reversed in the alternative transitive reduction"
                     )
 
     return EquivalenceReport(

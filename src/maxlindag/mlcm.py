@@ -99,8 +99,10 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
 
 def _validate_mlcm(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValidationError(f"coefficient matrix must be square, got shape {b.shape}")
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.size == 0:
+        raise ValidationError(
+            f"coefficient matrix must be square and nonempty, got shape {b.shape}"
+        )
     if not np.isfinite(b).all():
         raise ValidationError("coefficient matrix has non-finite entries")
     return b

@@ -35,8 +35,10 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
     Each check allows a deviation of ``DEFAULT_TOL``.
     """
     chi = np.asarray(chi, dtype=float)
-    if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
-        raise ValidationError(f"tail dependence matrix must be square, got shape {chi.shape}")
+    if chi.ndim != 2 or chi.shape[0] != chi.shape[1] or chi.size == 0:
+        raise ValidationError(
+            f"tail dependence matrix must be square and nonempty, got shape {chi.shape}"
+        )
     if not np.isfinite(chi).all():
         raise ValidationError("tail dependence matrix has non-finite entries")
     asym = np.abs(chi - chi.T)
@@ -59,17 +61,17 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
     return chi
 
 
-def tdm_from_std_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def tdm_from_std_mlcm(bbar: np.ndarray) -> np.ndarray:
     """Tail dependence matrix of a standardized coefficient matrix.
 
-    Entries must be finite and column sums of ``bbar`` one within ``tol``;
+    Entries must be finite and column sums of ``bbar`` one within 1e-8;
     the output is symmetric with unit diagonal by construction.
     """
     bbar = _validate_mlcm(bbar)
     if (bbar < 0).any() or (np.diag(bbar) <= 0).any():
         raise ValidationError("matrix must be nonnegative with positive diagonal")
     colsums = bbar.sum(axis=0)
-    if np.abs(colsums - 1.0).max() > max(tol, 1e-8):
+    if np.abs(colsums - 1.0).max() > 1e-8:
         j = int(np.argmax(np.abs(colsums - 1.0)))
         raise ValidationError(f"column {j + 1} sums to {float(colsums[j])}, expected 1")
     d = bbar.shape[0]

@@ -335,6 +335,33 @@ class TestEquivalenceConstraints:
             {(v + 1, v) for v in range(1, d)}
         )
 
+    def test_unreversed_edge_is_a_violation(self):
+        # The chain's alternative model is 3 -> 2 -> 1; given the fork
+        # 2 <- 1 -> 3 instead, 3 is still terminal but 1 -> 3 is not reversed.
+        _, chi = hom_setup(CHAIN3)
+        report = rmwm_equivalence_constraints(chi, (1,), (3,), Dag(3, {(1, 2), (1, 3)}))
+        assert report.violations == (
+            "(b) edge 1->3 on a path from moved node 1 to 3 is not reversed in the "
+            "alternative transitive reduction",
+        )
+
+    def test_one_violation_per_edge_not_per_path(self):
+        # A ladder of 16 diamonds t -> t+1, t+2 -> t+3 has 2**16 paths from 1
+        # to 49; against the reversed chain only its 32 edges (t, t+2) and
+        # (t+1, t+3) are unreversed.
+        d, tops = 49, range(1, 49, 3)
+        ladder = Dag(d, {
+            e for t in tops for e in ((t, t + 1), (t, t + 2), (t + 1, t + 3), (t + 2, t + 3))
+        })
+        _, chi = hom_setup(Dag(d, {(v, v + 1) for v in range(1, d)}))
+        report = rmwm_equivalence_constraints(chi, (1,), (d,), ladder)
+        unreversed = sorted(e for t in tops for e in ((t, t + 2), (t + 1, t + 3)))
+        assert report.violations == tuple(
+            f"(b) edge {a}->{b} on a path from moved node 1 to {d} is not reversed in the "
+            "alternative transitive reduction"
+            for a, b in unreversed
+        )
+
 
 class TestEnumerateAll:
     def test_two_cliques_exactly_two_models(self):

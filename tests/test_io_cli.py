@@ -236,6 +236,19 @@ class TestCliCheck:
         assert code == 1
         assert "invalid" in out
 
+    def test_tdm_on_dag_reads_the_dag_of_a_model_file(self, capsys, tmp_path):
+        chi = tmp_path / "chi.csv"
+        write_matrix(CHI_TWO_CLIQUES, chi)
+        # Only the model's DAG is read: the generating one, then another.
+        paths = [tmp_path / "right.json", tmp_path / "wrong.json"]
+        for dag, path in zip((TWO_CLIQUES_MW_DAG, Dag(4, {(1, 3), (4, 3), (4, 2)})), paths):
+            write_model(homogeneous_model(dag, 1.0), path)
+        codes = [
+            run(capsys, "check", "--tdm-on-dag", "--chi", str(chi), "--model", str(path))[0]
+            for path in paths
+        ]
+        assert codes == [0, 1]
+
     def test_check_mlcm_verdicts(self, capsys, tmp_path):
         good = tmp_path / "good.csv"
         write_matrix(np.array([[1.0, 0.1, 1 / 3], [0.0, 0.9, 1 / 3], [0.0, 0.0, 1 / 3]]), good)
@@ -387,13 +400,14 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("command,flag", [
         ("gen", "--tol"), ("dot", "--tol"), ("standardize", "--tol"), ("simulate", "--tol"),
-        ("check", "--out"), ("recover", "--rmwm"),
+        ("check", "--out"), ("recover", "--rmwm"), ("tdm", "--tol"),
     ])
     def test_unread_flag_is_rejected(self, capsys, tmp_path, model_file, command, flag):
         matrix = tmp_path / "b.csv"
         write_matrix(np.eye(2), matrix)
         argv = {
             "gen": ["gen", "3", "--seed", "1"],
+            "tdm": ["tdm", "--model", model_file],
             "dot": ["dot", "--model", model_file],
             "standardize": ["standardize", str(matrix), "--alpha", "1.0"],
             "simulate": ["simulate", "--model", model_file, "--n", "10", "--seed", "1",

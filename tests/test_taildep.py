@@ -27,10 +27,13 @@ from maxlindag import (
     homogeneous_model,
     independence_pattern_check,
     initial_bijection,
+    is_mlcm,
+    is_rmwm_mlcm,
     lambda_coefficients,
     lambda_representation,
     lowest_common_ancestors,
     maximum_chi_cliques,
+    minimum_ml_dag,
     mlcm_from_weights,
     mu_coefficients,
     mu_representation,
@@ -252,6 +255,41 @@ class TestCliqueInitialFilter:
                 assert ours == oracles.clique_filter(chi, clique)
                 outcomes.add(ours)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_row_blocks_give_the_one_pass_verdict(self, monkeypatch, block):
+        from maxlindag import taildep
+
+        cases = []
+        for d, seed in ((10, 1), (11, 2), (12, 3)):
+            model = random_weighted_model(d, density=0.3, seed_or_rng=seed)
+            chi = tdm_from_std_mlcm(standardize(mlcm_from_weights(model), 1.0))
+            cases += [(chi, w, clique_initial_filter(chi, w)) for w in maximum_chi_cliques(chi)]
+        assert {whole for *_, whole in cases} == {True, False}
+        monkeypatch.setattr(taildep, "_FILTER_BLOCK", block)
+        blocks = []
+        for chi, w, whole in cases:
+            r = chi.shape[0] - len(w)
+            blocks.append(-(-r // max(1, block // (r * len(w)))))
+            assert clique_initial_filter(chi, w) == whole
+        assert min(blocks) > 1
+
+    def test_violation_in_a_later_block_is_found(self, monkeypatch):
+        from maxlindag import taildep
+
+        model = random_weighted_model(10, density=0.3, seed_or_rng=1)
+        chi = tdm_from_std_mlcm(standardize(mlcm_from_weights(model), 1.0))
+        w = (4, 5, 8, 9)
+        assert w in maximum_chi_cliques(chi) and clique_initial_filter(chi, w)
+        # Only the pair of the last two nodes outside W falls below its
+        # bound; with one row per block it sits in the next-to-last block.
+        p, q = 7, 10
+        bound = sum(min(chi[k - 1, p - 1], chi[k - 1, q - 1]) for k in w)
+        chi[p - 1, q - 1] = chi[q - 1, p - 1] = bound / 2
+        assert not oracles.clique_filter(chi, w)
+        outside = chi.shape[0] - len(w)
+        monkeypatch.setattr(taildep, "_FILTER_BLOCK", outside * len(w))  # one row per block
+        assert not clique_initial_filter(chi, w)
 
 
 class TestLambdaRepresentation:
@@ -581,6 +619,7 @@ class TestMessages:
                 np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.0], [0.9, 0.0, 1.0]]), (1, 2, 3)
             ),
             lambda: recover_from_ordering(np.ones((2, 2)), (1, 2)),
+            lambda: Dag(np.int64(0), set()),
         ]
         messages = []
         for call in raising:
@@ -595,4 +634,26 @@ class TestMessages:
             assert any(f.startswith(kind) for f in failures)
             messages.extend(failures)
         assert messages[0] == "matrix is asymmetric at entry (1,2): 1e-07 vs 0.0"
-        assert not [m for m in messages if "np.float64(" in m]
+        assert not [m for m in messages if "np.float64(" in m or "np.int64(" in m]
+
+
+class TestEmptyMatrixRejected:
+    @pytest.mark.parametrize("call", [
+        is_mlcm,
+        is_rmwm_mlcm,
+        minimum_ml_dag,
+        lambda m: standardize(m, 1.0),
+        tdm_from_std_mlcm,
+        validate_tdm,
+        maximum_chi_cliques,
+        enumerate_all,
+        lambda m: recover_from_reachability(m, m),
+        lambda m: recover_from_ordering(m, ()),
+    ], ids=[
+        "is_mlcm", "is_rmwm_mlcm", "minimum_ml_dag", "standardize", "tdm_from_std_mlcm",
+        "validate_tdm", "maximum_chi_cliques", "enumerate_all", "recover_from_reachability",
+        "recover_from_ordering",
+    ])
+    def test_zero_by_zero(self, call):
+        with pytest.raises(ValidationError, match=r"nonempty, got shape \(0, 0\)"):
+            call(np.zeros((0, 0)))
