@@ -31,14 +31,15 @@ from .errors import (
     ValidationError,
 )
 from .graph import CausalOrdering, Dag, is_reachability_matrix
+from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _analysis, is_mlcm
 from .taildep import (
     _independent_nodes,
+    _min_sum,
     _positive_mask,
     clique_initial_filter,
     independence_pattern_check,
     maximum_chi_cliques,
-    tdm_from_std_mlcm,
     validate_tdm,
 )
 from .tolerance import DEFAULT_TOL, max_rel_residual
@@ -91,7 +92,8 @@ def recover_from_ordering(
     are zero.  When the ordering is a causal ordering of a DAG generating
     ``chi``, the output is that model's standardized coefficient matrix.
     Raises :class:`NotRealizableError` when the recursion turns negative
-    beyond ``tol`` or leaves a diagonal entry that is not positive.
+    beyond ``tol``, leaves a diagonal entry that is not positive, or returns
+    a matrix whose support is not a reachability matrix.
     """
     chi = validate_tdm(chi)
     if not isinstance(ordering, CausalOrdering):
@@ -101,7 +103,10 @@ def recover_from_ordering(
         raise ValidationError(f"ordering has length {len(ordering)}, matrix is {d}x{d}")
     pos = np.asarray(ordering.positions)
     order = [v - 1 for v in ordering.node_order]
-    return _recover(chi, order, pos[None, :] >= pos[:, None], tol)
+    bbar = _recover(chi, order, pos[None, :] >= pos[:, None], tol)
+    if not is_reachability_matrix(bbar > 0):
+        raise NotRealizableError("the recovered support is not a reachability matrix of a DAG")
+    return bbar
 
 
 def recover_from_reachability(
@@ -170,7 +175,9 @@ def recover_rmwm_from_initials(
 
     Composition of :func:`ordering_from_initials` and
     :func:`recover_from_ordering`; unique for max-weighted models.  Outside
-    that class the result need not reproduce the generating matrix.
+    that class the result need not reproduce the generating matrix.  Raises
+    :class:`NotRealizableError` as :func:`recover_from_ordering` does,
+    including when the recovered support is not a reachability matrix.
     """
     ordering = ordering_from_initials(chi, initials)
     return recover_from_ordering(chi, ordering, tol)
@@ -308,7 +315,7 @@ def enumerate_all(
             support = (bbar > 0).tobytes()
             if support in seen or not is_mlcm(bbar, tol):
                 continue
-            if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
+            if max_rel_residual(_min_sum(bbar), chi) > tol:
                 continue
             seen.add(support)
             candidate = bbar.copy()
@@ -337,10 +344,7 @@ def _rmwm_model(chi: np.ndarray, initials: Sequence[int], tol: float) -> Identif
     except NotRealizableError:
         return None
     analysis = _analysis(bbar)
-    if analysis.fault is not None or not analysis.is_rmwm(tol):
-        return None
-    # Cannot raise: column i of bbar sums to chi(i, i) up to rounding.
-    if max_rel_residual(tdm_from_std_mlcm(bbar), chi) > tol:
+    if not analysis.is_rmwm(tol) or max_rel_residual(_min_sum(bbar), chi) > tol:
         return None
     return IdentifiedModel(
         std_mlcm=bbar,
@@ -413,9 +417,19 @@ def rmwm_equivalence_constraints(
     maps to a terminal node of the first DAG, and (b) every
     transitive-reduction path from a moved node to its image appears
     reversed in the transitive reduction of the second model: the one
-    :func:`enumerate_all_rmwm` finds for ``other_initials``, if any.
+    :func:`enumerate_all_rmwm` finds for ``other_initials``, if any.  A DAG
+    whose size differs from chi's, or with a redundant edge, raises
+    :class:`ValidationError`.
     """
     chi = validate_tdm(chi)
+    if transitive_reduction.d != chi.shape[0]:
+        raise ValidationError(
+            f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {transitive_reduction.d} nodes"
+        )
+    redundant = transitive_reduction.edges - _transitive_reduction(transitive_reduction).edges
+    if redundant:
+        a, b = min(redundant)
+        raise ValidationError(f"the DAG is not transitively reduced: edge {a}->{b} is redundant")
     phi = initial_bijection(chi, initials, other_initials)
     moved = tuple(j for j in sorted(phi) if phi[j] != j)
     violations: list[str] = []

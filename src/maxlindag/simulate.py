@@ -151,9 +151,9 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
             "need at least 50"
         )
     values = block.values
-    quantiles = np.quantile(values, u, axis=0)
-    # One float 0/1 array for the exceedances: its sums and products count
-    # exactly, and it is the only (n, d) temporary besides the quantile's.
+    # Quantiles per column copy one column at a time; the float 0/1 hits, whose
+    # sums and products count exactly, are the only (n, d) temporary.
+    quantiles = np.array([np.quantile(column, u) for column in values.T])
     hits = np.greater(values, quantiles[None, :], out=np.empty_like(values, dtype=np.float64))
     counts = hits.sum(axis=0)
     if (counts == 0).any():

@@ -12,6 +12,10 @@ maximum cliques are the candidate initial node sets, a necessary filter for
 those candidates, coefficient representations of bbar entries purely in
 terms of chi, and the full characterization of which matrices are tail
 dependence matrices of a max-weighted model on a given DAG.
+
+One kernel, ``_min_sum``, takes that min-sum over all pairs; the chi
+formula, the initial-set filter and condition (d) of the characterization
+all call it.
 """
 from __future__ import annotations
 
@@ -21,12 +25,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, reachability_matrix
+from .graph import Dag
 from .mlcm import _validate_mlcm
 from .tolerance import DEFAULT_TOL, ZERO_TOL
 
-# Element cap on each temporary of the clique filter.
-_FILTER_BLOCK = 1 << 16
+# Element cap on each temporary of the min-sum kernel.
+_MIN_SUM_BLOCK = 1 << 16
 
 
 def validate_tdm(chi: np.ndarray) -> np.ndarray:
@@ -74,12 +78,19 @@ def tdm_from_std_mlcm(bbar: np.ndarray) -> np.ndarray:
     if np.abs(colsums - 1.0).max() > 1e-8:
         j = int(np.argmax(np.abs(colsums - 1.0)))
         raise ValidationError(f"column {j + 1} sums to {float(colsums[j])}, expected 1")
-    d = bbar.shape[0]
-    chi = np.empty((d, d))
-    for j in range(d):
-        chi[: j + 1, j] = np.minimum(bbar[:, : j + 1], bbar[:, j : j + 1]).sum(axis=0)
-        chi[j, : j + 1] = chi[: j + 1, j]
-    return chi
+    return _min_sum(bbar)
+
+
+def _min_sum(a: np.ndarray) -> np.ndarray:
+    # m[i, j] = sum_k min(a[k, i], a[k, j]), summed over k in row order, so
+    # m is symmetric to the bit whatever the block.  Output rows are taken
+    # in blocks of at most _MIN_SUM_BLOCK temporary elements.
+    k, n = a.shape
+    m = np.empty((n, n))
+    rows = max(1, _MIN_SUM_BLOCK // max(k * n, 1))
+    for r0 in range(0, n, rows):
+        m[r0 : r0 + rows] = np.minimum(a[:, r0 : r0 + rows, None], a[:, None, :]).sum(axis=0)
+    return m
 
 
 def _positive_mask(chi: np.ndarray) -> np.ndarray:
@@ -193,24 +204,12 @@ def clique_initial_filter(
     initial nodes W; True keeps W as a candidate.
     """
     chi = validate_tdm(chi)
-    w = _independent_nodes(_positive_mask(chi), clique, "clique")
-    # The bound for every pair outside W is one sum over W's contiguous
-    # last axis, so it adds in the same order as a sum over a 1-d vector
-    # does; rows are taken in blocks of at most _FILTER_BLOCK elements.
-    w = np.asarray(w) - 1
+    w = np.asarray(_independent_nodes(_positive_mask(chi), clique, "clique")) - 1
     rest = np.ones(chi.shape[0], dtype=bool)
     rest[w] = False
-    to_w = chi[w][:, rest].T.copy()  # chi(k, i) at [i, k]
-    among = chi[rest][:, rest]
-    r = to_w.shape[0]
-    rows = max(1, _FILTER_BLOCK // max(r * w.size, 1))
-    cols = np.arange(r)
-    for a0 in range(0, r, rows):
-        bound = np.minimum(to_w[a0 : a0 + rows, None, :], to_w).sum(axis=-1)
-        low = among[a0 : a0 + rows] < bound - tol
-        if (low & (cols >= cols[a0 : a0 + rows, None])).any():
-            return False
-    return True
+    low = chi[rest][:, rest] < _min_sum(chi[w][:, rest]) - tol
+    cols = np.arange(len(low))
+    return not (low & (cols >= cols[:, None])).any()  # pairs i <= j
 
 
 def lambda_coefficients(dag: Dag, j: int) -> dict[int, float]:
@@ -327,8 +326,9 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
         ``bbar_ii = 1 - sum_{k in an(i)} bbar_kk * chi(k, i)`` stay positive;
     (c) ``chi(j, i) = chi(j, k) * chi(k, i)`` for every node i, ancestor j,
         and intermediate parent k of i;
-    (d) for incomparable pairs with common ancestors,
-        ``chi(i, j) = sum_k bbar_kk * min(chi(k, i), chi(k, j))``.
+    (d) for incomparable pairs i < j with common ancestors,
+        ``chi(i, j) = sum_k min(bbar_ki, bbar_kj)`` on the implied bbar,
+        ``bbar_ki = bbar_kk * chi(k, i)`` for every ancestor k of i.
 
     Zero classification in (a) and the equality comparisons in (c), (d)
     treat ``tol`` absolutely on the [0, 1] scale, so perturbations below
@@ -337,9 +337,9 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     must pass :func:`validate_tdm`, whose checks allow ``DEFAULT_TOL``
     whatever ``tol``.
 
-    All ancestry comes from the DAG's cached reachability matrix; (b)-(d)
-    and the final ``std_mlcm`` are numpy passes one node at a time, with
-    O(d^2) temporaries.  Sums run in numpy's order.
+    All ancestry comes from the DAG's cached reachability matrix.  (b) and
+    (c) are numpy passes one node at a time, and (d) is one min-sum pass
+    over the implied bbar, which is ``std_mlcm`` on success.
     """
     chi = validate_tdm(chi)
     if chi.shape[0] != dag.d:
@@ -347,7 +347,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     d = dag.d
     failures: list[str] = []
 
-    reach = reachability_matrix(dag).astype(bool)
+    reach = dag._reachability()
     strict = reach & ~np.eye(d, dtype=bool)
     common = _common_ancestors(reach)
     positive = chi > tol
@@ -367,6 +367,9 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     bad = [i + 1 for i in range(d) if diag[i] <= 0.0]
     if bad:
         failures.append(f"(b) nonpositive diagonal at nodes {bad}")
+    # The implied bbar: bbar_ki = bbar_kk * chi(k, i) for every strict ancestor k of i.
+    bbar = np.where(strict, diag[:, None] * chi, 0.0)
+    np.fill_diagonal(bbar, diag)
 
     for i in range(1, d + 1):
         parents = sorted(dag.parents(i))
@@ -382,25 +385,12 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
                 f"chi={float(lhs[j, 0])} vs product={float(rhs[j, p])}"
             )
 
-    nodes = np.arange(d)
-    for i in range(1, d + 1):
-        an_i = reach[:, i - 1]
-        js = np.flatnonzero((nodes >= i) & common[i - 1] & ~an_i & ~reach[i - 1])
-        if not js.size:
-            continue
-        shared = an_i[:, None] & reach[:, js]
-        terms = diag[:, None] * np.minimum(chi[:, i - 1, None], chi[:, js])
-        rhs = np.where(shared, terms, 0.0).sum(axis=0)
-        lhs = chi[i - 1, js]
-        for n in np.flatnonzero(~_chi_close(lhs, rhs, tol)):
-            failures.append(
-                f"(d) pair ({i},{js[n] + 1}): chi={float(lhs[n])} vs "
-                f"combination={float(rhs[n])}"
-            )
+    combination = _min_sum(bbar)
+    pairs = np.triu(common & ~reach & ~reach.T, 1)
+    for i, j in np.argwhere(pairs & ~_chi_close(chi, combination, tol)):
+        failures.append(
+            f"(d) pair ({i + 1},{j + 1}): chi={float(chi[i, j])} vs "
+            f"combination={float(combination[i, j])}"
+        )
 
-    if failures:
-        return RmwmTdmCheck(False, diag, None, tuple(failures))
-    # bbar_ki = bbar_kk * chi(k, i) for every strict ancestor k of i.
-    bbar = np.where(strict, diag[:, None] * chi, 0.0)
-    np.fill_diagonal(bbar, diag)
-    return RmwmTdmCheck(True, diag, bbar, ())
+    return RmwmTdmCheck(not failures, diag, None if failures else bbar, tuple(failures))

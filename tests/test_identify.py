@@ -76,13 +76,30 @@ CHI_ZERO_DIAGONAL = np.ones((2, 2))
 REACH_ZERO_DIAGONAL = np.array([[1, 1], [0, 1]])
 
 
+def is_reachability_support(bbar: np.ndarray) -> bool:
+    """The support of ``bbar`` is closed, has a unit diagonal and no 2-cycle."""
+    support = bbar > 0
+    d = len(support)
+    edges = {(k + 1, i + 1) for k, i in zip(*np.nonzero(support)) if k != i}
+    two_cycles = support & support.T & ~np.eye(d, dtype=bool)
+    return np.array_equal(oracles.reachability(d, edges) == 1, support) and not two_cycles.any()
+
+
 def assert_same_as_row_loop(recover, chi, order, reach=None):
-    """``recover()`` equals the one-row-at-a-time loop bit for bit, or both reject."""
+    """``recover()`` equals the one-row-at-a-time loop bit for bit, or both reject.
+
+    Without ``reach`` (a recovery from an ordering) the loop's matrix counts
+    as rejected too when its support is not a reachability matrix.
+    """
     try:
         expected = oracles.recover_by_rows(chi, order, reach)
     except ValueError:
         expected = None
-    if expected is None or (np.diag(expected) <= 0).any():
+    if (
+        expected is None
+        or (np.diag(expected) <= 0).any()
+        or (reach is None and not is_reachability_support(expected))
+    ):
         with pytest.raises(NotRealizableError):
             recover()
     else:
@@ -335,6 +352,17 @@ class TestEquivalenceConstraints:
             {(v + 1, v) for v in range(1, d)}
         )
 
+    def test_dag_of_another_size_is_an_error(self):
+        _, chi = hom_setup(CHAIN3)
+        chain5 = Dag(5, {(v, v + 1) for v in range(1, 5)})
+        with pytest.raises(ValidationError, match="3x3, DAG has 5 nodes"):
+            rmwm_equivalence_constraints(chi, (1,), (3,), chain5)
+
+    def test_dag_that_is_not_transitively_reduced_is_an_error(self):
+        _, chi = hom_setup(CHAIN3)
+        with pytest.raises(ValidationError, match="edge 1->3 is redundant"):
+            rmwm_equivalence_constraints(chi, (1,), (3,), Dag(3, {(1, 2), (2, 3), (1, 3)}))
+
     def test_unreversed_edge_is_a_violation(self):
         # The chain's alternative model is 3 -> 2 -> 1; given the fork
         # 2 <- 1 -> 3 instead, 3 is still terminal but 1 -> 3 is not reversed.
@@ -486,6 +514,19 @@ class TestEnumerateAllRmwm:
             }
             for m in enumerate_all_rmwm(entry.chi):
                 assert np.round(m.std_mlcm, 9).tobytes() in general
+
+
+# chi(1, 2) = 5e-10 is positive to the clique search, but the row recursion
+# snaps it to zero; the identity it leaves passes is_mlcm, and only the chi
+# round trip rejects it.
+CHI_SNAPPED = np.array([[1.0, 5e-10], [5e-10, 1.0]])
+
+
+@pytest.mark.parametrize("enumerate_models", [enumerate_all, enumerate_all_rmwm])
+def test_round_trip_rejects_a_snapped_model(enumerate_models):
+    for m in enumerate_models(CHI_SNAPPED):
+        assert not np.array_equal(m.std_mlcm, np.eye(2))
+        assert np.abs(tdm_from_std_mlcm(m.std_mlcm) - CHI_SNAPPED).max() <= 1e-9
 
 
 def test_searches_free_themselves_without_the_cycle_collector(corpus):

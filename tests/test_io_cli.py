@@ -142,6 +142,19 @@ class TestCliRecover:
         assert out == ""
         assert "diagonal" in err
 
+    def test_support_that_is_not_a_reachability_matrix_is_domain_rejection(
+        self, capsys, tmp_path
+    ):
+        # The model's edges are 1->4, 2->3 and 3->4; this ordering places 4
+        # before 3, and the row recursion leaves a support that no DAG has.
+        model = random_weighted_model(5, density=0.4, seed_or_rng=22)
+        chi = tmp_path / "chi.csv"
+        write_matrix(tdm_from_std_mlcm(standardize(mlcm_from_weights(model), model.alpha)), chi)
+        code, out, err = run(capsys, "recover", "--chi", str(chi), "--ordering", "1,5,4,3,2")
+        assert code == 1
+        assert out == ""
+        assert "reachability" in err
+
     def test_recover_with_reachability(self, capsys, two_cliques_chi_file, tmp_path):
         reach = tmp_path / "reach.csv"
         write_matrix(reachability_matrix(TWO_CLIQUES_MW_DAG), reach)

@@ -95,6 +95,20 @@ class TestTdmFromStdMlcm:
             np.testing.assert_allclose(np.diag(chi), 1.0, atol=1e-12)
             assert (chi >= 0).all() and (chi <= 1 + 1e-12).all()
 
+    @pytest.mark.parametrize("block", [1, 200, 500])
+    def test_row_blocks_bit_equal_to_one_pass_and_symmetric(self, monkeypatch, block):
+        from maxlindag import taildep
+
+        model = random_weighted_model(10, density=0.5, seed_or_rng=4)
+        bbar = standardize(mlcm_from_weights(model), 1.0)
+        whole = tdm_from_std_mlcm(bbar)
+        monkeypatch.setattr(taildep, "_MIN_SUM_BLOCK", block)
+        rows = max(1, block // bbar.size)  # 1, 2 or 5 output rows per block
+        assert rows < 10
+        blocked = tdm_from_std_mlcm(bbar)
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, blocked.T)
+
     def test_rejects_unnormalized_columns(self):
         with pytest.raises(ValidationError):
             tdm_from_std_mlcm(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -266,7 +280,7 @@ class TestCliqueInitialFilter:
             chi = tdm_from_std_mlcm(standardize(mlcm_from_weights(model), 1.0))
             cases += [(chi, w, clique_initial_filter(chi, w)) for w in maximum_chi_cliques(chi)]
         assert {whole for *_, whole in cases} == {True, False}
-        monkeypatch.setattr(taildep, "_FILTER_BLOCK", block)
+        monkeypatch.setattr(taildep, "_MIN_SUM_BLOCK", block)
         blocks = []
         for chi, w, whole in cases:
             r = chi.shape[0] - len(w)
@@ -288,7 +302,7 @@ class TestCliqueInitialFilter:
         chi[p - 1, q - 1] = chi[q - 1, p - 1] = bound / 2
         assert not oracles.clique_filter(chi, w)
         outside = chi.shape[0] - len(w)
-        monkeypatch.setattr(taildep, "_FILTER_BLOCK", outside * len(w))  # one row per block
+        monkeypatch.setattr(taildep, "_MIN_SUM_BLOCK", outside * len(w))  # one row per block
         assert not clique_initial_filter(chi, w)
 
 
