@@ -12,9 +12,12 @@ information through one function, ``_settled_row``.  It computes
 and then applies four rules: (1) columns the information rules out are set
 to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`;
 (3) entries within ``tol`` of zero snap to zero; (4) a diagonal entry that
-is not positive raises :class:`NotRealizableError`.  The enumerators output
-the standardized coefficient matrices of every model, or every max-weighted
-model, compatible with a given chi.
+is not positive raises :class:`NotRealizableError`.  The recoveries sum
+over the placed rows in placement order; the general enumeration sums in
+node order, so that a row depends on the placed set and not on the order
+the search placed it in.  The enumerators output the standardized
+coefficient matrices of every model, or every max-weighted model,
+compatible with a given chi.
 """
 from __future__ import annotations
 
@@ -45,17 +48,18 @@ from .taildep import (
 from .tolerance import DEFAULT_TOL, max_rel_residual
 
 
-def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int], node: int,
-                 forced: list[int] | np.ndarray, tol: float) -> np.ndarray:
-    # Row `node` of bbar from the rows `placed` (0-based nodes), with the
-    # columns `forced` (indices or a boolean mask) held at zero.  Entries
-    # within tol of zero snap to exact zero: they are cancellation residue
-    # of the recursion, and a stray 1e-16 would corrupt the support pattern
-    # that downstream validity checks read off the matrix.
+def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int] | np.ndarray,
+                 node: int, forced: list[int] | np.ndarray, tol: float) -> np.ndarray:
+    # Row `node` of bbar from the rows `placed`, with the columns `forced`
+    # held at zero; both are 0-based node lists or boolean masks.  The sum
+    # runs over the rows in the order `placed` lists them: placement order
+    # for a list (the recoveries), node order for a mask (the enumeration).
+    # Entries within tol of zero snap to exact zero: they are cancellation
+    # residue of the recursion, and a stray 1e-16 would corrupt the support
+    # pattern that downstream validity checks read off the matrix.
     row = chi[node].copy()
-    if placed:
-        prior = bbar[placed]
-        row -= np.minimum(prior, prior[:, node, None]).sum(axis=0)
+    prior = bbar[placed]
+    row -= np.minimum(prior, prior[:, node, None]).sum(axis=0)
     row[forced] = 0.0
     worst = row.min()
     if worst < -tol:
@@ -232,27 +236,38 @@ def _sorted_models(models: list[IdentifiedModel]) -> list[IdentifiedModel]:
     return sorted(models, key=lambda m: (m.initial_nodes, (m.std_mlcm > 0).tobytes()))
 
 
-def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], layers: list[list[int]],
-            level: int, remaining: list[int], tol: float) -> Iterator[None]:
+def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], mask: np.ndarray,
+            layers: list[list[int]], level: int, remaining: list[int],
+            visited: set[tuple[int, bytes]], tol: float) -> Iterator[None]:
     # Depth-first over the orders of `remaining` (0-based nodes of layer
     # `level`) and of the layers after it, settling each row on the way.
     # Yields at every leaf with `bbar` and `placed` filled in; a prefix whose
-    # row recursion fails is abandoned.
+    # row recursion fails is abandoned.  `mask` marks the placed nodes.  A
+    # prefix state already in `visited` was explored before and is skipped:
+    # unplaced rows of bbar are zero and placed ones have a positive
+    # diagonal, so its bytes fix the placed set as well as the placed rows.
+    key = (level, bbar.tobytes())
+    if key in visited:
+        return
+    visited.add(key)
     if not remaining:
         if level + 1 < len(layers):
-            yield from _leaves(chi, bbar, placed, layers, level + 1, list(layers[level + 1]), tol)
+            yield from _leaves(chi, bbar, placed, mask, layers, level + 1,
+                               list(layers[level + 1]), visited, tol)
         else:
             yield
         return
     for node in list(remaining):
         try:
-            bbar[node] = _settled_row(chi, bbar, placed, node, placed, tol)
+            bbar[node] = _settled_row(chi, bbar, mask, node, mask, tol)
         except NotRealizableError:
             continue
         placed.append(node)
+        mask[node] = True
         remaining.remove(node)
-        yield from _leaves(chi, bbar, placed, layers, level, remaining, tol)
+        yield from _leaves(chi, bbar, placed, mask, layers, level, remaining, visited, tol)
         remaining.append(node)
+        mask[node] = False
         placed.pop()
         bbar[node] = 0.0
 
@@ -283,6 +298,21 @@ def enumerate_all(
     ordering causal for a found model's DAG re-derives that model's matrix,
     so its support repeats.
 
+    The search also skips a prefix state it has explored before.  The
+    state is the level (the layer being placed) with the bytes of the
+    partial matrix, which fix the placed nodes and their rows: the rows are
+    summed in node order, so each row is a function of chi, the placed set
+    and the placed rows, whatever order the nodes were placed in.  A state
+    can only repeat after the subtree of its first visit has finished,
+    because the placed set grows strictly within a level.  Every leaf of a
+    repeated subtree is then a matrix already judged: an accepted leaf's
+    support is among the accepted ones, and a rejected leaf fails the
+    deterministic validity check or round trip again.  Skipping the subtree
+    therefore leaves the models, their order and their ``ordering_used``
+    unchanged.  The memo is kept for one clique at a time: the state does
+    not name the clique, and every clique's search starts from the same
+    empty state, whose subtree differs from clique to clique.
+
     The search is capped at ``max_d`` nodes (default 10) because its worst
     case is factorial; larger inputs raise :class:`EnumerationCapError`.
     """
@@ -311,7 +341,9 @@ def enumerate_all(
         layers = [[w] for w in widx] + [[j for j in rest if counts[j] == c] for c in levels]
         bbar = np.zeros((d, d))
         placed: list[int] = []
-        for _ in _leaves(chi, bbar, placed, layers, 0, list(layers[0]), tol):
+        mask = np.zeros(d, dtype=bool)
+        visited: set[tuple[int, bytes]] = set()
+        for _ in _leaves(chi, bbar, placed, mask, layers, 0, list(layers[0]), visited, tol):
             support = (bbar > 0).tobytes()
             if support in seen or not is_mlcm(bbar, tol):
                 continue

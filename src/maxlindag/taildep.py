@@ -84,7 +84,10 @@ def tdm_from_std_mlcm(bbar: np.ndarray) -> np.ndarray:
 def _min_sum(a: np.ndarray) -> np.ndarray:
     # m[i, j] = sum_k min(a[k, i], a[k, j]), summed over k in row order, so
     # m is symmetric to the bit whatever the block.  Output rows are taken
-    # in blocks of at most _MIN_SUM_BLOCK temporary elements.
+    # in blocks of at most _MIN_SUM_BLOCK temporary elements.  The input is
+    # made C-contiguous first: the temporary follows its layout, and numpy
+    # sums along a contiguous k axis pairwise, which changes the last bits.
+    a = np.ascontiguousarray(a)
     k, n = a.shape
     m = np.empty((n, n))
     rows = max(1, _MIN_SUM_BLOCK // max(k * n, 1))
@@ -339,7 +342,8 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
 
     All ancestry comes from the DAG's cached reachability matrix.  (b) and
     (c) are numpy passes one node at a time, and (d) is one min-sum pass
-    over the implied bbar, which is ``std_mlcm`` on success.
+    over the columns of the implied bbar that occur in an incomparable pair
+    with common ancestors; that bbar is ``std_mlcm`` on success.
     """
     chi = validate_tdm(chi)
     if chi.shape[0] != dag.d:
@@ -385,12 +389,18 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
                 f"chi={float(lhs[j, 0])} vs product={float(rhs[j, p])}"
             )
 
-    combination = _min_sum(bbar)
+    # The min-sum runs over the columns of the (d) pairs only; each entry
+    # still sums over every row in row order, so it equals the full pass
+    # to the bit.
     pairs = np.triu(common & ~reach & ~reach.T, 1)
-    for i, j in np.argwhere(pairs & ~_chi_close(chi, combination, tol)):
+    cols = np.flatnonzero(pairs.any(axis=0) | pairs.any(axis=1))
+    sub = np.ix_(cols, cols)
+    combination = _min_sum(bbar[:, cols])
+    for a, b in np.argwhere(pairs[sub] & ~_chi_close(chi[sub], combination, tol)):
+        i, j = cols[a], cols[b]
         failures.append(
             f"(d) pair ({i + 1},{j + 1}): chi={float(chi[i, j])} vs "
-            f"combination={float(combination[i, j])}"
+            f"combination={float(combination[a, b])}"
         )
 
     return RmwmTdmCheck(not failures, diag, None if failures else bbar, tuple(failures))

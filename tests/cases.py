@@ -205,10 +205,16 @@ def large_models() -> list[tuple[str, WeightedModel]]:
 
 
 def enumeration_models() -> list[WeightedModel]:
-    """d = 11 and 12 models (density 0.3, alpha 1) past the default enumeration cap."""
-    seeds = [(11, s) for s in (100, 101, 102, 103)] + [(12, s) for s in (101, 102, 103)]
+    """d = 11 and 12 models (density 0.3, alpha 1) past the default enumeration cap.
+
+    Seeds 100-103 at d = 11 and 12, each as a general, a polytree and a
+    homogeneous model.  The seed-100 d = 12 general and homogeneous models
+    are the slowest: each took 10-17 s when the search re-walked repeated
+    prefix states.
+    """
+    seeds = [(d, s) for d in (11, 12) for s in (100, 101, 102, 103)]
     kinds = ("general", "polytree", "homogeneous")
-    runs = [(d, s, kind) for d, s in seeds for kind in kinds] + [(12, 100, "polytree")]
+    runs = [(d, s, kind) for d, s in seeds for kind in kinds]
     return [
         random_weighted_model(d, density=0.3, seed_or_rng=s,
                               polytree=kind == "polytree", homogeneous=kind == "homogeneous")

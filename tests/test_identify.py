@@ -38,6 +38,7 @@ from maxlindag import (
     is_rmwm_mlcm,
     mlcm_from_weights,
     ordering_from_initials,
+    random_weighted_model,
     reachability_matrix,
     recover_from_ordering,
     recover_from_reachability,
@@ -442,6 +443,18 @@ class TestEnumerateAll:
                 assert is_mlcm(m.std_mlcm).ok
                 assert validate_causal_ordering(m.min_ml_dag, m.ordering_used)
                 np.testing.assert_allclose(tdm_from_std_mlcm(m.std_mlcm), chi, atol=1e-9)
+                # The search sums placed rows in node order and skips repeated
+                # prefix states; the recovery sums in placement order.
+                recovered = recover_from_ordering(chi, m.ordering_used)
+                assert np.array_equal(recovered > 0, m.std_mlcm > 0)
+                np.testing.assert_allclose(recovered, m.std_mlcm, rtol=0, atol=1e-12)
+
+    def test_prefix_states_are_not_shared_between_cliques(self):
+        # Every clique's search starts from the same empty state; a memo
+        # shared across cliques returned 4 of these 28 models.
+        model = random_weighted_model(12, density=0.3, seed_or_rng=100, polytree=True)
+        chi = tdm_from_std_mlcm(standardize(mlcm_from_weights(model), model.alpha))
+        assert len(enumerate_all(chi, max_d=12)) == 28
 
     def test_matches_permutation_scan_oracle(self, corpus):
         checked = 0

@@ -607,6 +607,35 @@ class TestCheckRmwmTdm:
             bbar = np.where(strict, diag[:, None] * chi, 0.0) + np.diag(diag)
             assert np.array_equal(result.std_mlcm, bbar)
 
+    @pytest.mark.parametrize("case", range(len(LARGE_TDM_CASES)))
+    def test_pair_failures_sum_every_row_in_row_order(self, case):
+        # Condition (d) takes the min-sum over the columns of its pairs only;
+        # each combination must still be the row-order sum over all nodes.
+        dag, chi = LARGE_TDM_CASES[case]
+        chi = chi.copy()
+        reach = reachability_matrix(dag).astype(bool)
+        common = (reach.T.astype(int) @ reach.astype(int)) > 0
+        pairs = [(i, j) for i, j in zip(*np.nonzero(common & ~reach & ~reach.T)) if i < j]
+        rng = np.random.default_rng(case)
+        for n in rng.choice(len(pairs), size=min(5, len(pairs)), replace=False):
+            i, j = pairs[n]
+            chi[i, j] = chi[j, i] = chi[i, j] + (0.05 if chi[i, j] < 0.5 else -0.05)
+        result = check_rmwm_tdm(dag, chi)
+        strict = reach & ~np.eye(dag.d, dtype=bool)
+        bbar = np.where(strict, result.diag[:, None] * chi, 0.0) + np.diag(result.diag)
+        expected = []
+        for i, j in pairs:
+            combination = 0.0
+            for k in range(dag.d):
+                combination += min(bbar[k, i], bbar[k, j])
+            if abs(chi[i, j] - combination) > 1e-9 * max(chi[i, j], combination, 1.0):
+                expected.append(
+                    f"(d) pair ({i + 1},{j + 1}): chi={float(chi[i, j])} vs "
+                    f"combination={combination}"
+                )
+        assert bool(expected) == bool(pairs)
+        assert [f for f in result.failures if f.startswith("(d)")] == expected
+
     def test_failures_listed_in_ascending_order(self):
         # 2 -> 3 <- 9 and 3 -> 10: lowering chi(3, 10) breaks the chain
         # conditions (2, 3, 10) and (9, 3, 10) and nothing else of (c).
