@@ -4,9 +4,9 @@ Exit codes separate mathematics from plumbing: 0 on success, 1 when the
 input is well-formed but mathematically rejected (not a tail dependence
 matrix of any model, invalid coefficient matrix, pattern mismatch), 2 on
 malformed input or infeasible requests.  The subcommands that compare
-numbers (``recover``, ``enumerate`` and ``check``) take ``--tol``,
-a positive finite number that defaults to ``DEFAULT_TOL``; every randomized
-subcommand demands an explicit ``--seed``.
+numbers (``recover``, ``enumerate`` and ``check``) take ``--tol``, a
+relative tolerance in the open interval (0, 1) defaulting to ``DEFAULT_TOL``;
+every randomized subcommand demands an explicit non-negative ``--seed``.
 """
 from __future__ import annotations
 
@@ -55,8 +55,8 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
     return value
 
 

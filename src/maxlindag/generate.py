@@ -8,10 +8,17 @@ from .graph import Dag
 from .mlcm import WeightedModel, homogeneous_model
 
 
+def _seed(seed: int) -> int:
+    # The one seed check of the package: numpy's generators take an integer >= 0.
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.default_rng(int(seed_or_rng))
+    return np.random.default_rng(_seed(seed_or_rng))
 
 
 def random_dag(d: int, density: float, seed_or_rng: int | np.random.Generator) -> Dag:
@@ -70,8 +77,8 @@ def random_weighted_model(
     weights that make every path max-weighted.
     """
     lo, hi = (float(w) for w in weight_range)
-    if not 0 < lo <= hi:
-        raise ValidationError(f"weight range must satisfy 0 < lo <= hi, got {weight_range}")
+    if not 0 < lo <= hi < np.inf:
+        raise ValidationError(f"weight range must satisfy 0 < lo <= hi < inf, got {weight_range}")
     rng = _as_rng(seed_or_rng)
     dag = random_polytree(d, rng) if polytree else random_dag(d, density, rng)
     if homogeneous:

@@ -13,11 +13,10 @@ and then applies four rules: (1) columns the information rules out are set
 to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`;
 (3) entries within ``tol`` of zero snap to zero; (4) a diagonal entry that
 is not positive raises :class:`NotRealizableError`.  The recoveries sum
-over the placed rows in placement order; the general enumeration sums in
-node order, so that a row depends on the placed set and not on the order
-the search placed it in.  The enumerators output the standardized
-coefficient matrices of every model, or every max-weighted model,
-compatible with a given chi.
+over the placed rows in placement order, the general enumeration in node
+order.  The enumerators output every model, or every max-weighted model,
+compatible with a given chi, and both accept a candidate through one
+function, ``_identified``.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ from .taildep import (
     maximum_chi_cliques,
     validate_tdm,
 )
-from .tolerance import DEFAULT_TOL, max_rel_residual
+from .tolerance import DEFAULT_TOL, rel_residuals
 
 
 def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int] | np.ndarray,
@@ -221,7 +220,17 @@ def initial_bijection(
 
 @dataclass(frozen=True, eq=False)
 class IdentifiedModel:
-    """One standardized coefficient matrix compatible with a given chi."""
+    """One standardized coefficient matrix compatible with a given chi.
+
+    ``std_mlcm`` reproduces chi within a relative ``tol``; ``min_ml_dag`` is
+    its minimum max-linear DAG at ``tol``.  ``initial_nodes`` is the maximum
+    chi-clique it was found from, ascending; in :func:`enumerate_all` these
+    are exactly the parentless nodes of ``min_ml_dag``.  ``ordering_used``
+    is the search's placement order (:func:`enumerate_all`) or
+    :func:`ordering_from_initials` (:func:`enumerate_all_rmwm`), and
+    ``recover_from_ordering(chi, ordering_used)`` reproduces the support.
+    ``max_weighted`` says whether every path is max-weighted at ``tol``.
+    """
 
     std_mlcm: np.ndarray
     min_ml_dag: Dag
@@ -231,9 +240,21 @@ class IdentifiedModel:
 
 
 def _sorted_models(models: list[IdentifiedModel]) -> list[IdentifiedModel]:
-    # A support fixes the initial nodes, and the accepted supports are
-    # distinct, so this key never ties.
+    # The accepted supports are distinct (the enumerate_all docstring says
+    # why; enumerate_all_rmwm accepts one per clique): the key never ties.
     return sorted(models, key=lambda m: (m.initial_nodes, (m.std_mlcm > 0).tobytes()))
+
+
+def _identified(chi: np.ndarray, bbar: np.ndarray, initials: Sequence[int],
+                ordering: CausalOrdering, tol: float) -> IdentifiedModel | None:
+    # The model of a candidate bbar that passed its caller's gate, or None
+    # when its tail dependence matrix misses chi by more than a relative
+    # tol.  The minimum DAG and the max-weighted flag come from one analysis.
+    if rel_residuals(_min_sum(bbar), chi).max() > tol:
+        return None
+    analysis = _analysis(bbar)
+    return IdentifiedModel(bbar, analysis.minimum_ml_dag(tol), tuple(initials), ordering,
+                           analysis.is_rmwm(tol).ok)
 
 
 def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], mask: np.ndarray,
@@ -285,37 +306,38 @@ def enumerate_all(
     is abandoned as soon as its row recursion turns negative.  Each leaf
     matrix must pass the full coefficient-matrix validity check and
     reproduce ``chi``.  An empty list means no recursive max-linear model
-    has this tail dependence matrix.
+    has this tail dependence matrix.  A ``tol`` outside (0, 1) raises
+    :class:`ValidationError`.
 
-    A leaf whose support pattern was already accepted is skipped: given chi
-    and a causal ordering of its DAG, the row recursion returns that DAG's
-    unique matrix, so a found model is fixed by its support.  Skipping on
-    the support skips exactly the orderings that are causal for a found
-    model's DAG.  (i) The recursion holds each row at zero on the columns
-    placed before it, so a leaf's ordering is causal for the leaf's own
-    support: a leaf that repeats a found support has an ordering causal for
-    that model's DAG, with no rounding involved.  (ii) Conversely, an
-    ordering causal for a found model's DAG re-derives that model's matrix,
-    so its support repeats.
+    The search skips a prefix state it has explored before: the level (the
+    layer being placed) with the bytes of the partial matrix.  Rows are
+    summed in node order, so each is a function of chi, the placed set and
+    the placed rows, whatever order the nodes were placed in.  The placed
+    set grows strictly within a level, so a state repeats only after the
+    subtree of its first visit has finished, whose leaves were judged by
+    deterministic checks: the skip changes no model, order or
+    ``ordering_used``.  The memo is kept per clique, since every clique's
+    search starts from the same empty state.
 
-    The search also skips a prefix state it has explored before.  The
-    state is the level (the layer being placed) with the bytes of the
-    partial matrix, which fix the placed nodes and their rows: the rows are
-    summed in node order, so each row is a function of chi, the placed set
-    and the placed rows, whatever order the nodes were placed in.  A state
-    can only repeat after the subtree of its first visit has finished,
-    because the placed set grows strictly within a level.  Every leaf of a
-    repeated subtree is then a matrix already judged: an accepted leaf's
-    support is among the accepted ones, and a rejected leaf fails the
-    deterministic validity check or round trip again.  Skipping the subtree
-    therefore leaves the models, their order and their ``ordering_used``
-    unchanged.  The memo is kept for one clique at a time: the state does
-    not name the clique, and every clique's search starts from the same
-    empty state, whose subtree differs from clique to clique.
+    The memo alone keeps the accepted supports distinct.  Within a clique,
+    two leaves with one support are equal to the bit.  Each row is held at
+    zero on the columns placed before it, so a node's ancestors in the
+    support are placed before it in both leaves, and a placed row that is
+    not an ancestor adds an exact 0.0 to the node-order sum.  By induction
+    both leaves settle every row to the same bits, so the memo stops the
+    second at its leaf state.  Across cliques, an accepted leaf reproduces
+    chi within a relative ``tol`` < 1, and zero against a positive entry is
+    a relative residual of 1, so it reproduces chi's zero pattern exactly.
+    Its initial nodes are then its clique: a member depends neither on
+    another member, with which its chi is zero, nor on a node placed after
+    the clique; every other node has positive chi with some member, which a
+    node without ancestors of its own could not have.
 
     The search is capped at ``max_d`` nodes (default 10) because its worst
     case is factorial; larger inputs raise :class:`EnumerationCapError`.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
     chi = validate_tdm(chi)
     d = chi.shape[0]
     if d > max_d:
@@ -324,8 +346,7 @@ def enumerate_all(
             "raise max_d explicitly to proceed"
         )
     positive = _positive_mask(chi)
-    found: list[IdentifiedModel] = []
-    seen: set[bytes] = set()
+    found: list[IdentifiedModel | None] = []
 
     for clique in maximum_chi_cliques(chi):
         if not clique_initial_filter(chi, clique, tol):
@@ -344,47 +365,24 @@ def enumerate_all(
         mask = np.zeros(d, dtype=bool)
         visited: set[tuple[int, bytes]] = set()
         for _ in _leaves(chi, bbar, placed, mask, layers, 0, list(layers[0]), visited, tol):
-            support = (bbar > 0).tobytes()
-            if support in seen or not is_mlcm(bbar, tol):
-                continue
-            if max_rel_residual(_min_sum(bbar), chi) > tol:
-                continue
-            seen.add(support)
-            candidate = bbar.copy()
-            analysis = _analysis(candidate)
-            found.append(
-                IdentifiedModel(
-                    std_mlcm=candidate,
-                    min_ml_dag=analysis.minimum_ml_dag(tol),
-                    initial_nodes=tuple(clique),
-                    ordering_used=CausalOrdering.from_node_order([v + 1 for v in placed]),
-                    max_weighted=analysis.is_rmwm(tol).ok,
-                )
-            )
+            if is_mlcm(bbar, tol):
+                ordering = CausalOrdering.from_node_order([v + 1 for v in placed])
+                found.append(_identified(chi, bbar.copy(), clique, ordering, tol))
 
-    return _sorted_models(found)
+    return _sorted_models([m for m in found if m is not None])
 
 
 def _rmwm_model(chi: np.ndarray, initials: Sequence[int], tol: float) -> IdentifiedModel | None:
-    # The max-weighted model with these initial nodes, or None when there is
-    # none: the initial nodes fix a causal ordering, the row recursion on it
-    # returns bbar, and bbar must be a max-weighted coefficient matrix whose
-    # tail dependence matrix is chi.
+    # The max-weighted model with these initial nodes, or None: the initial
+    # nodes fix a causal ordering, the recovery on it returns bbar (support
+    # gate included), and bbar must reproduce chi and be max-weighted.
     ordering = ordering_from_initials(chi, initials)
     try:
         bbar = recover_from_ordering(chi, ordering, tol)
     except NotRealizableError:
         return None
-    analysis = _analysis(bbar)
-    if not analysis.is_rmwm(tol) or max_rel_residual(_min_sum(bbar), chi) > tol:
-        return None
-    return IdentifiedModel(
-        std_mlcm=bbar,
-        min_ml_dag=analysis.minimum_ml_dag(tol),
-        initial_nodes=tuple(initials),
-        ordering_used=ordering,
-        max_weighted=True,
-    )
+    model = _identified(chi, bbar, initials, ordering, tol)
+    return model if model is not None and model.max_weighted else None
 
 
 def enumerate_all_rmwm(

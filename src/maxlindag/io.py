@@ -31,8 +31,20 @@ def write_model(model: WeightedModel, path: str | Path) -> None:
     Path(path).write_text(dumps_model(model))
 
 
+def _json_value(value, kind: type | tuple[type, ...], what: str):
+    # ``value`` if it has the JSON type ``kind``, uncoerced; JSON booleans
+    # load as Python ints but are neither nodes nor numbers.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError(f"model file: {what} has the wrong type: {value!r}")
+    return value
+
+
 def loads_model(text: str) -> WeightedModel:
-    """Parse a model file; any structural problem raises :class:`FormatError`."""
+    """Parse a model file; any structural problem raises :class:`FormatError`.
+
+    ``d`` and the nodes must be JSON integers and the weights numbers, and
+    each edge a ``[k, i, c_ki]`` array listed once; nothing is coerced.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -42,16 +54,19 @@ def loads_model(text: str) -> WeightedModel:
     missing = {"alpha", "d", "noise_scales", "edges"} - set(payload)
     if missing:
         raise FormatError(f"model file is missing keys: {sorted(missing)}")
-    try:
-        d = int(payload["d"])
-        alpha = float(payload["alpha"])
-        scales = tuple(float(c) for c in payload["noise_scales"])
-        edges = {}
-        for entry in payload["edges"]:
-            k, i, c = entry
-            edges[(int(k), int(i))] = float(c)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"model file has malformed values: {exc}") from exc
+    d = _json_value(payload["d"], int, "d")
+    alpha = _json_value(payload["alpha"], (int, float), "alpha")
+    scales = [_json_value(c, (int, float), "a noise scale")
+              for c in _json_value(payload["noise_scales"], list, "noise_scales")]
+    edges = {}
+    for entry in _json_value(payload["edges"], list, "edges"):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise FormatError(f"model file: an edge must be a [k, i, c_ki] array, got {entry!r}")
+        k, i, c = entry
+        edge = (_json_value(k, int, "an edge node"), _json_value(i, int, "an edge node"))
+        if edge in edges:
+            raise FormatError(f"model file lists edge {k}->{i} twice")
+        edges[edge] = _json_value(c, (int, float), f"the weight of edge {k}->{i}")
     try:
         dag = Dag(d, set(edges))
         return WeightedModel(dag, edges, scales, alpha)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailSampleError, ValidationError
+from .generate import _seed
 from .mlcm import WeightedModel, mlcm_from_weights
 
 _FAMILIES = ("pareto", "frechet")
@@ -130,9 +131,9 @@ def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleB
         raise ValidationError(
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
         )
-    rng = np.random.default_rng(seed)
-    x = _draw(mlcm_from_weights(model), noise, rng, int(n))
-    return SampleBlock(x, int(seed), model, noise)
+    seed = _seed(seed)
+    x = _draw(mlcm_from_weights(model), noise, np.random.default_rng(seed), int(n))
+    return SampleBlock(x, seed, model, noise)
 
 
 def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
@@ -172,43 +173,24 @@ def limit_cdf(
 ) -> float:
     """Limit distribution G of scaled componentwise maxima, evaluated at ``x``.
 
-    With no node arguments, ``x`` is a full positive vector and
+    Over the evaluated nodes S, at a positive point ``x`` indexed by S,
 
-        G(x) = exp(-sum_j max_{i in De(j)} (b_ji / x_i)**alpha).
+        G_S(x) = exp(-sum_j max_{i in S} (b_ji / x_i)**alpha),
 
-    With ``i`` alone, the Frechet marginal ``G_i``; with both ``i`` and
-    ``j``, the bivariate marginal ``G_ij`` at ``x = (x_i, x_j)``.  The
+    where S holds every node without node arguments, {i} with ``i`` alone
+    (the Frechet marginal) and {i, j} with both, ``x = (x_i, x_j)``.  The
     normalizing sequence is ``n**(1/alpha)``.
     """
-    b = mlcm_from_weights(model)
-    alpha = model.alpha
     if i is None and j is not None:
         raise ValidationError("a bivariate evaluation needs both node arguments")
-    if i is not None:
-        model.dag._check_node(i)
-    if j is not None:
-        model.dag._check_node(j)
-
-    if i is not None and j is not None:
-        xi, xj = (float(v) for v in np.asarray(x, dtype=float).reshape(2))
-        if xi <= 0 or xj <= 0:
-            raise ValidationError("evaluation point must be strictly positive")
-        rates = np.maximum((b[:, i - 1] / xi) ** alpha, (b[:, j - 1] / xj) ** alpha)
-        return float(np.exp(-rates.sum()))
-    if i is not None:
-        xi = float(np.asarray(x, dtype=float).reshape(()))
-        if xi <= 0:
-            raise ValidationError("evaluation point must be strictly positive")
-        return float(np.exp(-(xi**-alpha) * (b[:, i - 1] ** alpha).sum()))
-
-    point = np.asarray(x, dtype=float).reshape(model.d)
+    nodes = [v for v in (i, j) if v is not None] or range(1, model.d + 1)
+    for v in nodes:
+        model.dag._check_node(v)
+    point = np.asarray(x, dtype=float).reshape(len(nodes))
     if (point <= 0).any():
         raise ValidationError("evaluation point must be strictly positive")
-    total = 0.0
-    for row in range(model.d):
-        support = b[row] > 0
-        total += ((b[row, support] / point[support]) ** alpha).max()
-    return float(np.exp(-total))
+    b = mlcm_from_weights(model)[:, [v - 1 for v in nodes]]
+    return float(np.exp(-((b / point) ** model.alpha).max(axis=1).sum()))
 
 
 def unit_frechet_points(model: WeightedModel) -> np.ndarray:
@@ -242,6 +224,7 @@ def scaled_block_maxima(
         raise ValidationError(
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
         )
+    seed = _seed(seed)
     b = mlcm_from_weights(model)
     scale = float(block_size) ** (-1.0 / model.alpha)
     out = np.empty((n_blocks, model.d))
@@ -249,7 +232,7 @@ def scaled_block_maxima(
     chunk_index = 0
     while done < n_blocks:
         take = min(_CHUNK_BLOCKS, n_blocks - done)
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk_index)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
         xt = _draw(b, noise, rng, take * block_size).T
         out[done : done + take] = xt.reshape(model.d, take, block_size).max(axis=2).T * scale
         done += take

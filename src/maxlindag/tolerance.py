@@ -57,8 +57,3 @@ def rel_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(diff == 0.0, 0.0, diff / np.where(scale == 0.0, 1.0, scale))
 
-
-def max_rel_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise relative deviation between two arrays."""
-    ratio = rel_residuals(a, b)
-    return float(ratio.max()) if ratio.size else 0.0

@@ -449,6 +449,28 @@ class TestEnumerateAll:
                 assert np.array_equal(recovered > 0, m.std_mlcm > 0)
                 np.testing.assert_allclose(recovered, m.std_mlcm, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    def test_supports_stay_distinct_at_looser_tolerances(self, corpus, tol):
+        # No support check guards the output: the prefix-state memo alone
+        # must keep one model per support, and each model's clique must be
+        # the parentless nodes of its support.
+        cases = [(entry.bbar, entry.chi) for entry in corpus[:80]] + ENUMERATION_CASES
+        for _, chi in cases:
+            models = enumerate_all(chi, tol, max_d=12)
+            assert len({(m.std_mlcm > 0).tobytes() for m in models}) == len(models)
+            for m in models:
+                roots = tuple(v for v in range(1, m.min_ml_dag.d + 1)
+                              if not m.min_ml_dag.parents(v))
+                assert m.initial_nodes == roots
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, float("nan"), float("inf")])
+    def test_tolerance_outside_the_unit_interval_raises(self, tol):
+        # At tol 1 the identity passes the chi round trip of this chi, which
+        # it does not reproduce: a relative residual of 1 hides chi(1, 2).
+        chi = np.array([[1 + 1e-10, 0.5], [0.5, 1 + 1e-10]])
+        with pytest.raises(ValidationError, match="tol"):
+            enumerate_all(chi, tol)
+
     def test_prefix_states_are_not_shared_between_cliques(self):
         # Every clique's search starts from the same empty state; a memo
         # shared across cliques returned 4 of these 28 models.

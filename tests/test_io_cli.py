@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,32 @@ class TestModelFiles:
     def test_missing_keys_raise(self):
         with pytest.raises(FormatError, match="missing"):
             loads_model('{"alpha": 1.0, "d": 2}')
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("d", "2.7", "d has the wrong type"),
+        ("d", "true", "d has the wrong type"),
+        ("d", '"2"', "d has the wrong type"),
+        ("alpha", '"2"', "alpha has the wrong type"),
+        ("alpha", "false", "alpha has the wrong type"),
+        ("noise_scales", '"12"', "noise_scales has the wrong type"),
+        ("noise_scales", '[1, "2"]', "a noise scale has the wrong type"),
+        ("edges", '["123"]', "an edge must be a [k, i, c_ki] array"),
+        ("edges", "[[1, 2]]", "an edge must be a [k, i, c_ki] array"),
+        ("edges", "[[1.0, 2, 0.5]]", "an edge node has the wrong type"),
+        ("edges", '[[1, 2, "0.5"]]', "the weight of edge 1->2 has the wrong type"),
+        ("edges", "[[1, 2, 0.5], [1, 2, 0.7]]", "lists edge 1->2 twice"),
+    ])
+    def test_malformed_values_raise(self, capsys, tmp_path, field, value, message):
+        fields = {"alpha": "1.0", "d": "2", "noise_scales": "[1, 2.5]", "edges": "[[1, 2, 0.5]]"}
+        fields[field] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            loads_model(text)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "dot", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
     def test_invalid_model_raises(self):
         text = '{"alpha": 1.0, "d": 2, "noise_scales": [1, 1], "edges": [[1, 1, 0.5]]}'
@@ -335,6 +362,21 @@ class TestCliPipeline:
         assert out == ""
         assert "--weight-range" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["simulate", "--n", "20", "--seed", "-5", "--out", "x.csv"],
+         "seed must be a non-negative integer, got -5"),
+        (["gen", "3", "--seed", "1", "--weight-range", "1,inf"], "lo <= hi < inf"),
+        (["gen", "3", "--seed", "1", "--weight-range", "1,nan"], "lo <= hi < inf"),
+    ], ids=["gen-seed", "simulate-seed", "gen-inf-weight", "gen-nan-weight"])
+    def test_bad_seed_or_weight_range_exits_two(self, capsys, tmp_path, model_file,
+                                                argv, message):
+        if argv[0] == "simulate":
+            argv = argv[:1] + ["--model", model_file] + argv[1:-1] + [str(tmp_path / argv[-1])]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
     def test_gen_homogeneous_weights_follow_ancestor_counts(self, capsys):
         code, out, _ = run(
             capsys, "gen", "4", "--homogeneous", "--density", "0.8", "--seed", "3"
@@ -390,7 +432,7 @@ class TestCliPipeline:
         assert main(["frobnicate"]) == 2
 
     def test_invalid_tol_flag(self, capsys, two_cliques_chi_file):
-        for tol in ("0", "-1", "nan", "inf", "abc"):
+        for tol in ("0", "-1", "nan", "inf", "abc", "1", "2"):
             code, _, err = run(capsys, "enumerate", "--chi", two_cliques_chi_file, "--tol", tol)
             assert code == 2
             assert "--tol" in err

@@ -46,6 +46,20 @@ class TestNoiseSpec:
             NoiseSpec("pareto", -1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+def test_every_seeded_function_checks_its_seed(seed):
+    model = single_edge_model(0.5)
+    noise = NoiseSpec("frechet", 1.0)
+    calls = [
+        lambda: random_weighted_model(3, seed_or_rng=seed),
+        lambda: sample(model, noise, 10, seed),
+        lambda: scaled_block_maxima(model, noise, 4, 4, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            call()
+
+
 class TestSample:
     def test_deterministic_per_seed(self):
         model = single_edge_model(0.5)
