@@ -43,7 +43,7 @@ from .generate import random_weighted_model
 from .mlcm import _analysis, is_mlcm, mlcm_from_weights, standardize
 from .simulate import NoiseSpec, empirical_tdm, sample
 from .taildep import check_rmwm_tdm, tdm_from_std_mlcm
-from .tolerance import DEFAULT_TOL
+from .tolerance import DEFAULT_TOL, _check_tol
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -52,12 +52,9 @@ EXIT_MALFORMED = 2
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
-    return value
+        return _check_tol(float(text))
+    except ValueError:  # ValidationError is one
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}") from None
 
 
 def _parse_node_list(text: str) -> list[int]:

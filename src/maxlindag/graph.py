@@ -16,6 +16,13 @@ import numpy as np
 from .errors import CycleError, ValidationError
 
 
+def _node(v: int, d: int) -> int:
+    # The node v as a Python int; anything but an integer in 1..d raises.
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 1 <= v <= d:
+        raise ValidationError(f"node {v!r} is not an integer in 1..{d}")
+    return int(v)
+
+
 class AncestralSets(NamedTuple):
     """Ancestor/descendant neighbourhoods of one node."""
 
@@ -52,10 +59,8 @@ class Dag:
         if not isinstance(d, (int, np.integer)) or d < 1:
             shown = d.item() if isinstance(d, np.generic) else d
             raise ValidationError(f"node count must be a positive integer, got {shown!r}")
-        edge_set = frozenset((int(k), int(i)) for k, i in edges)
+        edge_set = frozenset((_node(k, d), _node(i, d)) for k, i in edges)
         for k, i in edge_set:
-            if not (1 <= k <= d and 1 <= i <= d):
-                raise ValidationError(f"edge ({k},{i}) outside node range 1..{d}")
             if k == i:
                 raise ValidationError(f"self loop at node {k}")
         object.__setattr__(self, "d", int(d))
@@ -86,9 +91,7 @@ class Dag:
         object.__setattr__(self, "_reach", None)
 
     def _check_node(self, i: int) -> int:
-        if not (1 <= i <= self.d):
-            raise ValidationError(f"node {i} outside range 1..{self.d}")
-        return int(i)
+        return _node(i, self.d)
 
     def parents(self, i: int) -> frozenset[int]:
         return self._parents[self._check_node(i)]
@@ -155,7 +158,7 @@ class CausalOrdering:
 
     def __post_init__(self):
         d = len(self.positions)
-        pos = tuple(int(p) for p in self.positions)
+        pos = tuple(_node(p, d) for p in self.positions)
         if sorted(pos) != list(range(1, d + 1)):
             raise ValidationError(f"positions {pos} are not a bijection on 1..{d}")
         object.__setattr__(self, "positions", pos)
@@ -163,8 +166,8 @@ class CausalOrdering:
     @classmethod
     def from_node_order(cls, nodes: Sequence[int]) -> "CausalOrdering":
         """Build from the nodes listed earliest-first."""
-        nodes = [int(v) for v in nodes]
         d = len(nodes)
+        nodes = [_node(v, d) for v in nodes]
         if sorted(nodes) != list(range(1, d + 1)):
             raise ValidationError(f"node order {nodes} is not a permutation of 1..{d}")
         positions = [0] * d
@@ -181,9 +184,7 @@ class CausalOrdering:
         return tuple(order)
 
     def position(self, node: int) -> int:
-        if not (1 <= node <= len(self.positions)):
-            raise ValidationError(f"node {node} outside range 1..{len(self.positions)}")
-        return self.positions[node - 1]
+        return self.positions[_node(node, len(self.positions)) - 1]
 
     def __len__(self) -> int:
         return len(self.positions)

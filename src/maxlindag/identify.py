@@ -12,11 +12,11 @@ information through one function, ``_settled_row``.  It computes
 and then applies four rules: (1) columns the information rules out are set
 to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`;
 (3) entries within ``tol`` of zero snap to zero; (4) a diagonal entry that
-is not positive raises :class:`NotRealizableError`.  The recoveries sum
-over the placed rows in placement order, the general enumeration in node
-order.  The enumerators output every model, or every max-weighted model,
-compatible with a given chi, and both accept a candidate through one
-function, ``_identified``.
+is not positive raises :class:`NotRealizableError`.  The sum runs over the
+placed rows in node order for every caller, and a ``tol`` outside (0, 1)
+raises :class:`ValidationError` everywhere.  The enumerators output every
+model, or every max-weighted model, compatible with a given chi, and both
+accept a candidate through one function, ``_identified``.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .errors import (
     PatternMismatchError,
     ValidationError,
 )
-from .graph import CausalOrdering, Dag, is_reachability_matrix
+from .graph import CausalOrdering, Dag, _node, is_reachability_matrix
 from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _analysis, is_mlcm
 from .taildep import (
@@ -44,21 +44,18 @@ from .taildep import (
     maximum_chi_cliques,
     validate_tdm,
 )
-from .tolerance import DEFAULT_TOL, rel_residuals
+from .tolerance import DEFAULT_TOL, _check_tol, rel_residuals
 
 
-def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int] | np.ndarray,
-                 node: int, forced: list[int] | np.ndarray, tol: float) -> np.ndarray:
-    # Row `node` of bbar from the rows `placed`, with the columns `forced`
-    # held at zero; both are 0-based node lists or boolean masks.  The sum
-    # runs over the rows in the order `placed` lists them: placement order
-    # for a list (the recoveries), node order for a mask (the enumeration).
-    # Entries within tol of zero snap to exact zero: they are cancellation
-    # residue of the recursion, and a stray 1e-16 would corrupt the support
-    # pattern that downstream validity checks read off the matrix.
-    row = chi[node].copy()
-    prior = bbar[placed]
-    row -= np.minimum(prior, prior[:, node, None]).sum(axis=0)
+def _settled_row(chi: np.ndarray, bbar: np.ndarray, node: int, forced: np.ndarray,
+                 tol: float) -> np.ndarray:
+    # Row `node` (0-based) of bbar, with the columns of the boolean mask
+    # `forced` held at zero.  The sum runs over all rows in node order;
+    # unsettled rows are zero and add an exact 0.0.  Entries within tol of
+    # zero snap to exact zero: they are cancellation residue of the
+    # recursion, and a stray 1e-16 would corrupt the support pattern that
+    # downstream validity checks read off the matrix.
+    row = chi[node] - np.minimum(bbar, bbar[:, node, None]).sum(axis=0)
     row[forced] = 0.0
     worst = row.min()
     if worst < -tol:
@@ -79,8 +76,8 @@ def _settled_row(chi: np.ndarray, bbar: np.ndarray, placed: list[int] | np.ndarr
 def _recover(chi: np.ndarray, order: list[int], support: np.ndarray, tol: float) -> np.ndarray:
     # Rows in `order` (0-based nodes); row j may be nonzero on support[j] only.
     bbar = np.zeros(chi.shape)
-    for n, node in enumerate(order):
-        bbar[node] = _settled_row(chi, bbar, order[:n], node, ~support[node], tol)
+    for node in order:
+        bbar[node] = _settled_row(chi, bbar, node, ~support[node], tol)
     return bbar
 
 
@@ -91,13 +88,16 @@ def recover_from_ordering(
 ) -> np.ndarray:
     """Standardized coefficient matrix from chi and a causal ordering.
 
-    Rows are filled in ordering position; entries at earlier-placed columns
-    are zero.  When the ordering is a causal ordering of a DAG generating
-    ``chi``, the output is that model's standardized coefficient matrix.
+    A plain sequence is read as the positions sigma(1..d); the CLI's
+    ``--ordering`` lists the nodes earliest-first instead.  Rows are filled
+    in ordering position; entries at earlier-placed columns are zero.  When
+    the ordering is a causal ordering of a DAG generating ``chi``, the
+    output is that model's standardized coefficient matrix.
     Raises :class:`NotRealizableError` when the recursion turns negative
     beyond ``tol``, leaves a diagonal entry that is not positive, or returns
     a matrix whose support is not a reachability matrix.
     """
+    _check_tol(tol)
     chi = validate_tdm(chi)
     if not isinstance(ordering, CausalOrdering):
         ordering = CausalOrdering(tuple(ordering))
@@ -125,6 +125,7 @@ def recover_from_reachability(
     disagree and :class:`NotRealizableError` on negative recursion values or
     a diagonal entry that is not positive.
     """
+    _check_tol(tol)
     chi = validate_tdm(chi)
     reach = np.asarray(reach)
     if not is_reachability_matrix(reach):
@@ -182,6 +183,7 @@ def recover_rmwm_from_initials(
     :class:`NotRealizableError` as :func:`recover_from_ordering` does,
     including when the recovered support is not a reachability matrix.
     """
+    _check_tol(tol)
     ordering = ordering_from_initials(chi, initials)
     return recover_from_ordering(chi, ordering, tol)
 
@@ -201,8 +203,8 @@ def initial_bijection(
     """
     chi = validate_tdm(chi)
     positive = _positive_mask(chi)
-    v0 = sorted({int(v) for v in initials})
-    v0t = sorted({int(v) for v in other_initials})
+    v0 = sorted({_node(v, len(chi)) for v in initials})
+    v0t = sorted({_node(v, len(chi)) for v in other_initials})
     if len(v0) != len(v0t):
         raise ValidationError(f"initial sets have different sizes: {len(v0)} vs {len(v0t)}")
     phi: dict[int, int] = {}
@@ -226,9 +228,10 @@ class IdentifiedModel:
     its minimum max-linear DAG at ``tol``.  ``initial_nodes`` is the maximum
     chi-clique it was found from, ascending; in :func:`enumerate_all` these
     are exactly the parentless nodes of ``min_ml_dag``.  ``ordering_used``
-    is the search's placement order (:func:`enumerate_all`) or
-    :func:`ordering_from_initials` (:func:`enumerate_all_rmwm`), and
-    ``recover_from_ordering(chi, ordering_used)`` reproduces the support.
+    is the search's placement order (:func:`enumerate_all`, whose docstring
+    says which one) or :func:`ordering_from_initials`
+    (:func:`enumerate_all_rmwm`), and ``recover_from_ordering(chi,
+    ordering_used, tol)`` returns ``std_mlcm`` to the bit.
     ``max_weighted`` says whether every path is max-weighted at ``tol``.
     """
 
@@ -258,36 +261,28 @@ def _identified(chi: np.ndarray, bbar: np.ndarray, initials: Sequence[int],
 
 
 def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], mask: np.ndarray,
-            layers: list[list[int]], level: int, remaining: list[int],
-            visited: set[tuple[int, bytes]], tol: float) -> Iterator[None]:
-    # Depth-first over the orders of `remaining` (0-based nodes of layer
-    # `level`) and of the layers after it, settling each row on the way.
-    # Yields at every leaf with `bbar` and `placed` filled in; a prefix whose
-    # row recursion fails is abandoned.  `mask` marks the placed nodes.  A
-    # prefix state already in `visited` was explored before and is skipped:
-    # unplaced rows of bbar are zero and placed ones have a positive
-    # diagonal, so its bytes fix the placed set as well as the placed rows.
-    key = (level, bbar.tobytes())
+            rank: list[int], visited: set[bytes], tol: float) -> Iterator[None]:
+    # Depth-first over the placement orders that respect `rank`, settling
+    # each row on the way; `mask` marks the placed (0-based) nodes.  Yields
+    # at every leaf with `bbar` and `placed` filled in, abandons a prefix
+    # whose row recursion fails, and skips a state already in `visited`.
+    key = bbar.tobytes()
     if key in visited:
         return
     visited.add(key)
-    if not remaining:
-        if level + 1 < len(layers):
-            yield from _leaves(chi, bbar, placed, mask, layers, level + 1,
-                               list(layers[level + 1]), visited, tol)
-        else:
-            yield
+    unplaced = [v for v, done in enumerate(mask.tolist()) if not done]
+    if not unplaced:
+        yield
         return
-    for node in list(remaining):
+    low = min(rank[v] for v in unplaced)
+    for node in [v for v in unplaced if rank[v] == low]:
         try:
-            bbar[node] = _settled_row(chi, bbar, mask, node, mask, tol)
+            bbar[node] = _settled_row(chi, bbar, node, mask, tol)
         except NotRealizableError:
             continue
         placed.append(node)
         mask[node] = True
-        remaining.remove(node)
-        yield from _leaves(chi, bbar, placed, mask, layers, level, remaining, visited, tol)
-        remaining.append(node)
+        yield from _leaves(chi, bbar, placed, mask, rank, visited, tol)
         mask[node] = False
         placed.pop()
         bbar[node] = 0.0
@@ -300,24 +295,27 @@ def enumerate_all(
 ) -> list[IdentifiedModel]:
     """All standardized coefficient matrices whose models have this chi.
 
-    For every maximum chi-clique surviving the initial-set filter, the
-    candidate causal orderings (clique first, remaining nodes grouped by how
-    many clique members they depend on) are explored depth-first; a prefix
-    is abandoned as soon as its row recursion turns negative.  Each leaf
-    matrix must pass the full coefficient-matrix validity check and
-    reproduce ``chi``.  An empty list means no recursive max-linear model
-    has this tail dependence matrix.  A ``tol`` outside (0, 1) raises
-    :class:`ValidationError`.
+    For every maximum chi-clique surviving the initial-set filter, causal
+    orderings are explored depth-first; a prefix is abandoned as soon as its
+    row recursion turns negative.  Each leaf matrix must pass the full
+    coefficient-matrix validity check and reproduce ``chi``.  An empty list
+    means no recursive max-linear model has this tail dependence matrix.  A
+    ``tol`` outside (0, 1) raises :class:`ValidationError`.
 
-    The search skips a prefix state it has explored before: the level (the
-    layer being placed) with the bytes of the partial matrix.  Rows are
-    summed in node order, so each is a function of chi, the placed set and
-    the placed rows, whatever order the nodes were placed in.  The placed
-    set grows strictly within a level, so a state repeats only after the
-    subtree of its first visit has finished, whose leaves were judged by
-    deterministic checks: the skip changes no model, order or
-    ``ordering_used``.  The memo is kept per clique, since every clique's
-    search starts from the same empty state.
+    Each clique member has a rank of its own, in ascending node order, below
+    every other node, which ranks by how many members it depends on.  At
+    each prefix the search tries the unplaced nodes of the lowest rank in
+    ascending order, and skips a state it has explored before, keyed by the
+    bytes of the partial matrix: unplaced rows are zero and placed ones have
+    a positive diagonal, so the bytes fix the placed set too.  A row, summed
+    in node order, is a function of chi and the placed rows, whatever order
+    they were placed in.  The placed set grows strictly along a path, so a
+    state repeats only after the subtree of its first visit has finished,
+    whose leaves were judged by deterministic checks: the skip changes no
+    model or order.  The memo is kept per clique, since every clique's
+    search starts from the same empty state.  ``ordering_used`` is the
+    lexicographically first rank-respecting order that
+    :func:`recover_from_ordering` turns into the model, to the bit.
 
     The memo alone keeps the accepted supports distinct.  Within a clique,
     two leaves with one support are equal to the bit.  Each row is held at
@@ -336,8 +334,7 @@ def enumerate_all(
     The search is capped at ``max_d`` nodes (default 10) because its worst
     case is factorial; larger inputs raise :class:`EnumerationCapError`.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
+    _check_tol(tol)
     chi = validate_tdm(chi)
     d = chi.shape[0]
     if d > max_d:
@@ -351,20 +348,16 @@ def enumerate_all(
     for clique in maximum_chi_cliques(chi):
         if not clique_initial_filter(chi, clique, tol):
             continue
-        # Clique members come first, pinned in ascending order as one-node
-        # layers: their internal order never changes the recovered matrix.
-        # Every other node depends on some member, or it would extend the
-        # maximum clique.  `placed` and `layers` hold 0-based nodes.
+        # Members first, one at a time in ascending order (their internal
+        # order never changes the matrix), then the others by how many
+        # members they depend on: at least one, or the clique would grow.
         widx = [v - 1 for v in clique]
-        counts = positive[widx, :].sum(axis=0)
-        rest = [j for j in range(d) if j not in widx]
-        levels = sorted({int(counts[j]) for j in rest})
-        layers = [[w] for w in widx] + [[j for j in rest if counts[j] == c] for c in levels]
+        rank = positive[widx, :].sum(axis=0).tolist()
+        for r, w in enumerate(widx):
+            rank[w] = r - len(widx)
         bbar = np.zeros((d, d))
         placed: list[int] = []
-        mask = np.zeros(d, dtype=bool)
-        visited: set[tuple[int, bytes]] = set()
-        for _ in _leaves(chi, bbar, placed, mask, layers, 0, list(layers[0]), visited, tol):
+        for _ in _leaves(chi, bbar, placed, np.zeros(d, dtype=bool), rank, set(), tol):
             if is_mlcm(bbar, tol):
                 ordering = CausalOrdering.from_node_order([v + 1 for v in placed])
                 found.append(_identified(chi, bbar.copy(), clique, ordering, tol))
@@ -398,6 +391,7 @@ def enumerate_all_rmwm(
     the clique count itself can grow exponentially with d: the random
     50-node polytree of seed 2 has 21 504 maximum cliques.
     """
+    _check_tol(tol)
     chi = validate_tdm(chi)
     found = [
         _rmwm_model(chi, clique, tol)
@@ -451,6 +445,7 @@ def rmwm_equivalence_constraints(
     whose size differs from chi's, or with a redundant edge, raises
     :class:`ValidationError`.
     """
+    _check_tol(tol)
     chi = validate_tdm(chi)
     if transitive_reduction.d != chi.shape[0]:
         raise ValidationError(

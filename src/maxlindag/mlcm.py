@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, _dag_on, is_reachability_matrix
+from .graph import Dag, _dag_on, _node, is_reachability_matrix
 from .tolerance import DEFAULT_TOL, Verdict, rel_residuals
 
 # Element cap on each temporary of the through kernel.
@@ -208,10 +208,7 @@ def max_weighted_triple(
     ``tol``; the left side always dominates the right for valid matrices.
     """
     bbar = _validate_mlcm(bbar)
-    d = bbar.shape[0]
-    for node in (j, k, i):
-        if not (1 <= node <= d):
-            raise ValidationError(f"node {node} outside range 1..{d}")
+    j, k, i = (_node(v, bbar.shape[0]) for v in (j, k, i))
     if j == k or bbar[j - 1, k - 1] <= 0:
         raise ValidationError(f"node {j} is not a strict ancestor of {k}")
     if k == i or bbar[k - 1, i - 1] <= 0:

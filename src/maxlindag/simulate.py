@@ -187,7 +187,7 @@ def limit_cdf(
     for v in nodes:
         model.dag._check_node(v)
     point = np.asarray(x, dtype=float).reshape(len(nodes))
-    if (point <= 0).any():
+    if not (point > 0).all():
         raise ValidationError("evaluation point must be strictly positive")
     b = mlcm_from_weights(model)[:, [v - 1 for v in nodes]]
     return float(np.exp(-((b / point) ** model.alpha).max(axis=1).sum()))

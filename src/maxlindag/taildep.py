@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag
+from .graph import Dag, _node
 from .mlcm import _validate_mlcm
 from .tolerance import DEFAULT_TOL, ZERO_TOL
 
@@ -183,10 +183,9 @@ def _bron_kerbosch(
 
 def _independent_nodes(positive: np.ndarray, nodes: Sequence[int], name: str) -> list[int]:
     # Sorted distinct nodes, checked in range and pairwise independent.
-    d = positive.shape[0]
-    w = sorted({int(v) for v in nodes})
-    if not w or w[0] < 1 or w[-1] > d:
-        raise ValidationError(f"{name} {nodes} outside node range 1..{d}")
+    w = sorted({_node(v, positive.shape[0]) for v in nodes})
+    if not w:
+        raise ValidationError(f"no {name} given")
     for a in w:
         for b in w:
             if a < b and positive[a - 1, b - 1]:

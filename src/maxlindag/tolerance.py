@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Relative tolerance for equality-based classification (max-weighted paths,
 # coefficient-matrix validity, recursion feasibility).
 DEFAULT_TOL = 1e-9
@@ -22,6 +24,14 @@ DEFAULT_TOL = 1e-9
 # its models, and requires the verdict to stand.  One rule for both needs
 # forward-error bounds on chi.
 ZERO_TOL = 1e-12
+
+
+def _check_tol(tol: float) -> float:
+    # The tol of the row recursion and the chi round trip: zero against a
+    # positive entry is a relative residual of 1, so tol must be below 1.
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)

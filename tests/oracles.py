@@ -316,9 +316,11 @@ def recover_by_ordering(chi: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
 
 def _partial_row(chi: np.ndarray, bbar: np.ndarray, placed, node: int) -> np.ndarray:
     # Row of `node` given the rows already placed; 1-based node, full width.
+    # The placed rows are summed in node order, whatever order they were
+    # placed in.
     row = chi[node - 1].copy()
     if placed:
-        idx = [p - 1 for p in placed]
+        idx = [p - 1 for p in sorted(placed)]
         prior = bbar[idx, :]
         at_node = bbar[idx, node - 1]
         row -= np.minimum(prior, at_node[:, None]).sum(axis=0)

@@ -12,8 +12,11 @@ from maxlindag import (
     ValidationError,
     ancestral_sets,
     causal_orderings,
+    clique_initial_filter,
     dag_from_reachability,
+    initial_bijection,
     is_reachability_matrix,
+    max_weighted_triple,
     random_dag,
     reachability_matrix,
     transitive_reduction,
@@ -45,6 +48,36 @@ class TestDagConstruction:
     def test_equality_ignores_caches(self):
         assert Dag(3, {(1, 2)}) == Dag(3, {(1, 2)})
         assert Dag(3, {(1, 2)}) != Dag(3, {(2, 1)})
+
+
+# Each call takes a node on three nodes.  Node 0 once wrapped to node 3 in
+# initial_bijection, and 2.5 was truncated to 2.
+CHAIN3_BBAR = np.array([[1.0, 0.5, 0.25], [0.0, 0.5, 0.25], [0.0, 0.0, 0.5]])
+BAD_NODE_CALLS = {
+    "edge": lambda v: Dag(3, {(1, v)}),
+    "parents": lambda v: Dag(3, {(1, 2)}).parents(v),
+    "descendants": lambda v: Dag(3, {(1, 2)}).descendants_closed(v),
+    "positions": lambda v: CausalOrdering((1, 2, v)),
+    "from_node_order": lambda v: CausalOrdering.from_node_order([v, 2, 3]),
+    "position": lambda v: CausalOrdering((1, 2, 3)).position(v),
+    "max_weighted_triple": lambda v: max_weighted_triple(CHAIN3_BBAR, 1, v, 3),
+    "clique": lambda v: clique_initial_filter(np.eye(3), [1, v]),
+    "initial_bijection": lambda v: initial_bijection(np.eye(3), [v], [1]),
+}
+
+
+@pytest.mark.parametrize("node", [0, 2.5, True, np.int64(4), "2"],
+                         ids=["0", "2.5", "True", "int64-4", "str-2"])
+@pytest.mark.parametrize("call", list(BAD_NODE_CALLS), ids=list(BAD_NODE_CALLS))
+def test_a_node_is_an_integer_in_range(call, node):
+    with pytest.raises(ValidationError, match="is not an integer in 1..3"):
+        BAD_NODE_CALLS[call](node)
+
+
+def test_numpy_integer_nodes_are_accepted():
+    assert Dag(3, {(np.int64(1), np.int32(2))}).parents(np.int64(2)) == {1}
+    assert CausalOrdering.from_node_order(np.array([3, 1, 2])).position(np.int64(3)) == 1
+    assert max_weighted_triple(CHAIN3_BBAR, np.int64(1), 2, 3).ok
 
 
 class TestAncestralSets:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from maxlindag import (
     tdm_from_std_mlcm,
     transitive_reduction,
 )
+from maxlindag.tolerance import ZERO_TOL
 
 
 def hom_setup(dag: Dag, alpha: float = 1.0):
@@ -84,6 +86,15 @@ def is_reachability_support(bbar: np.ndarray) -> bool:
     edges = {(k + 1, i + 1) for k, i in zip(*np.nonzero(support)) if k != i}
     two_cycles = support & support.T & ~np.eye(d, dtype=bool)
     return np.array_equal(oracles.reachability(d, edges) == 1, support) and not two_cycles.any()
+
+
+def recovers(chi, order, bbar) -> bool:
+    """The recovery from the node ``order`` returns ``bbar`` to the bit."""
+    try:
+        recovered = recover_from_ordering(chi, CausalOrdering.from_node_order(order))
+    except NotRealizableError:
+        return False
+    return np.array_equal(recovered, bbar)
 
 
 def assert_same_as_row_loop(recover, chi, order, reach=None):
@@ -443,11 +454,34 @@ class TestEnumerateAll:
                 assert is_mlcm(m.std_mlcm).ok
                 assert validate_causal_ordering(m.min_ml_dag, m.ordering_used)
                 np.testing.assert_allclose(tdm_from_std_mlcm(m.std_mlcm), chi, atol=1e-9)
-                # The search sums placed rows in node order and skips repeated
-                # prefix states; the recovery sums in placement order.
-                recovered = recover_from_ordering(chi, m.ordering_used)
-                assert np.array_equal(recovered > 0, m.std_mlcm > 0)
-                np.testing.assert_allclose(recovered, m.std_mlcm, rtol=0, atol=1e-12)
+                # The search and the recovery run one row recursion, which
+                # sums the settled rows in node order.
+                assert np.array_equal(recover_from_ordering(chi, m.ordering_used), m.std_mlcm)
+
+    def test_ordering_used_is_the_first_order_that_recovers_the_model(self, corpus):
+        # A rank-respecting order places the clique members first, in
+        # ascending order, then the other nodes by how many members they
+        # depend on.  The search tries ties in ascending order, so the first
+        # such order in lexicographic order whose recovery is the model is
+        # the one it reports.
+        checked = 0
+        for entry in corpus[:80]:
+            d = entry.dag.d
+            if d > 6:
+                continue
+            positive = entry.chi > ZERO_TOL
+            for m in enumerate_all(entry.chi):
+                members = [v - 1 for v in m.initial_nodes]
+                rank = positive[members].sum(axis=0)
+                rank[members] = np.arange(len(members)) - len(members)
+                first = next(
+                    order for order in itertools.permutations(range(1, d + 1))
+                    if all(np.diff(rank[np.array(order) - 1]) >= 0)
+                    and recovers(entry.chi, order, m.std_mlcm)
+                )
+                assert m.ordering_used.node_order == first
+                checked += 1
+        assert checked == 258
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-3])
     def test_supports_stay_distinct_at_looser_tolerances(self, corpus, tol):
@@ -467,9 +501,19 @@ class TestEnumerateAll:
     def test_tolerance_outside_the_unit_interval_raises(self, tol):
         # At tol 1 the identity passes the chi round trip of this chi, which
         # it does not reproduce: a relative residual of 1 hides chi(1, 2).
+        # Every other caller of the row recursion takes the same range.
         chi = np.array([[1 + 1e-10, 0.5], [0.5, 1 + 1e-10]])
-        with pytest.raises(ValidationError, match="tol"):
-            enumerate_all(chi, tol)
+        calls = [
+            lambda: enumerate_all(chi, tol),
+            lambda: enumerate_all_rmwm(chi, tol),
+            lambda: recover_from_reachability(chi, np.array([[1, 1], [0, 1]]), tol),
+            lambda: recover_from_ordering(chi, (1, 2), tol),
+            lambda: recover_rmwm_from_initials(chi, (1,), tol),
+            lambda: rmwm_equivalence_constraints(chi, (1,), (2,), Dag(2, {(1, 2)}), tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="tol"):
+                call()
 
     def test_prefix_states_are_not_shared_between_cliques(self):
         # Every clique's search starts from the same empty state; a memo

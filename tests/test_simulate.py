@@ -248,6 +248,11 @@ class TestLimitCdf:
             limit_cdf(model, 0.0, i=1)
         with pytest.raises(ValidationError):
             limit_cdf(model, np.array([1.0, -2.0]))
+        # NaN is not a positive point either.
+        with pytest.raises(ValidationError, match="strictly positive"):
+            limit_cdf(model, np.nan, i=1)
+        with pytest.raises(ValidationError, match="strictly positive"):
+            limit_cdf(random_weighted_model(3, seed_or_rng=1), [1.0, np.nan, 2.0])
 
     def test_unit_frechet_points_of_standardized_model(self):
         model = model_from_std_mlcm(BBAR_TWO_CLIQUES_MW, 1.0)
