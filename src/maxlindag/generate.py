@@ -4,13 +4,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Dag
+from .graph import Dag, _count
 from .mlcm import WeightedModel, homogeneous_model
 
 
 def _seed(seed: int) -> int:
     # The one seed check of the package: numpy's generators take an integer >= 0.
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
@@ -27,8 +27,7 @@ def random_dag(d: int, density: float, seed_or_rng: int | np.random.Generator) -
     ``density`` is the inclusion probability of each of the d*(d-1)/2
     candidate edges.
     """
-    if d < 1:
-        raise ValidationError(f"node count must be at least 1, got {d}")
+    d = _count(d, "node count")
     if not 0.0 <= density <= 1.0:
         raise ValidationError(f"edge density must lie in [0, 1], got {density}")
     rng = _as_rng(seed_or_rng)
@@ -47,8 +46,7 @@ def random_polytree(d: int, seed_or_rng: int | np.random.Generator) -> Dag:
     The underlying undirected graph is a tree, so at most one path joins any
     two nodes and every model on the result is max-weighted.
     """
-    if d < 1:
-        raise ValidationError(f"node count must be at least 1, got {d}")
+    d = _count(d, "node count")
     rng = _as_rng(seed_or_rng)
     label = rng.permutation(d) + 1
     edges = set()

@@ -23,6 +23,14 @@ def _node(v: int, d: int) -> int:
     return int(v)
 
 
+def _count(n: int, what: str) -> int:
+    # The count n as a Python int; anything but an integer of at least 1 raises.
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        shown = n.item() if isinstance(n, np.generic) else n
+        raise ValidationError(f"{what} must be an integer of at least 1, got {shown!r}")
+    return int(n)
+
+
 class AncestralSets(NamedTuple):
     """Ancestor/descendant neighbourhoods of one node."""
 
@@ -56,14 +64,12 @@ class Dag:
     _reach: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            shown = d.item() if isinstance(d, np.generic) else d
-            raise ValidationError(f"node count must be a positive integer, got {shown!r}")
+        d = _count(d, "node count")
         edge_set = frozenset((_node(k, d), _node(i, d)) for k, i in edges)
         for k, i in edge_set:
             if k == i:
                 raise ValidationError(f"self loop at node {k}")
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edge_set)
 
         parents = [set() for _ in range(d + 1)]

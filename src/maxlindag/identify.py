@@ -32,7 +32,7 @@ from .errors import (
     PatternMismatchError,
     ValidationError,
 )
-from .graph import CausalOrdering, Dag, _node, is_reachability_matrix
+from .graph import CausalOrdering, Dag, _count, _node, is_reachability_matrix
 from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _analysis, is_mlcm
 from .taildep import (
@@ -335,6 +335,7 @@ def enumerate_all(
     case is factorial; larger inputs raise :class:`EnumerationCapError`.
     """
     _check_tol(tol)
+    max_d = _count(max_d, "enumeration cap max_d")
     chi = validate_tdm(chi)
     d = chi.shape[0]
     if d > max_d:

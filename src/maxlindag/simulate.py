@@ -11,6 +11,19 @@ multiplication as in the dense evaluation and the maximum is exact, so the
 samples equal the dense ones bit for bit.  A draw that overflows float64
 raises :class:`ValidationError`.
 
+Block maxima use max-stability: a componentwise maximum of X over a block
+is the same max-linear map applied to the block maxima of the noise, so
+each block reduces its uniforms first and transforms and evaluates one row.
+The reduction is exact.  Clipping is monotone, the Frechet transform
+increases in u and the Pareto transform decreases in it, so the block
+maximum (Frechet) or minimum (Pareto) of u yields the block maximum of the
+noise.  A product with a positive ``b_ji`` rounds monotonically, so
+``max_r fl(b_ji * z_r) = fl(b_ji * max_r z_r)``, and maxima over rows and
+over j commute.  The result therefore equals the maxima of the per-draw
+samples to the bit whenever numpy's ``log`` and ``power`` are monotone on
+the drawn values, and the maximal noise overflows exactly when some draw
+of the block does.
+
 The empirical tail dependence estimator is the standard exceedance ratio
 above empirical marginal quantiles.  The limit distribution of scaled
 componentwise maxima is available in closed form for Monte Carlo
@@ -25,10 +38,14 @@ import numpy as np
 
 from .errors import TailSampleError, ValidationError
 from .generate import _seed
+from .graph import _count
 from .mlcm import WeightedModel, mlcm_from_weights
 
 _FAMILIES = ("pareto", "frechet")
-_CHUNK_BLOCKS = 128  # blocks per generator in scaled_block_maxima: it fixes the seeded output
+# Blocks per generator in scaled_block_maxima.  The reduction would run as
+# well in one piece; the chunks stay because they fix the seeded stream:
+# chunk c draws from SeedSequence((seed, c)).
+_CHUNK_BLOCKS = 128
 
 
 @dataclass(frozen=True)
@@ -71,10 +88,9 @@ class SampleBlock:
 _ROWS = 16384  # rows per block in _evaluate: the block's noise stays in cache
 
 
-def _draw_noise(rng: np.random.Generator, noise: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse-CDF sampling, in place; u clamped into the open interval.
-    # Overflow is left to _draw, which raises on any infinite value.
-    u = rng.random(shape)
+def _transform(u: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    # Inverse-CDF transform of uniforms into noise, in place; u clamped into
+    # the open interval.  Overflow is left to _noise_max_linear.
     np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
     if noise.family == "frechet":
         np.log(u, out=u)
@@ -107,10 +123,11 @@ def _evaluate(mlcm: np.ndarray, z: np.ndarray) -> np.ndarray:
     return xt.T
 
 
-def _draw(mlcm: np.ndarray, noise: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    # x_j >= b_jj * z_j with b_jj > 0, so an infinite draw shows in x too.
+def _noise_max_linear(mlcm: np.ndarray, noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
+    # The model's values at the noise of the uniforms u, which it overwrites.
+    # x_j >= b_jj * z_j with b_jj > 0, so an infinite noise value shows in x too.
     with np.errstate(over="ignore"):
-        x = _evaluate(mlcm, _draw_noise(rng, noise, (n, mlcm.shape[0])))
+        x = _evaluate(mlcm, _transform(u, noise))
     if not np.isfinite(x.max()):
         raise ValidationError(
             f"{noise.family} noise with tail index {noise.alpha} overflowed float64; "
@@ -125,14 +142,14 @@ def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleB
     The noise tail index must match the model's; mixing indices would
     silently change the standardized coefficient matrix the sample reflects.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
+    n = _count(n, "sample size")
     if noise.alpha != model.alpha:
         raise ValidationError(
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
         )
     seed = _seed(seed)
-    x = _draw(mlcm_from_weights(model), noise, np.random.default_rng(seed), int(n))
+    u = np.random.default_rng(seed).random((n, model.d))
+    x = _noise_max_linear(mlcm_from_weights(model), noise, u)
     return SampleBlock(x, seed, model, noise)
 
 
@@ -217,24 +234,29 @@ def scaled_block_maxima(
     of ``_CHUNK_BLOCKS``, each chunk from its own generator seeded by
     ``(seed, chunk_index)``; results are bit-reproducible for a given seed
     and chunks could be generated concurrently without changing them.
+
+    Each block's uniforms are reduced to their extreme before any transform
+    (see the module docstring for why this is exact), so the draws cost
+    O(n_blocks * block_size * d) and the transform and the evaluation
+    O(n_blocks * nnz(B)).
     """
-    if block_size < 1 or n_blocks < 1:
-        raise ValidationError("block size and block count must be at least 1")
+    block_size = _count(block_size, "block size")
+    n_blocks = _count(n_blocks, "block count")
     if noise.alpha != model.alpha:
         raise ValidationError(
             f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
         )
     seed = _seed(seed)
-    b = mlcm_from_weights(model)
-    scale = float(block_size) ** (-1.0 / model.alpha)
-    out = np.empty((n_blocks, model.d))
-    done = 0
-    chunk_index = 0
-    while done < n_blocks:
+    d = model.d
+    # The noise transform increases in u for Frechet and decreases for Pareto.
+    extreme = np.max if noise.family == "frechet" else np.min
+    # Block extremes of u, one row per node: the reduction runs over
+    # contiguous memory, and the transpose is the (n_blocks, d) noise.
+    ut = np.empty((d, n_blocks))
+    for chunk_index, done in enumerate(range(0, n_blocks, _CHUNK_BLOCKS)):
         take = min(_CHUNK_BLOCKS, n_blocks - done)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        xt = _draw(b, noise, rng, take * block_size).T
-        out[done : done + take] = xt.reshape(model.d, take, block_size).max(axis=2).T * scale
-        done += take
-        chunk_index += 1
-    return out
+        draws = rng.random((take * block_size, d)).T.copy()
+        extreme(draws.reshape(d, take, block_size), axis=2, out=ut[:, done : done + take])
+    x = _noise_max_linear(mlcm_from_weights(model), noise, ut.T)
+    return x * float(block_size) ** (-1.0 / model.alpha)

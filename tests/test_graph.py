@@ -9,6 +9,7 @@ from maxlindag import (
     CausalOrdering,
     CycleError,
     Dag,
+    NoiseSpec,
     ValidationError,
     ancestral_sets,
     causal_orderings,
@@ -16,9 +17,13 @@ from maxlindag import (
     dag_from_reachability,
     initial_bijection,
     is_reachability_matrix,
+    enumerate_all,
     max_weighted_triple,
     random_dag,
+    random_weighted_model,
     reachability_matrix,
+    sample,
+    scaled_block_maxima,
     transitive_reduction,
     validate_causal_ordering,
 )
@@ -78,6 +83,36 @@ def test_numpy_integer_nodes_are_accepted():
     assert Dag(3, {(np.int64(1), np.int32(2))}).parents(np.int64(2)) == {1}
     assert CausalOrdering.from_node_order(np.array([3, 1, 2])).position(np.int64(3)) == 1
     assert max_weighted_triple(CHAIN3_BBAR, np.int64(1), 2, 3).ok
+
+
+# Each call takes a count.  Before one rule covered them all, sample drew
+# two rows for 2.5 and one for True, Dag(True) was a one-node DAG, and
+# random_weighted_model and scaled_block_maxima failed inside numpy on 2.5.
+_MODEL = random_weighted_model(2, seed_or_rng=0)
+_NOISE = NoiseSpec("frechet", 1.0)
+COUNT_CALLS = {
+    "Dag": lambda n: Dag(n),
+    "random_weighted_model": lambda n: random_weighted_model(n, seed_or_rng=1),
+    "random_weighted_model_polytree": lambda n: random_weighted_model(n, polytree=True),
+    "random_dag": lambda n: random_dag(n, 0.5, 1),
+    "sample": lambda n: sample(_MODEL, _NOISE, n, 1),
+    "block_size": lambda n: scaled_block_maxima(_MODEL, _NOISE, n, 4, 1),
+    "n_blocks": lambda n: scaled_block_maxima(_MODEL, _NOISE, 4, n, 1),
+    "max_d": lambda n: enumerate_all(np.eye(2), max_d=n),
+}
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, np.float64(3.0), np.bool_(True), "3", None],
+                         ids=["0", "-1", "2.5", "True", "float64-3", "bool_-True", "str-3", "None"])
+@pytest.mark.parametrize("call", list(COUNT_CALLS), ids=list(COUNT_CALLS))
+def test_a_count_is_an_integer_of_at_least_one(call, count):
+    with pytest.raises(ValidationError, match="must be an integer of at least 1"):
+        COUNT_CALLS[call](count)
+
+
+@pytest.mark.parametrize("call", list(COUNT_CALLS), ids=list(COUNT_CALLS))
+def test_numpy_integer_counts_are_accepted(call):
+    COUNT_CALLS[call](np.int64(2))
 
 
 class TestAncestralSets:

@@ -46,7 +46,7 @@ class TestNoiseSpec:
             NoiseSpec("pareto", -1.0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", None, True])
 def test_every_seeded_function_checks_its_seed(seed):
     model = single_edge_model(0.5)
     noise = NoiseSpec("frechet", 1.0)
@@ -127,15 +127,31 @@ class TestColumnKernel:
         expected = oracles.max_linear_sample(mlcm_from_weights(model), z)
         assert np.array_equal(block.values, expected)
 
-    @pytest.mark.parametrize("family,alpha", [("pareto", 1.0), ("frechet", 2.0)])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("family", ["pareto", "frechet"])
     @pytest.mark.parametrize("kind", ["general", "polytree", "homogeneous"])
     def test_block_maxima_equal_dense_reference(self, kind, family, alpha):
-        # 300 blocks in chunks of 128: the last chunk is short, and a full
-        # chunk of 128 * 150 rows spans two row blocks of the kernel
+        # The oracle takes the maxima of the dense per-draw samples, so this
+        # checks the reduction of the uniforms to their block extremes.  300
+        # blocks in chunks of 128 make the last chunk short; blocks of one
+        # draw leave nothing to reduce.
         model = kind_model(kind, 6, alpha, seed=11)
-        maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), 150, 300, seed=5)
+        for block_size in (1, 150):
+            maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), block_size, 300, seed=5)
+            expected = oracles.scaled_block_maxima(
+                mlcm_from_weights(model), family, alpha, block_size, 300, 5, chunk_blocks=128
+            )
+            assert np.array_equal(maxima, expected), block_size
+
+    @pytest.mark.parametrize("family,alpha", [("pareto", 2.0), ("frechet", 1.0)])
+    def test_block_maxima_across_row_blocks(self, family, alpha):
+        # More blocks than the kernel's row block, so the block extremes are
+        # evaluated in three row blocks.
+        n_blocks = 2 * _ROWS + 17
+        model = kind_model("general", 6, alpha, seed=4)
+        maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), 1, n_blocks, seed=3)
         expected = oracles.scaled_block_maxima(
-            mlcm_from_weights(model), family, alpha, 150, 300, 5, chunk_blocks=128
+            mlcm_from_weights(model), family, alpha, 1, n_blocks, 3, chunk_blocks=128
         )
         assert np.array_equal(maxima, expected)
 
