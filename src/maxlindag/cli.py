@@ -3,7 +3,8 @@
 Exit codes separate mathematics from plumbing: 0 on success, 1 when the
 input is well-formed but mathematically rejected (not a tail dependence
 matrix of any model, invalid coefficient matrix, pattern mismatch), 2 on
-malformed input or infeasible requests.  The subcommands that compare
+malformed input or infeasible requests: every ``ValidationError`` exits 2
+and every other library error 1.  The subcommands that compare
 numbers (``recover``, ``enumerate`` and ``check``) take ``--tol``, a
 relative tolerance in the open interval (0, 1) defaulting to ``DEFAULT_TOL``;
 every randomized subcommand demands an explicit non-negative ``--seed``.
@@ -16,13 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    IllConditionedError,
-    NotRealizableError,
-    PatternMismatchError,
-    ValidationError,
-)
+from .errors import FormatError, MaxlinError, ValidationError
 from .graph import CausalOrdering, dag_from_reachability, transitive_reduction
 from .identify import (
     enumerate_all,
@@ -156,7 +151,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             return EXIT_OK
         print(f"invalid: max-weighted identities fail (residual {verdict.residual:.3g})")
         return EXIT_REJECTED
-    # --tdm-on-dag
+    if not args.chi or not (args.reachability or args.model):
+        raise ValidationError("--tdm-on-dag requires --chi and one of --reachability/--model")
     chi = read_matrix(args.chi)
     if args.model:
         dag = read_model(args.model).dag
@@ -298,25 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_MALFORMED if exc.code else EXIT_OK
-    if args.command == "check" and args.tdm_on_dag:
-        if not args.chi or not (args.reachability or args.model):
-            parser.print_usage(sys.stderr)
-            print(
-                "error: --tdm-on-dag requires --chi and one of --reachability/--model",
-                file=sys.stderr,
-            )
-            return EXIT_MALFORMED
     try:
         return args.func(args)
-    except (FormatError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (PatternMismatchError, NotRealizableError, IllConditionedError) as exc:
+    except MaxlinError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except OSError as exc:

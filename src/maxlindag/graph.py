@@ -14,6 +14,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CycleError, ValidationError
+from .tolerance import _shown
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Boolean a @ b for 0/1 a and b: a BLAS product, exact while counts stay below 2**53.
+    return (a.astype(float) @ b.astype(float)) > 0
 
 
 def _node(v: int, d: int) -> int:
@@ -26,8 +32,7 @@ def _node(v: int, d: int) -> int:
 def _count(n: int, what: str) -> int:
     # The count n as a Python int; anything but an integer of at least 1 raises.
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        shown = n.item() if isinstance(n, np.generic) else n
-        raise ValidationError(f"{what} must be an integer of at least 1, got {shown!r}")
+        raise ValidationError(f"{what} must be an integer of at least 1, got {_shown(n)!r}")
     return int(n)
 
 
@@ -233,8 +238,7 @@ def is_reachability_matrix(matrix: np.ndarray) -> bool:
         return False
     if (m & m.T).sum() != m.shape[0]:  # mutual reachability off the diagonal
         return False
-    counts = m.astype(float)  # BLAS product; path counts stay exact below 2**53
-    closure = (counts @ counts) > 0
+    closure = _bool_product(m, m)
     return bool((m[closure] == 1).all())
 
 
@@ -256,8 +260,7 @@ def transitive_reduction(dag: Dag) -> Dag:
     representative of the reachability relation.
     """
     strict = dag._reachability() & ~np.eye(dag.d, dtype=bool)
-    counts = strict.astype(float)  # BLAS product; path counts stay exact below 2**53
-    return _dag_on(strict & ~((counts @ counts) > 0))
+    return _dag_on(strict & ~_bool_product(strict, strict))
 
 
 def _dag_on(pairs: np.ndarray) -> Dag:

@@ -39,6 +39,7 @@ from .taildep import (
     _independent_nodes,
     _min_sum,
     _positive_mask,
+    _tdm_on,
     clique_initial_filter,
     independence_pattern_check,
     maximum_chi_cliques,
@@ -130,8 +131,6 @@ def recover_from_reachability(
     reach = np.asarray(reach)
     if not is_reachability_matrix(reach):
         raise ValidationError("reachability input is not a reachability matrix of a DAG")
-    if reach.shape != chi.shape:
-        raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
     if not independence_pattern_check(chi, reach):
         raise PatternMismatchError(
             "zero pattern of the tail dependence matrix does not match the "
@@ -447,11 +446,7 @@ def rmwm_equivalence_constraints(
     :class:`ValidationError`.
     """
     _check_tol(tol)
-    chi = validate_tdm(chi)
-    if transitive_reduction.d != chi.shape[0]:
-        raise ValidationError(
-            f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {transitive_reduction.d} nodes"
-        )
+    chi = _tdm_on(chi, transitive_reduction)
     redundant = transitive_reduction.edges - _transitive_reduction(transitive_reduction).edges
     if redundant:
         a, b = min(redundant)

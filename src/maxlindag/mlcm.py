@@ -26,17 +26,21 @@ answers off one analysis each, and callers that need several answers share
 one.  The kernel works in row blocks whose temporaries hold at most
 ``_THROUGH_BLOCK`` elements (512 KB of float64), or one row's d x d slab
 when that is larger, beside its d x d outputs.
+
+Each input kind has one check, called by every public function that reads
+it: ``_tail_index``, ``_positive`` (weights and scalings), ``_finite_square``
+(matrix shape) and ``_positive_diagonal``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
 from .graph import Dag, _dag_on, _node, is_reachability_matrix
-from .tolerance import DEFAULT_TOL, Verdict, rel_residuals
+from .tolerance import DEFAULT_TOL, Verdict, _check_tol, _is_real, _shown, rel_residuals
 
 # Element cap on each temporary of the through kernel.
 _THROUGH_BLOCK = 1 << 16
@@ -57,19 +61,14 @@ class WeightedModel:
     alpha: float
 
     def __post_init__(self):
-        weights = {(int(k), int(i)): float(c) for (k, i), c in self.edge_weights.items()}
+        keys = [(int(k), int(i)) for k, i in self.edge_weights]
+        weights = dict(zip(keys, _positive(self.edge_weights.values(), "edge weights")))
         if set(weights) != set(self.dag.edges):
             raise ValidationError("edge_weights keys must match the DAG edge set")
-        if any(not np.isfinite(c) or c <= 0.0 for c in weights.values()):
-            raise ValidationError("edge weights must be finite and strictly positive")
-        scales = tuple(float(c) for c in self.noise_scales)
+        scales = _positive(self.noise_scales, "noise scales")
         if len(scales) != self.dag.d:
             raise ValidationError(f"expected {self.dag.d} noise scales, got {len(scales)}")
-        if any(not np.isfinite(c) or c <= 0.0 for c in scales):
-            raise ValidationError("noise scales must be finite and strictly positive")
-        alpha = float(self.alpha)
-        if not np.isfinite(alpha) or alpha <= 0.0:
-            raise ValidationError(f"tail index must be finite and positive, got {alpha}")
+        alpha = _tail_index(self.alpha)
         object.__setattr__(self, "edge_weights", weights)
         object.__setattr__(self, "noise_scales", scales)
         object.__setattr__(self, "alpha", alpha)
@@ -77,6 +76,21 @@ class WeightedModel:
     @property
     def d(self) -> int:
         return self.dag.d
+
+
+def _tail_index(alpha: float) -> float:
+    # The one tail index rule: a real number, finite and positive.
+    if not (_is_real(alpha) and 0.0 < alpha < np.inf):
+        raise ValidationError(f"tail index must be finite and positive, got {_shown(alpha)!r}")
+    return float(alpha)
+
+
+def _positive(values: Iterable[float], what: str) -> tuple[float, ...]:
+    # The one rule for weights and scalings: finite real numbers above zero.
+    values = tuple(values)
+    if not all(_is_real(c) and 0.0 < c < np.inf for c in values):
+        raise ValidationError(f"{what} must be finite and strictly positive")
+    return tuple(float(c) for c in values)
 
 
 def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
@@ -97,20 +111,27 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
     return b
 
 
-def _validate_mlcm(b: np.ndarray) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.size == 0:
-        raise ValidationError(
-            f"coefficient matrix must be square and nonempty, got shape {b.shape}"
-        )
-    if not np.isfinite(b).all():
-        raise ValidationError("coefficient matrix has non-finite entries")
+def _finite_square(m: np.ndarray, noun: str = "coefficient matrix") -> np.ndarray:
+    # The one shape rule for a matrix: square, nonempty and finite.
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"{noun} must be square and nonempty, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{noun} has non-finite entries")
+    return m
+
+
+def _positive_diagonal(b: np.ndarray) -> np.ndarray:
+    # A square finite matrix, nonnegative with positive diagonal.
+    b = _finite_square(b)
+    if (b < 0).any() or (np.diag(b) <= 0).any():
+        raise ValidationError("matrix must be nonnegative with positive diagonal")
     return b
 
 
 def sign_pattern(b: np.ndarray) -> np.ndarray:
     """0/1 support pattern of a nonnegative matrix."""
-    b = _validate_mlcm(b)
+    b = _finite_square(b)
     if (b < 0).any():
         raise ValidationError("coefficient matrix has negative entries")
     return (b > 0).astype(np.int64)
@@ -124,20 +145,12 @@ def standardize(b: np.ndarray, alpha: float) -> np.ndarray:
     dependence matrix.  A column that overflows, or whose diagonal entry
     underflows to zero, in float64 raises :class:`IllConditionedError`.
     """
-    b = _power_input(b, alpha)
+    b = _positive_diagonal(b)
+    alpha = _tail_index(alpha)
     with np.errstate(all="ignore"):
         powered = b**alpha
         bbar = powered / powered.sum(axis=0)
     return _kept_columns(bbar, alpha)
-
-
-def _power_input(b: np.ndarray, alpha: float) -> np.ndarray:
-    b = _validate_mlcm(b)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValidationError(f"tail index must be finite and positive, got {alpha}")
-    if (b < 0).any() or (np.diag(b) <= 0).any():
-        raise ValidationError("matrix must be nonnegative with positive diagonal")
-    return b
 
 
 def _kept_columns(b: np.ndarray, power: float) -> np.ndarray:
@@ -160,10 +173,11 @@ def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float
     overflows, or whose diagonal entry underflows to zero, in float64
     raises :class:`IllConditionedError`.
     """
-    bbar = _power_input(bbar, alpha)
-    beta = np.broadcast_to(np.asarray(betas, dtype=float), (bbar.shape[0],))
-    if (beta <= 0).any() or not np.isfinite(beta).all():
-        raise ValidationError("column scalings must be finite and strictly positive")
+    bbar = _positive_diagonal(bbar)
+    alpha = _tail_index(alpha)
+    if np.ndim(betas) == 0:
+        betas = (betas,)
+    beta = np.broadcast_to(np.asarray(_positive(betas, "column scalings")), (bbar.shape[0],))
     with np.errstate(all="ignore"):
         b = bbar ** (1.0 / alpha) * beta[None, :]
     return _kept_columns(b, 1.0 / alpha)
@@ -207,7 +221,8 @@ def max_weighted_triple(
     the support pattern.  True iff ``b_ji == b_jk * b_ki / b_kk`` within
     ``tol``; the left side always dominates the right for valid matrices.
     """
-    bbar = _validate_mlcm(bbar)
+    _check_tol(tol)
+    bbar = _finite_square(bbar)
     j, k, i = (_node(v, bbar.shape[0]) for v in (j, k, i))
     if j == k or bbar[j - 1, k - 1] <= 0:
         raise ValidationError(f"node {j} is not a strict ancestor of {k}")
@@ -256,7 +271,7 @@ class _Analysis(NamedTuple):
 
 def _analysis(b: np.ndarray) -> _Analysis:
     # The support gate, then one kernel pass if it holds; b must be square and finite.
-    b = _validate_mlcm(b)
+    b = _finite_square(b)
     if (b < 0).any():
         return _Analysis(b, "coefficient matrix has negative entries")
     if not is_reachability_matrix(b > 0):
@@ -273,6 +288,7 @@ def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     relative residual against ``b_ji`` peaks at the largest or the smallest
     through value, so only those two are compared.
     """
+    _check_tol(tol)
     return _analysis(bbar).is_rmwm(tol)
 
 
@@ -290,6 +306,7 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
     Only the largest through value is compared: the relative gap below
     ``b_ki`` shrinks as the through value grows.
     """
+    _check_tol(tol)
     return _analysis(b).minimum_ml_dag(tol)
 
 
@@ -313,6 +330,7 @@ def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     (negative entries, or a support that is not a reachability matrix) or
     "recomposition".
     """
+    _check_tol(tol)
     return _analysis(bbar).is_mlcm(tol)
 
 
@@ -323,12 +341,11 @@ def homogeneous_model(dag: Dag, alpha: float) -> WeightedModel:
     every j-to-i path carries the same weight ``|An(i)|**(-1/alpha)``, so all
     paths are max-weighted on any DAG.
     """
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValidationError(f"tail index must be finite and positive, got {alpha}")
+    alpha = _tail_index(alpha)
     n_an = {i: len(dag.ancestors_closed(i)) for i in range(1, dag.d + 1)}
     scales = tuple(n_an[i] ** (-1.0 / alpha) for i in range(1, dag.d + 1))
     weights = {(k, i): (n_an[k] / n_an[i]) ** (1.0 / alpha) for k, i in dag.edges}
-    return WeightedModel(dag, weights, scales, float(alpha))
+    return WeightedModel(dag, weights, scales, alpha)
 
 
 def model_from_std_mlcm(bbar: np.ndarray, alpha: float, tol: float = DEFAULT_TOL) -> WeightedModel:
@@ -343,4 +360,4 @@ def model_from_std_mlcm(bbar: np.ndarray, alpha: float, tol: float = DEFAULT_TOL
     b = destandardize(bbar, 1.0, alpha)
     dag = minimum_ml_dag(b, tol)
     weights = {(k, i): b[k - 1, i - 1] / b[k - 1, k - 1] for k, i in dag.edges}
-    return WeightedModel(dag, weights, tuple(np.diag(b)), float(alpha))
+    return WeightedModel(dag, weights, tuple(np.diag(b)), alpha)

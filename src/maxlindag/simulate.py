@@ -39,7 +39,8 @@ import numpy as np
 from .errors import TailSampleError, ValidationError
 from .generate import _seed
 from .graph import _count
-from .mlcm import WeightedModel, mlcm_from_weights
+from .mlcm import WeightedModel, _tail_index, mlcm_from_weights
+from .tolerance import _check_tol
 
 _FAMILIES = ("pareto", "frechet")
 # Blocks per generator in scaled_block_maxima.  The reduction would run as
@@ -64,11 +65,8 @@ class NoiseSpec:
         family = str(self.family).strip().lower().replace("é", "e")
         if family not in _FAMILIES:
             raise ValidationError(f"unsupported noise family {self.family!r}; use {_FAMILIES}")
-        alpha = float(self.alpha)
-        if not np.isfinite(alpha) or alpha <= 0:
-            raise ValidationError(f"tail index must be finite and positive, got {alpha}")
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _tail_index(self.alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +158,7 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
     ``2 * #{both exceed} / (#{i exceeds} + #{j exceeds})`` with empirical
     marginal quantiles.  Requires at least 50 expected tail exceedances.
     """
-    if not 0.0 < u < 1.0:
-        raise ValidationError(f"quantile level must lie in (0, 1), got {u}")
+    _check_tol(u, "quantile level")
     n = block.n
     if n * (1.0 - u) < 50.0:
         raise TailSampleError(

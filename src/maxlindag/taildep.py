@@ -25,9 +25,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, _node
-from .mlcm import _validate_mlcm
-from .tolerance import DEFAULT_TOL, ZERO_TOL
+from .graph import Dag, _bool_product, _node
+from .mlcm import _finite_square, _positive_diagonal
+from .tolerance import DEFAULT_TOL, ZERO_TOL, _check_tol
 
 # Element cap on each temporary of the min-sum kernel.
 _MIN_SUM_BLOCK = 1 << 16
@@ -38,13 +38,7 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
 
     Each check allows a deviation of ``DEFAULT_TOL``.
     """
-    chi = np.asarray(chi, dtype=float)
-    if chi.ndim != 2 or chi.shape[0] != chi.shape[1] or chi.size == 0:
-        raise ValidationError(
-            f"tail dependence matrix must be square and nonempty, got shape {chi.shape}"
-        )
-    if not np.isfinite(chi).all():
-        raise ValidationError("tail dependence matrix has non-finite entries")
+    chi = _finite_square(chi, "tail dependence matrix")
     asym = np.abs(chi - chi.T)
     if asym.max(initial=0.0) > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
@@ -65,15 +59,20 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
     return chi
 
 
+def _tdm_on(chi: np.ndarray, dag: Dag) -> np.ndarray:
+    chi = validate_tdm(chi)
+    if chi.shape[0] != dag.d:
+        raise ValidationError(f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {dag.d} nodes")
+    return chi
+
+
 def tdm_from_std_mlcm(bbar: np.ndarray) -> np.ndarray:
     """Tail dependence matrix of a standardized coefficient matrix.
 
     Entries must be finite and column sums of ``bbar`` one within 1e-8;
     the output is symmetric with unit diagonal by construction.
     """
-    bbar = _validate_mlcm(bbar)
-    if (bbar < 0).any() or (np.diag(bbar) <= 0).any():
-        raise ValidationError("matrix must be nonnegative with positive diagonal")
+    bbar = _positive_diagonal(bbar)
     colsums = bbar.sum(axis=0)
     if np.abs(colsums - 1.0).max() > 1e-8:
         j = int(np.argmax(np.abs(colsums - 1.0)))
@@ -113,12 +112,6 @@ def _positive_mask(chi: np.ndarray) -> np.ndarray:
     return chi >= ZERO_TOL
 
 
-def _common_ancestors(reach: np.ndarray) -> np.ndarray:
-    # sgn(R^T R) as a boolean matrix: True where i and j share an ancestor.
-    counts = np.asarray(reach, dtype=float)  # BLAS product; counts stay exact below 2**53
-    return (counts.T @ counts) > 0
-
-
 def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
     """True iff the zero pattern of chi matches sgn(R^T R).
 
@@ -130,7 +123,7 @@ def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
     reach = np.asarray(reach)
     if chi.shape != reach.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
-    return bool((_positive_mask(chi) == _common_ancestors(reach)).all())
+    return bool((_positive_mask(chi) == _bool_product(reach.T, reach)).all())
 
 
 def chi_complement_graph(chi: np.ndarray) -> dict[int, frozenset[int]]:
@@ -205,6 +198,7 @@ def clique_initial_filter(
     chi(k, j))``.  A False return certifies that no compatible model has
     initial nodes W; True keeps W as a candidate.
     """
+    _check_tol(tol)
     chi = validate_tdm(chi)
     w = np.asarray(_independent_nodes(_positive_mask(chi), clique, "clique")) - 1
     rest = np.ones(chi.shape[0], dtype=bool)
@@ -242,9 +236,7 @@ def lambda_representation(dag: Dag, chi: np.ndarray, j: int, i: int) -> float:
 
     Requires ``j`` in An(i); with j == i this yields the diagonal entry.
     """
-    chi = validate_tdm(chi)
-    if chi.shape[0] != dag.d:
-        raise ValidationError(f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {dag.d} nodes")
+    chi = _tdm_on(chi, dag)
     if j != i and j not in dag.ancestors(i):
         raise ValidationError(f"node {j} is not in An({i})")
     coeffs = lambda_coefficients(dag, j)
@@ -281,9 +273,7 @@ def mu_representation(dag: Dag, chi: np.ndarray, i: int, j: int) -> MuRepresenta
     the input entry; the coefficients and the lowest common ancestors are
     returned alongside it.
     """
-    chi = validate_tdm(chi)
-    if chi.shape[0] != dag.d:
-        raise ValidationError(f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {dag.d} nodes")
+    chi = _tdm_on(chi, dag)
     dag._check_node(i)
     dag._check_node(j)
     coeffs = mu_coefficients(dag, i, j)
@@ -344,15 +334,14 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     over the columns of the implied bbar that occur in an incomparable pair
     with common ancestors; that bbar is ``std_mlcm`` on success.
     """
-    chi = validate_tdm(chi)
-    if chi.shape[0] != dag.d:
-        raise ValidationError(f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {dag.d} nodes")
+    _check_tol(tol)
+    chi = _tdm_on(chi, dag)
     d = dag.d
     failures: list[str] = []
 
     reach = dag._reachability()
     strict = reach & ~np.eye(d, dtype=bool)
-    common = _common_ancestors(reach)
+    common = _bool_product(reach.T, reach)  # True where i and j share an ancestor
     positive = chi > tol
     np.fill_diagonal(positive, True)
     mismatch = positive != common

@@ -1,11 +1,13 @@
-"""Shared numerical tolerances and comparison helpers.
+"""Shared numerical tolerances, comparison helpers and the tolerance rule.
 
 Max-times path products compound rounding, so every equality-based
 classification works at a relative tolerance and reports its worst-case
-residual next to the boolean verdict.
+residual next to the boolean verdict.  ``_check_tol`` is the one rule for
+``tol``: a real number, not a bool or a string, in the open interval (0, 1).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +28,22 @@ DEFAULT_TOL = 1e-9
 ZERO_TOL = 1e-12
 
 
-def _check_tol(tol: float) -> float:
-    # The tol of the row recursion and the chi round trip: zero against a
+def _is_real(x) -> bool:
+    # A real number, numpy scalars included; a bool or a string is not one.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _shown(x):
+    # A rejected value as its message shows it: numpy scalars as Python ones.
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _check_tol(tol: float, what: str = "tol") -> float:
+    # The one rule for a real number in (0, 1).  For a tol: zero against a
     # positive entry is a relative residual of 1, so tol must be below 1.
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
-    return tol
+    if not (_is_real(tol) and 0.0 < tol < 1.0):
+        raise ValidationError(f"{what} must lie in (0, 1), got {_shown(tol)!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,24 @@ from maxlindag import (
     CausalOrdering,
     Dag,
     EnumerationCapError,
+    NoiseSpec,
     NotRealizableError,
     PatternMismatchError,
     ValidationError,
     causal_orderings,
+    check_rmwm_tdm,
+    clique_initial_filter,
+    empirical_tdm,
     enumerate_all,
     enumerate_all_rmwm,
     homogeneous_model,
     initial_bijection,
+    is_mlcm,
     is_rmwm_mlcm,
+    max_weighted_triple,
+    minimum_ml_dag,
     mlcm_from_weights,
+    model_from_std_mlcm,
     ordering_from_initials,
     random_weighted_model,
     reachability_matrix,
@@ -45,6 +53,7 @@ from maxlindag import (
     recover_from_reachability,
     recover_rmwm_from_initials,
     rmwm_equivalence_constraints,
+    sample,
     standardize,
     tdm_from_std_mlcm,
     transitive_reduction,
@@ -497,12 +506,19 @@ class TestEnumerateAll:
                               if not m.min_ml_dag.parents(v))
                 assert m.initial_nodes == roots
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "tol", [0.0, -1e-9, 1.0, 2.0, float("nan"), float("inf"), True, "1e-9"]
+    )
     def test_tolerance_outside_the_unit_interval_raises(self, tol):
         # At tol 1 the identity passes the chi round trip of this chi, which
         # it does not reproduce: a relative residual of 1 hides chi(1, 2).
-        # Every other caller of the row recursion takes the same range.
+        # Every public function that takes a tol takes the same range, and
+        # so does the quantile level of empirical_tdm.
         chi = np.array([[1 + 1e-10, 0.5], [0.5, 1 + 1e-10]])
+        chain = np.array([[0.5, 0.25, 0.125], [0.0, 0.25, 0.125], [0.0, 0.0, 0.25]])
+        chain = chain / chain.sum(axis=0)
+        block = sample(homogeneous_model(Dag(2, {(1, 2)}), 1.0), NoiseSpec("pareto", 1.0),
+                       100, 1)
         calls = [
             lambda: enumerate_all(chi, tol),
             lambda: enumerate_all_rmwm(chi, tol),
@@ -510,10 +526,19 @@ class TestEnumerateAll:
             lambda: recover_from_ordering(chi, (1, 2), tol),
             lambda: recover_rmwm_from_initials(chi, (1,), tol),
             lambda: rmwm_equivalence_constraints(chi, (1,), (2,), Dag(2, {(1, 2)}), tol),
+            lambda: is_mlcm(chain, tol),
+            lambda: is_rmwm_mlcm(chain, tol),
+            lambda: minimum_ml_dag(chain, tol),
+            lambda: max_weighted_triple(chain, 1, 2, 3, tol),
+            lambda: model_from_std_mlcm(chain, 1.0, tol),
+            lambda: clique_initial_filter(chi, (1,), tol),
+            lambda: check_rmwm_tdm(Dag(2, {(1, 2)}), chi, tol),
         ]
         for call in calls:
-            with pytest.raises(ValidationError, match="tol"):
+            with pytest.raises(ValidationError, match="tol must lie in"):
                 call()
+        with pytest.raises(ValidationError, match="quantile level must lie in"):
+            empirical_tdm(block, tol)
 
     def test_prefix_states_are_not_shared_between_cliques(self):
         # Every clique's search starts from the same empty state; a memo

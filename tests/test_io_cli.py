@@ -304,6 +304,7 @@ class TestCliCheck:
     def test_missing_tdm_inputs_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "--tdm-on-dag")
         assert code == 2
+        assert err == "error: --tdm-on-dag requires --chi and one of --reachability/--model\n"
 
 
 NAN_CHI = np.array([[1.0, np.nan], [np.nan, 1.0]])

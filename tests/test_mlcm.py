@@ -15,6 +15,7 @@ from cases import (
 from maxlindag import (
     Dag,
     IllConditionedError,
+    NoiseSpec,
     ValidationError,
     WeightedModel,
     destandardize,
@@ -41,10 +42,11 @@ class TestWeightedModelValidation:
 
     def test_weights_must_be_positive(self):
         dag = Dag(2, {(1, 2)})
-        with pytest.raises(ValidationError):
-            WeightedModel(dag, {(1, 2): 0.0}, (1.0, 1.0), 1.0)
-        with pytest.raises(ValidationError):
-            WeightedModel(dag, {(1, 2): 1.0}, (1.0, -1.0), 1.0)
+        for bad in (0.0, -1.0, np.nan, np.inf, True, "1"):
+            with pytest.raises(ValidationError, match="edge weights must be finite and strictly"):
+                WeightedModel(dag, {(1, 2): bad}, (1.0, 1.0), 1.0)
+            with pytest.raises(ValidationError, match="noise scales must be finite and strictly"):
+                WeightedModel(dag, {(1, 2): 1.0}, (1.0, bad), 1.0)
 
     def test_alpha_must_be_finite_positive(self):
         dag = Dag(1)
@@ -52,6 +54,36 @@ class TestWeightedModelValidation:
             WeightedModel(dag, {}, (1.0,), 0.0)
         with pytest.raises(ValidationError):
             WeightedModel(dag, {}, (1.0,), float("inf"))
+
+
+def _tail_index_calls(alpha):
+    dag = Dag(3, {(1, 2), (2, 3)})
+    b = np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    return [
+        lambda: WeightedModel(dag, {(1, 2): 0.5, (2, 3): 0.5}, (1.0, 1.0, 1.0), alpha),
+        lambda: NoiseSpec("pareto", alpha),
+        lambda: standardize(b, alpha),
+        lambda: destandardize(b, 1.0, alpha),
+        lambda: homogeneous_model(dag, alpha),
+        lambda: random_weighted_model(3, alpha=alpha, seed_or_rng=1),
+    ]
+
+
+@pytest.mark.parametrize("alpha", ["2", True, 0, -1.0, np.nan, np.inf])
+def test_every_tail_index_takes_one_rule(alpha):
+    for call in _tail_index_calls(alpha):
+        with pytest.raises(ValidationError, match="tail index must be finite and positive, got"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [np.float64(2.0), 2])
+def test_a_real_tail_index_is_taken_as_a_float(alpha):
+    for call, reference in zip(_tail_index_calls(alpha), _tail_index_calls(2.0)):
+        got, expected = call(), reference()
+        if isinstance(got, np.ndarray):
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert got == expected and type(got.alpha) is float
 
 
 class TestMlcmFromWeights:
@@ -150,8 +182,10 @@ class TestDestandardize:
         np.testing.assert_allclose(out, [[1.0, 1.0], [0.0, 2.0]])
 
     def test_nonpositive_scaling_rejected(self):
-        with pytest.raises(ValidationError):
-            destandardize(np.eye(2), (1.0, 0.0), 1.0)
+        for bad in (0.0, -1.0, np.nan, np.inf, True, "1"):
+            for betas in ((1.0, bad), bad):
+                with pytest.raises(ValidationError, match="column scalings must be finite"):
+                    destandardize(np.eye(2), betas, 1.0)
 
     @pytest.mark.parametrize(
         "bbar,column",
