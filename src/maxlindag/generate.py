@@ -5,7 +5,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Dag, _count
-from .mlcm import WeightedModel, homogeneous_model
+from .mlcm import WeightedModel, _positive, homogeneous_model
+from .tolerance import _is_real, _shown
 
 
 def _seed(seed: int) -> int:
@@ -25,11 +26,11 @@ def random_dag(d: int, density: float, seed_or_rng: int | np.random.Generator) -
     """Random DAG: upper-triangular edge inclusion under a random node relabeling.
 
     ``density`` is the inclusion probability of each of the d*(d-1)/2
-    candidate edges.
+    candidate edges, a real number in [0, 1].
     """
     d = _count(d, "node count")
-    if not 0.0 <= density <= 1.0:
-        raise ValidationError(f"edge density must lie in [0, 1], got {density}")
+    if not (_is_real(density) and 0.0 <= density <= 1.0):
+        raise ValidationError(f"edge density must lie in [0, 1], got {_shown(density)!r}")
     rng = _as_rng(seed_or_rng)
     label = rng.permutation(d) + 1
     edges = set()
@@ -70,13 +71,17 @@ def random_weighted_model(
 ) -> WeightedModel:
     """Random model with log-uniform weights on a random DAG.
 
+    ``weight_range`` is a pair of finite real numbers 0 < lo <= hi.
     ``polytree`` draws the DAG as a random polytree (ignoring ``density``);
     ``homogeneous`` replaces the random weights with the ancestor-count
     weights that make every path max-weighted.
     """
-    lo, hi = (float(w) for w in weight_range)
-    if not 0 < lo <= hi < np.inf:
-        raise ValidationError(f"weight range must satisfy 0 < lo <= hi < inf, got {weight_range}")
+    message = f"weight range must satisfy 0 < lo <= hi < inf, got {weight_range!r}"
+    if np.ndim(weight_range) != 1 or len(weight_range) != 2:
+        raise ValidationError(message)
+    lo, hi = _positive(weight_range, "weight range (0 < lo <= hi < inf)")
+    if lo > hi:
+        raise ValidationError(message)
     rng = _as_rng(seed_or_rng)
     dag = random_polytree(d, rng) if polytree else random_dag(d, density, rng)
     if homogeneous:

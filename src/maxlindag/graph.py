@@ -3,6 +3,9 @@
 Nodes are the integers ``1..d`` throughout; external naming is an I/O
 concern.  A :class:`Dag` is immutable after construction and rejects cyclic
 edge sets outright, so every derived value can be shared freely.
+
+One rule reads each kind of side information: ``_ordering`` for causal
+orderings of length d and ``_reach`` for reachability matrices.
 """
 from __future__ import annotations
 
@@ -242,12 +245,16 @@ def is_reachability_matrix(matrix: np.ndarray) -> bool:
     return bool((m[closure] == 1).all())
 
 
+def _reach(matrix: np.ndarray) -> np.ndarray:
+    # The one rule for a reachability input: the boolean matrix, or a raise.
+    if not is_reachability_matrix(matrix):
+        raise ValidationError("reachability input is not a reachability matrix of a DAG")
+    return np.asarray(matrix).astype(bool)
+
+
 def dag_from_reachability(matrix: np.ndarray) -> Dag:
     """DAG whose edges are all strict ancestor pairs of ``matrix``."""
-    m = np.asarray(matrix)
-    if not is_reachability_matrix(m):
-        raise ValidationError("matrix is not a reachability matrix of a DAG")
-    return _dag_on(m.astype(bool))
+    return _dag_on(_reach(matrix))
 
 
 def transitive_reduction(dag: Dag) -> Dag:
@@ -269,24 +276,30 @@ def _dag_on(pairs: np.ndarray) -> Dag:
     return Dag(len(pairs), zip((ks + 1).tolist(), (is_ + 1).tolist()))
 
 
-def validate_causal_ordering(dag: Dag, ordering: CausalOrdering | Sequence[int]) -> bool:
-    """True iff sigma(j) < sigma(i) for every ancestor j of every node i."""
+def _ordering(ordering: CausalOrdering | Sequence[int], d: int, against: str) -> CausalOrdering:
+    # A CausalOrdering, or positions sigma(1..d), of length d; `against` names what fixes d.
     if not isinstance(ordering, CausalOrdering):
         ordering = CausalOrdering(tuple(ordering))
-    if len(ordering) != dag.d:
-        raise ValidationError(f"ordering has length {len(ordering)}, DAG has {dag.d} nodes")
-    pos = ordering.positions
+    if len(ordering) != d:
+        raise ValidationError(f"ordering has length {len(ordering)}, {against}")
+    return ordering
+
+
+def validate_causal_ordering(dag: Dag, ordering: CausalOrdering | Sequence[int]) -> bool:
+    """True iff sigma(j) < sigma(i) for every ancestor j of every node i."""
+    pos = _ordering(ordering, dag.d, f"DAG has {dag.d} nodes").positions
     return all(pos[k - 1] < pos[i - 1] for k, i in dag.edges)
 
 
 def causal_orderings(dag: Dag, limit: int | None = None) -> Iterator[CausalOrdering]:
     """Yield causal orderings (linear extensions) in lexicographic node order.
 
-    Stops after ``limit`` orderings when given; the count can be factorial
-    in d even for moderate graphs.
+    Stops after ``limit`` orderings when given, a count of at least 1; the
+    count can be factorial in d even for moderate graphs.
     """
+    limit = None if limit is None else _count(limit, "ordering limit")
     indeg = {v: len(dag.parents(v)) for v in range(1, dag.d + 1)}
-    return islice(_extensions(dag, indeg, []), None if limit is None else max(limit, 0))
+    return islice(_extensions(dag, indeg, []), limit)
 
 
 def _extensions(dag: Dag, indeg: dict[int, int], prefix: list[int]) -> Iterator[CausalOrdering]:

@@ -14,9 +14,11 @@ to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`;
 (3) entries within ``tol`` of zero snap to zero; (4) a diagonal entry that
 is not positive raises :class:`NotRealizableError`.  The sum runs over the
 placed rows in node order for every caller, and a ``tol`` outside (0, 1)
-raises :class:`ValidationError` everywhere.  The enumerators output every
-model, or every max-weighted model, compatible with a given chi, and both
-accept a candidate through one function, ``_identified``.
+raises :class:`ValidationError` everywhere.  Every recovery then gates its
+output in ``_recover``: a support that is not a reachability matrix raises
+:class:`NotRealizableError`, since no model has one.  The enumerators
+output every model, or every max-weighted model, compatible with a given
+chi, and both accept a candidate through one function, ``_identified``.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .errors import (
     PatternMismatchError,
     ValidationError,
 )
-from .graph import CausalOrdering, Dag, _count, _node, is_reachability_matrix
+from .graph import CausalOrdering, Dag, _count, _ordering, is_reachability_matrix
 from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _analysis, is_mlcm
 from .taildep import (
@@ -76,9 +78,12 @@ def _settled_row(chi: np.ndarray, bbar: np.ndarray, node: int, forced: np.ndarra
 
 def _recover(chi: np.ndarray, order: list[int], support: np.ndarray, tol: float) -> np.ndarray:
     # Rows in `order` (0-based nodes); row j may be nonzero on support[j] only.
+    # The output support must be closed, but may be smaller than `support`.
     bbar = np.zeros(chi.shape)
     for node in order:
         bbar[node] = _settled_row(chi, bbar, node, ~support[node], tol)
+    if not is_reachability_matrix(bbar > 0):
+        raise NotRealizableError("the recovered support is not a reachability matrix of a DAG")
     return bbar
 
 
@@ -100,17 +105,11 @@ def recover_from_ordering(
     """
     _check_tol(tol)
     chi = validate_tdm(chi)
-    if not isinstance(ordering, CausalOrdering):
-        ordering = CausalOrdering(tuple(ordering))
     d = chi.shape[0]
-    if len(ordering) != d:
-        raise ValidationError(f"ordering has length {len(ordering)}, matrix is {d}x{d}")
+    ordering = _ordering(ordering, d, f"matrix is {d}x{d}")
     pos = np.asarray(ordering.positions)
     order = [v - 1 for v in ordering.node_order]
-    bbar = _recover(chi, order, pos[None, :] >= pos[:, None], tol)
-    if not is_reachability_matrix(bbar > 0):
-        raise NotRealizableError("the recovered support is not a reachability matrix of a DAG")
-    return bbar
+    return _recover(chi, order, pos[None, :] >= pos[:, None], tol)
 
 
 def recover_from_reachability(
@@ -123,20 +122,18 @@ def recover_from_reachability(
     Exact inverse of the tail dependence computation given the true
     reachability: rows are filled in increasing ancestor count, supported on
     De(j) only.  Raises :class:`PatternMismatchError` when the zero patterns
-    disagree and :class:`NotRealizableError` on negative recursion values or
-    a diagonal entry that is not positive.
+    disagree and :class:`NotRealizableError` on negative recursion values, a
+    diagonal entry that is not positive, or an output support that is not a
+    reachability matrix; that support may be smaller than ``reach``.
     """
     _check_tol(tol)
     chi = validate_tdm(chi)
-    reach = np.asarray(reach)
-    if not is_reachability_matrix(reach):
-        raise ValidationError("reachability input is not a reachability matrix of a DAG")
     if not independence_pattern_check(chi, reach):
         raise PatternMismatchError(
             "zero pattern of the tail dependence matrix does not match the "
             "common-ancestor pattern of the reachability matrix"
         )
-    reach = reach.astype(bool)
+    reach = np.asarray(reach).astype(bool)
     order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
     return _recover(chi, order, reach, tol)
 
@@ -195,15 +192,16 @@ def initial_bijection(
     """The unique dependence-preserving bijection between two initial sets.
 
     Maps each node of ``initials`` to the single node of ``other_initials``
-    it has positive tail dependence with.  Raises
-    :class:`NotRealizableError` when a match is missing, ambiguous, or the
-    map fails to be a bijection; the two sets then cannot be initial node
-    sets of models sharing ``chi``.
+    it has positive tail dependence with.  Each set must be nonempty, in
+    range and pairwise independent, or :class:`ValidationError` is raised.
+    Raises :class:`NotRealizableError` when a match is missing, ambiguous,
+    or the map fails to be a bijection; the two sets then cannot be initial
+    node sets of models sharing ``chi``.
     """
     chi = validate_tdm(chi)
     positive = _positive_mask(chi)
-    v0 = sorted({_node(v, len(chi)) for v in initials})
-    v0t = sorted({_node(v, len(chi)) for v in other_initials})
+    v0 = _independent_nodes(positive, initials, "initial nodes")
+    v0t = _independent_nodes(positive, other_initials, "initial nodes")
     if len(v0) != len(v0t):
         raise ValidationError(f"initial sets have different sizes: {len(v0)} vs {len(v0t)}")
     phi: dict[int, int] = {}

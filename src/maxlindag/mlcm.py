@@ -169,15 +169,18 @@ def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float
     """Inverse of :func:`standardize` up to column scaling.
 
     Maps ``b_ij -> beta_j * b_ij**(1/alpha)``; running :func:`standardize`
-    on the result with the same ``alpha`` recovers ``bbar``.  A column that
+    on the result with the same ``alpha`` recovers ``bbar``.  ``betas`` is
+    one scaling for every column or one per column.  A column that
     overflows, or whose diagonal entry underflows to zero, in float64
     raises :class:`IllConditionedError`.
     """
     bbar = _positive_diagonal(bbar)
     alpha = _tail_index(alpha)
-    if np.ndim(betas) == 0:
-        betas = (betas,)
-    beta = np.broadcast_to(np.asarray(_positive(betas, "column scalings")), (bbar.shape[0],))
+    d = bbar.shape[0]
+    beta = _positive((betas,) if np.ndim(betas) == 0 else betas, "column scalings")
+    if len(beta) not in (1, d):
+        raise ValidationError(f"expected 1 or {d} column scalings, got {len(beta)}")
+    beta = np.broadcast_to(np.asarray(beta), (d,))
     with np.errstate(all="ignore"):
         b = bbar ** (1.0 / alpha) * beta[None, :]
     return _kept_columns(b, 1.0 / alpha)

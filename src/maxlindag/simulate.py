@@ -40,7 +40,7 @@ from .errors import TailSampleError, ValidationError
 from .generate import _seed
 from .graph import _count
 from .mlcm import WeightedModel, _tail_index, mlcm_from_weights
-from .tolerance import _check_tol
+from .tolerance import _check_tol, _is_real
 
 _FAMILIES = ("pareto", "frechet")
 # Blocks per generator in scaled_block_maxima.  The reduction would run as
@@ -121,6 +121,14 @@ def _evaluate(mlcm: np.ndarray, z: np.ndarray) -> np.ndarray:
     return xt.T
 
 
+def _same_tail_index(model: WeightedModel, noise: NoiseSpec) -> None:
+    # The noise must have the model's tail index; checked before any draw.
+    if noise.alpha != model.alpha:
+        raise ValidationError(
+            f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
+        )
+
+
 def _noise_max_linear(mlcm: np.ndarray, noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
     # The model's values at the noise of the uniforms u, which it overwrites.
     # x_j >= b_jj * z_j with b_jj > 0, so an infinite noise value shows in x too.
@@ -141,10 +149,7 @@ def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleB
     silently change the standardized coefficient matrix the sample reflects.
     """
     n = _count(n, "sample size")
-    if noise.alpha != model.alpha:
-        raise ValidationError(
-            f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
-        )
+    _same_tail_index(model, noise)
     seed = _seed(seed)
     u = np.random.default_rng(seed).random((n, model.d))
     x = _noise_max_linear(mlcm_from_weights(model), noise, u)
@@ -193,6 +198,7 @@ def limit_cdf(
 
     where S holds every node without node arguments, {i} with ``i`` alone
     (the Frechet marginal) and {i, j} with both, ``x = (x_i, x_j)``.  The
+    point is real and positive (+inf allowed), not a bool or a string.  The
     normalizing sequence is ``n**(1/alpha)``.
     """
     if i is None and j is not None:
@@ -200,7 +206,10 @@ def limit_cdf(
     nodes = [v for v in (i, j) if v is not None] or range(1, model.d + 1)
     for v in nodes:
         model.dag._check_node(v)
-    point = np.asarray(x, dtype=float).reshape(len(nodes))
+    values = np.asarray(x, dtype=object).ravel()
+    if not all(_is_real(v) for v in values):
+        raise ValidationError(f"evaluation point must be real numbers, got {x!r}")
+    point = values.astype(float).reshape(len(nodes))
     if not (point > 0).all():
         raise ValidationError("evaluation point must be strictly positive")
     b = mlcm_from_weights(model)[:, [v - 1 for v in nodes]]
@@ -239,10 +248,7 @@ def scaled_block_maxima(
     """
     block_size = _count(block_size, "block size")
     n_blocks = _count(n_blocks, "block count")
-    if noise.alpha != model.alpha:
-        raise ValidationError(
-            f"noise tail index {noise.alpha} differs from model tail index {model.alpha}"
-        )
+    _same_tail_index(model, noise)
     seed = _seed(seed)
     d = model.d
     # The noise transform increases in u for Frechet and decreases for Pareto.

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, _bool_product, _node
+from .graph import Dag, _bool_product, _node, _reach
 from .mlcm import _finite_square, _positive_diagonal
 from .tolerance import DEFAULT_TOL, ZERO_TOL, _check_tol
 
@@ -117,10 +117,10 @@ def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
 
     The (i, j) entry of R^T R counts common ancestors, so this verifies
     that chi vanishes exactly on pairs with disjoint ancestor sets.  ``chi``
-    must pass :func:`validate_tdm`.
+    must pass :func:`validate_tdm` and ``reach`` :func:`is_reachability_matrix`.
     """
     chi = validate_tdm(chi)
-    reach = np.asarray(reach)
+    reach = _reach(reach)
     if chi.shape != reach.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
     return bool((_positive_mask(chi) == _bool_product(reach.T, reach)).all())

@@ -15,15 +15,22 @@ from maxlindag import (
     causal_orderings,
     clique_initial_filter,
     dag_from_reachability,
+    independence_pattern_check,
     initial_bijection,
     is_reachability_matrix,
     enumerate_all,
     max_weighted_triple,
+    ordering_from_initials,
     random_dag,
     random_weighted_model,
     reachability_matrix,
+    recover_from_ordering,
+    recover_from_reachability,
+    recover_rmwm_from_initials,
+    rmwm_equivalence_constraints,
     sample,
     scaled_block_maxima,
+    tdm_from_std_mlcm,
     transitive_reduction,
     validate_causal_ordering,
 )
@@ -79,6 +86,53 @@ def test_a_node_is_an_integer_in_range(call, node):
         BAD_NODE_CALLS[call](node)
 
 
+# Each call reads a set of initial nodes (or a clique) on the chain 1 -> 2 -> 3,
+# whose chi is positive everywhere.  Before one rule covered them all,
+# initial_bijection returned {} for two empty sets, and
+# rmwm_equivalence_constraints took a dependent pair as a set.
+CHAIN3 = Dag(3, {(1, 2), (2, 3)})
+CHAIN3_CHI = tdm_from_std_mlcm(CHAIN3_BBAR)
+NODE_SET_CALLS = {
+    "clique": lambda s: clique_initial_filter(CHAIN3_CHI, s),
+    "ordering_from_initials": lambda s: ordering_from_initials(CHAIN3_CHI, s),
+    "recover_rmwm_from_initials": lambda s: recover_rmwm_from_initials(CHAIN3_CHI, s),
+    "initial_bijection": lambda s: initial_bijection(CHAIN3_CHI, s, s),
+    "initial_bijection_other": lambda s: initial_bijection(CHAIN3_CHI, [3], s),
+    "equivalence": lambda s: rmwm_equivalence_constraints(CHAIN3_CHI, s, s, CHAIN3),
+    "equivalence_other": lambda s: rmwm_equivalence_constraints(CHAIN3_CHI, [1], s, CHAIN3),
+}
+
+
+@pytest.mark.parametrize("nodes,message", [
+    ([], r"no (initial nodes|clique) given"),
+    ([1, 3], "nodes 1 and 3 have positive tail dependence"),
+], ids=["empty", "dependent-pair"])
+@pytest.mark.parametrize("call", list(NODE_SET_CALLS), ids=list(NODE_SET_CALLS))
+def test_a_node_set_is_nonempty_and_independent(call, nodes, message):
+    with pytest.raises(ValidationError, match=message):
+        NODE_SET_CALLS[call](nodes)
+
+
+# Each call reads a reachability matrix.  Before one rule covered them all,
+# independence_pattern_check returned a verdict for each of these.
+REACH_CALLS = {
+    "dag_from_reachability": dag_from_reachability,
+    "independence_pattern_check": lambda r: independence_pattern_check(CHAIN3_CHI, r),
+    "recover_from_reachability": lambda r: recover_from_reachability(CHAIN3_CHI, r),
+}
+
+
+@pytest.mark.parametrize("matrix", [
+    2 * reachability_matrix(CHAIN3),
+    np.ones((3, 3), dtype=int),
+    np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+], ids=["twice-R", "all-ones", "intransitive"])
+@pytest.mark.parametrize("call", list(REACH_CALLS), ids=list(REACH_CALLS))
+def test_a_reachability_input_is_a_reachability_matrix(call, matrix):
+    with pytest.raises(ValidationError, match="reachability input is not a reachability matrix"):
+        REACH_CALLS[call](matrix)
+
+
 def test_numpy_integer_nodes_are_accepted():
     assert Dag(3, {(np.int64(1), np.int32(2))}).parents(np.int64(2)) == {1}
     assert CausalOrdering.from_node_order(np.array([3, 1, 2])).position(np.int64(3)) == 1
@@ -99,13 +153,21 @@ COUNT_CALLS = {
     "block_size": lambda n: scaled_block_maxima(_MODEL, _NOISE, n, 4, 1),
     "n_blocks": lambda n: scaled_block_maxima(_MODEL, _NOISE, 4, n, 1),
     "max_d": lambda n: enumerate_all(np.eye(2), max_d=n),
+    "causal_orderings": lambda n: causal_orderings(Dag(2), n),
 }
+# A count that may be None, which means no limit.  causal_orderings yielded
+# nothing for 0 and -1 and one ordering for True, and raised islice's
+# ValueError for 2.5.
+OPTIONAL_COUNTS = {"causal_orderings"}
 
 
 @pytest.mark.parametrize("count", [0, -1, 2.5, True, np.float64(3.0), np.bool_(True), "3", None],
                          ids=["0", "-1", "2.5", "True", "float64-3", "bool_-True", "str-3", "None"])
 @pytest.mark.parametrize("call", list(COUNT_CALLS), ids=list(COUNT_CALLS))
 def test_a_count_is_an_integer_of_at_least_one(call, count):
+    if count is None and call in OPTIONAL_COUNTS:
+        COUNT_CALLS[call](count)
+        return
     with pytest.raises(ValidationError, match="must be an integer of at least 1"):
         COUNT_CALLS[call](count)
 
@@ -244,8 +306,12 @@ class TestCausalOrdering:
             validate_causal_ordering(Dag(2, {(1, 2)}), [1, 1])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            validate_causal_ordering(Dag(3), CausalOrdering((1, 2)))
+        # One rule for both readers, each message naming what fixes d.
+        for ordering in (CausalOrdering((1, 2)), (1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValidationError, match=r"ordering has length \d, DAG has 3 nodes"):
+                validate_causal_ordering(Dag(3), ordering)
+            with pytest.raises(ValidationError, match=r"ordering has length \d, matrix is 3x3"):
+                recover_from_ordering(CHAIN3_CHI, ordering)
 
     def test_node_order_round_trip(self):
         sigma = CausalOrdering.from_node_order([2, 4, 1, 3])
@@ -286,6 +352,16 @@ class TestCausalOrderingEnumeration:
             ours = [o.node_order for o in causal_orderings(dag)]
             assert sorted(ours) == oracles.linear_extensions(d, set(dag.edges))
             assert len(set(ours)) == len(ours)
+
+
+@pytest.mark.parametrize("density", [True, "0.5", -0.1, 1.5, np.nan],
+                         ids=["True", "str-0.5", "-0.1", "1.5", "nan"])
+def test_density_is_a_real_number_in_the_unit_interval(density):
+    # True once drew a complete DAG and "0.5" raised TypeError.
+    for call in (lambda: random_dag(3, density, 1),
+                 lambda: random_weighted_model(3, density=density, seed_or_rng=1)):
+        with pytest.raises(ValidationError, match=r"edge density must lie in \[0, 1\]"):
+            call()
 
 
 @settings(max_examples=30)

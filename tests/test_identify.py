@@ -32,6 +32,7 @@ from maxlindag import (
     NotRealizableError,
     PatternMismatchError,
     ValidationError,
+    WeightedModel,
     causal_orderings,
     check_rmwm_tdm,
     clique_initial_filter,
@@ -109,8 +110,8 @@ def recovers(chi, order, bbar) -> bool:
 def assert_same_as_row_loop(recover, chi, order, reach=None):
     """``recover()`` equals the one-row-at-a-time loop bit for bit, or both reject.
 
-    Without ``reach`` (a recovery from an ordering) the loop's matrix counts
-    as rejected too when its support is not a reachability matrix.
+    The loop's matrix counts as rejected too when its support is not a
+    reachability matrix: every recovery gates its output on that.
     """
     try:
         expected = oracles.recover_by_rows(chi, order, reach)
@@ -119,7 +120,7 @@ def assert_same_as_row_loop(recover, chi, order, reach=None):
     if (
         expected is None
         or (np.diag(expected) <= 0).any()
-        or (reach is None and not is_reachability_support(expected))
+        or not is_reachability_support(expected)
     ):
         with pytest.raises(NotRealizableError):
             recover()
@@ -209,6 +210,39 @@ class TestRecoverFromReachability:
         for entry in corpus[:250]:
             out = recover_from_reachability(entry.chi, entry.reach)
             np.testing.assert_allclose(out, entry.bbar, atol=1e-9)
+
+    def test_support_that_is_not_closed_raises(self):
+        # The chain 1 -> 2 -> 3 with edge weights 1e-5 has bbar_13 near
+        # 1e-10, which the row recursion snaps to zero: the support keeps
+        # 1 -> 2 and 2 -> 3 but not 1 -> 3, and no model has that matrix.
+        model = WeightedModel(CHAIN3, {(1, 2): 1e-5, (2, 3): 1e-5}, (1.0, 1.0, 1.0), 1.0)
+        bbar = standardize(mlcm_from_weights(model), 1.0)
+        assert 0.0 < bbar[0, 2] < 1e-9
+        chi = tdm_from_std_mlcm(bbar)
+        with pytest.raises(NotRealizableError, match="support is not a reachability matrix"):
+            recover_from_reachability(chi, reachability_matrix(CHAIN3))
+        with pytest.raises(NotRealizableError, match="support is not a reachability matrix"):
+            recover_from_ordering(chi, (1, 2, 3))
+
+    def test_d200_snapped_entries_raise(self):
+        # Two true entries of this model lie in (0, 1e-9]; the snap once
+        # returned a matrix without them.
+        model = random_weighted_model(200, density=0.3, seed_or_rng=2)
+        chi = tdm_from_std_mlcm(standardize(mlcm_from_weights(model), model.alpha))
+        with pytest.raises(NotRealizableError, match="support is not a reachability matrix"):
+            recover_from_reachability(chi, reachability_matrix(model.dag))
+
+    def test_model_on_a_sub_dag_recovers_its_own_matrix(self):
+        # The fork 2 <- 1 -> 3 and the chain 1 -> 2 -> 3 have the same
+        # common-ancestor pattern; given the chain, the gate asks for a
+        # closed support, not for the chain's.
+        fork = Dag(3, {(1, 2), (1, 3)})
+        model = WeightedModel(fork, {(1, 2): 0.5, (1, 3): 2.0}, (1.0, 1.0, 1.0), 1.0)
+        bbar = standardize(mlcm_from_weights(model), 1.0)
+        chi = tdm_from_std_mlcm(bbar)
+        out = recover_from_reachability(chi, reachability_matrix(CHAIN3))
+        assert np.array_equal(out, recover_from_reachability(chi, reachability_matrix(fork)))
+        np.testing.assert_allclose(out, bbar, atol=1e-15)
 
 
 class TestRecoverFromOrdering:

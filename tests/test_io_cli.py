@@ -208,6 +208,33 @@ class TestCliRecover:
         assert code == 1
         assert "rejected" in err
 
+    def test_reachability_support_that_is_not_closed_is_domain_rejection(
+        self, capsys, tmp_path
+    ):
+        # Edge weights 1e-5 leave bbar_13 near 1e-10, which the row recursion
+        # snaps to zero: a support without 1 -> 3 that no model has.
+        model = WeightedModel(Dag(3, {(1, 2), (2, 3)}), {(1, 2): 1e-5, (2, 3): 1e-5},
+                              (1.0, 1.0, 1.0), 1.0)
+        chi, reach = tmp_path / "chi.csv", tmp_path / "reach.csv"
+        write_matrix(tdm_from_std_mlcm(standardize(mlcm_from_weights(model), 1.0)), chi)
+        write_matrix(reachability_matrix(model.dag), reach)
+        code, out, err = run(capsys, "recover", "--chi", str(chi), "--reachability", str(reach))
+        assert (code, out) == (1, "")
+        assert "support is not a reachability matrix" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--ordering", "1,2", "ordering has length 2, matrix is 4x4"),
+        ("--reachability", np.ones((4, 4)), "reachability input is not a reachability matrix"),
+    ], ids=["ordering-length", "all-ones-reachability"])
+    def test_malformed_side_information_exits_two(self, capsys, two_cliques_chi_file, tmp_path,
+                                                  flag, value, message):
+        if flag == "--reachability":
+            write_matrix(value, tmp_path / "reach.csv")
+            value = str(tmp_path / "reach.csv")
+        code, out, err = run(capsys, "recover", "--chi", two_cliques_chi_file, flag, value)
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestCliEnumerate:
     def test_rmwm_enumeration_output(self, capsys, two_cliques_chi_file):

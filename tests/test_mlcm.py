@@ -47,6 +47,13 @@ class TestWeightedModelValidation:
                 WeightedModel(dag, {(1, 2): bad}, (1.0, 1.0), 1.0)
             with pytest.raises(ValidationError, match="noise scales must be finite and strictly"):
                 WeightedModel(dag, {(1, 2): 1.0}, (1.0, bad), 1.0)
+            with pytest.raises(ValidationError, match=r"weight range \(0 < lo <= hi < inf\)"):
+                random_weighted_model(3, weight_range=(0.5, bad), seed_or_rng=1)
+        # The range is a pair with lo <= hi.  ("0.5", "2") was once taken as
+        # numbers and (0.5,) raised an unpacking ValueError.
+        for bad in ((0.5,), (0.5, 1.0, 2.0), 0.5, (2.0, 0.5)):
+            with pytest.raises(ValidationError, match="weight range must satisfy 0 < lo <= hi"):
+                random_weighted_model(3, weight_range=bad, seed_or_rng=1)
 
     def test_alpha_must_be_finite_positive(self):
         dag = Dag(1)
@@ -186,6 +193,10 @@ class TestDestandardize:
             for betas in ((1.0, bad), bad):
                 with pytest.raises(ValidationError, match="column scalings must be finite"):
                     destandardize(np.eye(2), betas, 1.0)
+        # One scaling or one per column; three once raised numpy's broadcast error.
+        for betas in ((1.0, 2.0, 3.0), ()):
+            with pytest.raises(ValidationError, match=r"expected 1 or 2 column scalings, got \d"):
+                destandardize(np.eye(2), betas, 1.0)
 
     @pytest.mark.parametrize(
         "bbar,column",

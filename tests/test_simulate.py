@@ -81,9 +81,11 @@ class TestSample:
         block = sample(model, NoiseSpec("pareto", 2.0), 4000, seed=5)
         assert block.values.min() >= 1.0
 
-    def test_alpha_mismatch_rejected(self):
+    def test_alpha_mismatch_rejected(self, monkeypatch):
+        # Checked before any uniform is drawn.
+        monkeypatch.setattr(np.random, "default_rng", None)
         model = single_edge_model(0.5, alpha=1.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="differs from model tail index"):
             sample(model, NoiseSpec("frechet", 2.0), 10, seed=0)
 
     def test_sample_size_validated(self):
@@ -269,6 +271,10 @@ class TestLimitCdf:
             limit_cdf(model, np.nan, i=1)
         with pytest.raises(ValidationError, match="strictly positive"):
             limit_cdf(random_weighted_model(3, seed_or_rng=1), [1.0, np.nan, 2.0])
+        # A bool or a string is not a point; "1" once evaluated as 1.0.
+        for point in ("1", True, np.array([True]), (1.0, True)):
+            with pytest.raises(ValidationError, match="evaluation point must be real numbers"):
+                limit_cdf(model, point, i=1, j=None if np.ndim(point) == 0 else 2)
 
     def test_unit_frechet_points_of_standardized_model(self):
         model = model_from_std_mlcm(BBAR_TWO_CLIQUES_MW, 1.0)
@@ -304,9 +310,11 @@ class TestScaledBlockMaxima:
             )
             assert distance <= 0.03
 
-    def test_alpha_mismatch_rejected(self):
+    def test_alpha_mismatch_rejected(self, monkeypatch):
+        # Checked before any uniform is drawn.
+        monkeypatch.setattr(np.random, "default_rng", None)
         model = single_edge_model(0.5, alpha=2.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="differs from model tail index"):
             scaled_block_maxima(model, NoiseSpec("frechet", 1.0), 10, 10, seed=0)
 
 
