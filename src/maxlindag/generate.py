@@ -33,12 +33,9 @@ def random_dag(d: int, density: float, seed_or_rng: int | np.random.Generator) -
         raise ValidationError(f"edge density must lie in [0, 1], got {_shown(density)!r}")
     rng = _as_rng(seed_or_rng)
     label = rng.permutation(d) + 1
-    edges = set()
-    for a in range(d):
-        for b in range(a + 1, d):
-            if rng.random() < density:
-                edges.add((int(label[a]), int(label[b])))
-    return Dag(d, edges)
+    a, b = np.triu_indices(d, 1)  # the candidate pairs, row by row
+    keep = rng.random(d * (d - 1) // 2) < density
+    return Dag(d, zip(label[a[keep]].tolist(), label[b[keep]].tolist()))
 
 
 def random_polytree(d: int, seed_or_rng: int | np.random.Generator) -> Dag:

@@ -4,8 +4,9 @@ Nodes are the integers ``1..d`` throughout; external naming is an I/O
 concern.  A :class:`Dag` is immutable after construction and rejects cyclic
 edge sets outright, so every derived value can be shared freely.
 
-One rule reads each kind of side information: ``_ordering`` for causal
-orderings of length d and ``_reach`` for reachability matrices.
+One rule reads each kind of input: ``_node`` for nodes, ``_edge`` for
+edges (a pair of distinct nodes), ``_ordering`` for causal orderings of
+length d and ``_reach`` for reachability matrices.
 """
 from __future__ import annotations
 
@@ -32,6 +33,18 @@ def _node(v: int, d: int) -> int:
     return int(v)
 
 
+def _edge(pair, d: int) -> tuple[int, int]:
+    # The edge k -> i as a pair of distinct nodes; anything else raises.
+    try:
+        k, i = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"edge {pair!r} is not a pair of nodes") from None
+    k, i = _node(k, d), _node(i, d)
+    if k == i:
+        raise ValidationError(f"self loop at node {k}")
+    return k, i
+
+
 def _count(n: int, what: str) -> int:
     # The count n as a Python int; anything but an integer of at least 1 raises.
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -54,8 +67,8 @@ class Dag:
     """Directed acyclic graph on nodes ``{1..d}``.
 
     ``edges`` holds ordered pairs ``(k, i)`` for an edge ``k -> i``.
-    Construction validates node ranges, forbids self loops, and runs a
-    Kahn-style topological sort; a cyclic edge set raises :class:`CycleError`
+    Construction reads each edge as a pair of distinct nodes in 1..d and
+    runs a Kahn-style topological sort; a cyclic edge set raises :class:`CycleError`
     rather than producing a half-valid object.
 
     Ancestor and descendant queries, and :func:`reachability_matrix`, read
@@ -73,10 +86,7 @@ class Dag:
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
         d = _count(d, "node count")
-        edge_set = frozenset((_node(k, d), _node(i, d)) for k, i in edges)
-        for k, i in edge_set:
-            if k == i:
-                raise ValidationError(f"self loop at node {k}")
+        edge_set = frozenset(_edge(pair, d) for pair in edges)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edge_set)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .graph import Dag
 from .mlcm import WeightedModel
 
@@ -70,7 +70,7 @@ def loads_model(text: str) -> WeightedModel:
     try:
         dag = Dag(d, set(edges))
         return WeightedModel(dag, edges, scales, alpha)
-    except Exception as exc:
+    except ValidationError as exc:
         raise FormatError(f"model file does not describe a valid model: {exc}") from exc
 
 

@@ -33,13 +33,14 @@ it: ``_tail_index``, ``_positive`` (weights and scalings), ``_finite_square``
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, _dag_on, _node, is_reachability_matrix
+from .graph import Dag, _dag_on, _edge, _node, is_reachability_matrix
 from .tolerance import DEFAULT_TOL, Verdict, _check_tol, _is_real, _shown, rel_residuals
 
 # Element cap on each temporary of the through kernel.
@@ -61,7 +62,7 @@ class WeightedModel:
     alpha: float
 
     def __post_init__(self):
-        keys = [(int(k), int(i)) for k, i in self.edge_weights]
+        keys = [_edge(pair, self.dag.d) for pair in self.edge_weights]
         weights = dict(zip(keys, _positive(self.edge_weights.values(), "edge weights")))
         if set(weights) != set(self.dag.edges):
             raise ValidationError("edge_weights keys must match the DAG edge set")
@@ -80,15 +81,16 @@ class WeightedModel:
 
 def _tail_index(alpha: float) -> float:
     # The one tail index rule: a real number, finite and positive.
-    if not (_is_real(alpha) and 0.0 < alpha < np.inf):
+    if not (_is_real(alpha) and 0.0 < alpha <= sys.float_info.max):
         raise ValidationError(f"tail index must be finite and positive, got {_shown(alpha)!r}")
     return float(alpha)
 
 
 def _positive(values: Iterable[float], what: str) -> tuple[float, ...]:
     # The one rule for weights and scalings: finite real numbers above zero.
+    # An integer beyond float64 is not finite here: float() would overflow.
     values = tuple(values)
-    if not all(_is_real(c) and 0.0 < c < np.inf for c in values):
+    if not all(_is_real(c) and 0.0 < c <= sys.float_info.max for c in values):
         raise ValidationError(f"{what} must be finite and strictly positive")
     return tuple(float(c) for c in values)
 

@@ -11,18 +11,19 @@ multiplication as in the dense evaluation and the maximum is exact, so the
 samples equal the dense ones bit for bit.  A draw that overflows float64
 raises :class:`ValidationError`.
 
-Block maxima use max-stability: a componentwise maximum of X over a block
-is the same max-linear map applied to the block maxima of the noise, so
-each block reduces its uniforms first and transforms and evaluates one row.
-The reduction is exact.  Clipping is monotone, the Frechet transform
-increases in u and the Pareto transform decreases in it, so the block
-maximum (Frechet) or minimum (Pareto) of u yields the block maximum of the
-noise.  A product with a positive ``b_ji`` rounds monotonically, so
-``max_r fl(b_ji * z_r) = fl(b_ji * max_r z_r)``, and maxima over rows and
-over j commute.  The result therefore equals the maxima of the per-draw
-samples to the bit whenever numpy's ``log`` and ``power`` are monotone on
-the drawn values, and the maximal noise overflows exactly when some draw
-of the block does.
+Block maxima take each block's extreme uniform from its law instead of
+drawing the block: the maximum of n independent uniforms has CDF u**n, the
+law of V**(1/n) for one uniform V, and their minimum has the law of
+1 - V**(1/n) (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+ch. V).  Clipping is monotone, the Frechet transform increases in u and the
+Pareto transform decreases in it, and a product with a positive ``b_ji`` is
+monotone, so maxima over draws and over parents commute: the componentwise
+block maximum of X is the model evaluated at the block maximum of the noise,
+which is the noise of the block maximum (Frechet) or minimum (Pareto) of u.
+So one generator ``default_rng(seed)`` draws one uniform per block and node:
+O(n_blocks * d) draws and memory and O(n_blocks * nnz(B)) evaluation,
+whatever the block size.  An unscaled block maximum that overflows float64
+raises, as a draw of :func:`sample` does.
 
 The empirical tail dependence estimator is the standard exceedance ratio
 above empirical marginal quantiles.  The limit distribution of scaled
@@ -43,10 +44,6 @@ from .mlcm import WeightedModel, _tail_index, mlcm_from_weights
 from .tolerance import _check_tol, _is_real
 
 _FAMILIES = ("pareto", "frechet")
-# Blocks per generator in scaled_block_maxima.  The reduction would run as
-# well in one piece; the chunks stay because they fix the seeded stream:
-# chunk c draws from SeedSequence((seed, c)).
-_CHUNK_BLOCKS = 128
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,8 @@ def limit_cdf(
 
     where S holds every node without node arguments, {i} with ``i`` alone
     (the Frechet marginal) and {i, j} with both, ``x = (x_i, x_j)``.  The
-    point is real and positive (+inf allowed), not a bool or a string.  The
-    normalizing sequence is ``n**(1/alpha)``.
+    point holds one real, positive value per node of S (+inf allowed), not
+    a bool or a string.  The normalizing sequence is ``n**(1/alpha)``.
     """
     if i is None and j is not None:
         raise ValidationError("a bivariate evaluation needs both node arguments")
@@ -209,7 +206,12 @@ def limit_cdf(
     values = np.asarray(x, dtype=object).ravel()
     if not all(_is_real(v) for v in values):
         raise ValidationError(f"evaluation point must be real numbers, got {x!r}")
-    point = values.astype(float).reshape(len(nodes))
+    if values.size != len(nodes):
+        raise ValidationError(
+            f"evaluation point {x!r} needs one value per evaluated node, "
+            f"{len(nodes)}, got {values.size}"
+        )
+    point = values.astype(float)
     if not (point > 0).all():
         raise ValidationError("evaluation point must be strictly positive")
     b = mlcm_from_weights(model)[:, [v - 1 for v in nodes]]
@@ -236,30 +238,20 @@ def scaled_block_maxima(
     """Componentwise block maxima scaled by ``block_size**(-1/alpha)``.
 
     Returns an ``(n_blocks, d)`` array whose rows converge in distribution
-    to the limit law of :func:`limit_cdf`.  Blocks are generated in chunks
-    of ``_CHUNK_BLOCKS``, each chunk from its own generator seeded by
-    ``(seed, chunk_index)``; results are bit-reproducible for a given seed
-    and chunks could be generated concurrently without changing them.
-
-    Each block's uniforms are reduced to their extreme before any transform
-    (see the module docstring for why this is exact), so the draws cost
-    O(n_blocks * block_size * d) and the transform and the evaluation
-    O(n_blocks * nnz(B)).
+    to the limit law of :func:`limit_cdf`, reproducible per seed.  One
+    generator ``default_rng(seed)`` draws one uniform per block and node,
+    and each becomes the block's extreme uniform through its law (see the
+    module docstring): O(n_blocks * d) draws and memory and
+    O(n_blocks * nnz(B)) evaluation.  An unscaled block maximum that
+    overflows float64 raises :class:`ValidationError`.
     """
     block_size = _count(block_size, "block size")
     n_blocks = _count(n_blocks, "block count")
     _same_tail_index(model, noise)
-    seed = _seed(seed)
-    d = model.d
-    # The noise transform increases in u for Frechet and decreases for Pareto.
-    extreme = np.max if noise.family == "frechet" else np.min
-    # Block extremes of u, one row per node: the reduction runs over
-    # contiguous memory, and the transpose is the (n_blocks, d) noise.
-    ut = np.empty((d, n_blocks))
-    for chunk_index, done in enumerate(range(0, n_blocks, _CHUNK_BLOCKS)):
-        take = min(_CHUNK_BLOCKS, n_blocks - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        draws = rng.random((take * block_size, d)).T.copy()
-        extreme(draws.reshape(d, take, block_size), axis=2, out=ut[:, done : done + take])
-    x = _noise_max_linear(mlcm_from_weights(model), noise, ut.T)
+    u = np.random.default_rng(_seed(seed)).random((n_blocks, model.d))
+    if noise.family == "frechet":
+        u **= 1.0 / block_size  # the maximum of block_size uniforms
+    else:
+        u = -np.expm1(np.log(u) / block_size)  # their minimum
+    x = _noise_max_linear(mlcm_from_weights(model), noise, u)
     return x * float(block_size) ** (-1.0 / model.alpha)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import IllConditionedError, ValidationError
 from .graph import Dag, _bool_product, _node, _reach
 from .mlcm import _finite_square, _positive_diagonal
-from .tolerance import DEFAULT_TOL, ZERO_TOL, _check_tol
+from .tolerance import DEFAULT_TOL, ZERO_TOL, _check_tol, _shown
 
 # Element cap on each temporary of the min-sum kernel.
 _MIN_SUM_BLOCK = 1 << 16
@@ -176,6 +176,12 @@ def _bron_kerbosch(
 
 def _independent_nodes(positive: np.ndarray, nodes: Sequence[int], name: str) -> list[int]:
     # Sorted distinct nodes, checked in range and pairwise independent.
+    try:
+        nodes = list(nodes)
+    except TypeError:
+        raise ValidationError(
+            f"{name} must be a collection of nodes, got {_shown(nodes)!r}"
+        ) from None
     w = sorted({_node(v, positive.shape[0]) for v in nodes})
     if not w:
         raise ValidationError(f"no {name} given")

@@ -410,6 +410,17 @@ def enumerate_by_permutation_scan(chi: np.ndarray, tol: float = 1e-9) -> set[byt
     return found
 
 
+def random_dag_edges(d: int, density: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+    """Edges of a random DAG: one scalar draw per candidate pair, in a nested loop."""
+    label = rng.permutation(d) + 1
+    edges = set()
+    for a in range(d):
+        for b in range(a + 1, d):
+            if rng.random() < density:
+                edges.add((int(label[a]), int(label[b])))
+    return edges
+
+
 def kolmogorov_distance(sample: np.ndarray, cdf) -> float:
     """Sup distance between the empirical CDF of ``sample`` and ``cdf``."""
     xs = np.sort(np.asarray(sample, dtype=float))
@@ -438,14 +449,16 @@ def max_linear_sample(b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def scaled_block_maxima(
     b: np.ndarray, family: str, alpha: float, block_size: int, n_blocks: int, seed: int,
-    chunk_blocks: int,
 ) -> np.ndarray:
-    """Block maxima of dense samples, chunk c drawn from the seed ``(seed, c)``."""
-    d = b.shape[0]
-    chunks = []
-    for c, start in enumerate(range(0, n_blocks, chunk_blocks)):
-        take = min(chunk_blocks, n_blocks - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
-        x = max_linear_sample(b, noise(rng, family, alpha, (take * block_size, d)))
-        chunks.append(x.reshape(take, block_size, d).max(axis=1))
-    return np.concatenate(chunks) * float(block_size) ** (-1.0 / alpha)
+    """Block maxima of dense per-draw samples, every draw of every block from ``seed``."""
+    rng = np.random.default_rng(seed)
+    x = max_linear_sample(b, noise(rng, family, alpha, (n_blocks * block_size, b.shape[0])))
+    return x.reshape(n_blocks, block_size, -1).max(axis=1) * float(block_size) ** (-1.0 / alpha)
+
+
+def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup distance between the empirical CDFs of ``a`` and ``b``."""
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())

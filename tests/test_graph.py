@@ -11,6 +11,7 @@ from maxlindag import (
     Dag,
     NoiseSpec,
     ValidationError,
+    WeightedModel,
     ancestral_sets,
     causal_orderings,
     clique_initial_filter,
@@ -53,6 +54,14 @@ class TestDagConstruction:
         with pytest.raises(ValidationError):
             Dag(0)
 
+    @pytest.mark.parametrize("edges", [[(1, 2, 3)], [1], [(1,)], ["123"]],
+                             ids=["triple", "int", "single", "str"])
+    def test_an_edge_is_a_pair_of_nodes(self, edges):
+        with pytest.raises(ValidationError, match="is not a pair of nodes"):
+            Dag(3, edges)
+        with pytest.raises(ValidationError, match="is not a pair of nodes"):
+            WeightedModel(Dag(3, {(1, 2)}), dict.fromkeys(edges, 0.5), (1.0,) * 3, 1.0)
+
     def test_duplicate_edges_collapse(self):
         dag = Dag(2, [(1, 2), (1, 2)])
         assert dag.edges == frozenset({(1, 2)})
@@ -63,7 +72,8 @@ class TestDagConstruction:
 
 
 # Each call takes a node on three nodes.  Node 0 once wrapped to node 3 in
-# initial_bijection, and 2.5 was truncated to 2.
+# initial_bijection, and 2.5 was truncated to 2; WeightedModel once read the
+# edge-weight keys (2.5, 2), (True, 2) and ("2", 2) as integers.
 CHAIN3_BBAR = np.array([[1.0, 0.5, 0.25], [0.0, 0.5, 0.25], [0.0, 0.0, 0.5]])
 BAD_NODE_CALLS = {
     "edge": lambda v: Dag(3, {(1, v)}),
@@ -75,6 +85,7 @@ BAD_NODE_CALLS = {
     "max_weighted_triple": lambda v: max_weighted_triple(CHAIN3_BBAR, 1, v, 3),
     "clique": lambda v: clique_initial_filter(np.eye(3), [1, v]),
     "initial_bijection": lambda v: initial_bijection(np.eye(3), [v], [1]),
+    "edge_weight": lambda v: WeightedModel(Dag(3, {(1, 2)}), {(v, 2): 0.5}, (1.0,) * 3, 1.0),
 }
 
 
@@ -88,8 +99,9 @@ def test_a_node_is_an_integer_in_range(call, node):
 
 # Each call reads a set of initial nodes (or a clique) on the chain 1 -> 2 -> 3,
 # whose chi is positive everywhere.  Before one rule covered them all,
-# initial_bijection returned {} for two empty sets, and
-# rmwm_equivalence_constraints took a dependent pair as a set.
+# initial_bijection returned {} for two empty sets,
+# rmwm_equivalence_constraints took a dependent pair as a set, and an
+# integer raised a bare TypeError.
 CHAIN3 = Dag(3, {(1, 2), (2, 3)})
 CHAIN3_CHI = tdm_from_std_mlcm(CHAIN3_BBAR)
 NODE_SET_CALLS = {
@@ -106,7 +118,9 @@ NODE_SET_CALLS = {
 @pytest.mark.parametrize("nodes,message", [
     ([], r"no (initial nodes|clique) given"),
     ([1, 3], "nodes 1 and 3 have positive tail dependence"),
-], ids=["empty", "dependent-pair"])
+    (1, "must be a collection of nodes, got 1"),
+    (np.int64(1), "must be a collection of nodes, got 1"),
+], ids=["empty", "dependent-pair", "int", "int64"])
 @pytest.mark.parametrize("call", list(NODE_SET_CALLS), ids=list(NODE_SET_CALLS))
 def test_a_node_set_is_nonempty_and_independent(call, nodes, message):
     with pytest.raises(ValidationError, match=message):
@@ -369,3 +383,15 @@ def test_density_is_a_real_number_in_the_unit_interval(density):
 def test_random_dag_is_always_acyclic(d, density, seed):
     dag = random_dag(d, density, seed)
     assert len(dag.topological_order()) == d
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 40])
+@pytest.mark.parametrize("density", [0, 0.3, 0.9, 1])
+def test_random_dag_draws_as_the_nested_loop(d, density):
+    # One draw per candidate pair, in the loop's order: the same edges, and
+    # the generator left where the loop leaves it, so the weights that
+    # random_weighted_model draws next stay the same too.
+    for seed in range(20):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_dag(d, density, rng).edges == oracles.random_dag_edges(d, density, reference)
+        assert rng.random() == reference.random()

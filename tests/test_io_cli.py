@@ -62,6 +62,10 @@ class TestModelFiles:
         ("edges", "[[1.0, 2, 0.5]]", "an edge node has the wrong type"),
         ("edges", '[[1, 2, "0.5"]]', "the weight of edge 1->2 has the wrong type"),
         ("edges", "[[1, 2, 0.5], [1, 2, 0.7]]", "lists edge 1->2 twice"),
+        # Integers beyond float64 break the number rules, not float().
+        ("alpha", "1" + "0" * 400, "tail index must be finite and positive"),
+        ("noise_scales", "[1, 1" + "0" * 400 + "]", "noise scales must be finite"),
+        ("edges", "[[1, 2, 1" + "0" * 400 + "]]", "edge weights must be finite"),
     ])
     def test_malformed_values_raise(self, capsys, tmp_path, field, value, message):
         fields = {"alpha": "1.0", "d": "2", "noise_scales": "[1, 2.5]", "edges": "[[1, 2, 0.5]]"}

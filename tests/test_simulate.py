@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,6 +108,46 @@ def overflowing_model() -> WeightedModel:
     return random_weighted_model(5, density=0.5, alpha=0.01, seed_or_rng=1)
 
 
+def assert_block_maxima_match_reference(model, family, block_size, n_blocks, seed):
+    """Scaled block maxima against per-draw samples: to rounding for Frechet
+    noise, in law for Pareto noise.
+
+    Frechet noise is max-stable, so the scaled block maximum made from the
+    uniform v is what ``sample`` draws from the same v, up to rounding.  With
+    eps = 2**-52 and numpy's pow and log within one ulp, w = v**(1/b) is off
+    by at most eps absolutely, which moves -log(w) = -log(v)/b by a relative
+    eps * b / |log v|; the other roundings of either path add a few eps, and
+    the exponent -1/alpha divides the error of -log by alpha.  Rounding the
+    exponent shifts both the noise and the scaling b**(-1/alpha) and cancels
+    to first order.  So every value lies within eps * ((b / L + 4) / alpha
+    + 5) of the sample, L the smallest |log v| of its row: the bound grows
+    with b.
+
+    For Pareto noise each margin is compared with the maxima of dense
+    per-draw samples.  Through the continuous law of the margin, the
+    two-sample distance is at most the sum of the two one-sample distances,
+    and each exceeds sqrt(log(4 / delta) / (2 n)) with probability at most
+    delta / 2 (Dvoretzky-Kiefer-Wolfowitz with Massart's constant), so a
+    margin fails with probability at most delta = 1e-6.
+    """
+    alpha, d = model.alpha, model.d
+    maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), block_size, n_blocks, seed)
+    if family == "frechet":
+        v = np.random.default_rng(seed).random((n_blocks, d))
+        lowest = np.abs(np.log(v)).min(axis=1, keepdims=True)
+        expected = sample(model, NoiseSpec("frechet", alpha), n_blocks, seed).values
+        bound = np.finfo(float).eps * ((block_size / lowest + 4) / alpha + 5)
+        assert (np.abs(maxima / expected - 1) <= bound).all(), block_size
+    else:
+        expected = oracles.scaled_block_maxima(
+            mlcm_from_weights(model), family, alpha, block_size, n_blocks, seed + 1
+        )
+        bound = 2 * np.sqrt(np.log(4 / 1e-6) / (2 * n_blocks))
+        for i in range(d):
+            distance = oracles.two_sample_ks(maxima[:, i], expected[:, i])
+            assert distance <= bound, (block_size, i)
+
+
 class TestColumnKernel:
     """The support-restricted kernel against the dense product over all of B."""
 
@@ -133,29 +174,19 @@ class TestColumnKernel:
     @pytest.mark.parametrize("family", ["pareto", "frechet"])
     @pytest.mark.parametrize("kind", ["general", "polytree", "homogeneous"])
     def test_block_maxima_equal_dense_reference(self, kind, family, alpha):
-        # The oracle takes the maxima of the dense per-draw samples, so this
-        # checks the reduction of the uniforms to their block extremes.  300
-        # blocks in chunks of 128 make the last chunk short; blocks of one
-        # draw leave nothing to reduce.
+        # A block of one draw is one draw of the model; blocks of 10 000
+        # draws test the Frechet rounding bound at a large block size.
         model = kind_model(kind, 6, alpha, seed=11)
-        for block_size in (1, 150):
-            maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), block_size, 300, seed=5)
-            expected = oracles.scaled_block_maxima(
-                mlcm_from_weights(model), family, alpha, block_size, 300, 5, chunk_blocks=128
-            )
-            assert np.array_equal(maxima, expected), block_size
+        for block_size in (1, 50, 10_000) if family == "frechet" else (1, 50):
+            assert_block_maxima_match_reference(model, family, block_size, 4000, seed=5)
 
     @pytest.mark.parametrize("family,alpha", [("pareto", 2.0), ("frechet", 1.0)])
     def test_block_maxima_across_row_blocks(self, family, alpha):
         # More blocks than the kernel's row block, so the block extremes are
         # evaluated in three row blocks.
-        n_blocks = 2 * _ROWS + 17
         model = kind_model("general", 6, alpha, seed=4)
-        maxima = scaled_block_maxima(model, NoiseSpec(family, alpha), 1, n_blocks, seed=3)
-        expected = oracles.scaled_block_maxima(
-            mlcm_from_weights(model), family, alpha, 1, n_blocks, 3, chunk_blocks=128
-        )
-        assert np.array_equal(maxima, expected)
+        for block_size in (1, 3):
+            assert_block_maxima_match_reference(model, family, block_size, 2 * _ROWS + 17, seed=3)
 
     def test_empirical_tdm_counts_are_exact(self):
         model = kind_model("general", 8, 1.0, seed=3)
@@ -276,6 +307,14 @@ class TestLimitCdf:
             with pytest.raises(ValidationError, match="evaluation point must be real numbers"):
                 limit_cdf(model, point, i=1, j=None if np.ndim(point) == 0 else 2)
 
+    def test_point_has_one_value_per_evaluated_node(self):
+        # A point of another size once raised numpy's reshape ValueError.
+        model = random_weighted_model(3, seed_or_rng=1)
+        for point, nodes, size in [((1.0, 2.0), {"i": 1}, 1), ((1.0, 2.0), {}, 3),
+                                   (1.0, {"i": 1, "j": 2}, 2), ([1.0] * 4, {}, 3)]:
+            with pytest.raises(ValidationError, match=f"one value per evaluated node, {size},"):
+                limit_cdf(model, point, **nodes)
+
     def test_unit_frechet_points_of_standardized_model(self):
         model = model_from_std_mlcm(BBAR_TWO_CLIQUES_MW, 1.0)
         np.testing.assert_allclose(unit_frechet_points(model), np.ones(4), atol=1e-12)
@@ -309,6 +348,19 @@ class TestScaledBlockMaxima:
                 maxima[:, i - 1], lambda x: limit_cdf(model, x, i=i)
             )
             assert distance <= 0.03
+
+    @pytest.mark.parametrize("family", ["pareto", "frechet"])
+    def test_memory_does_not_grow_with_the_block_size(self, family):
+        # One uniform per block and node: 10**5 draws per node would take
+        # 2.4 MB for three nodes, twice over for a transposed copy.
+        model = kind_model("general", 3, 1.0, seed=1)
+        tracemalloc.start()
+        try:
+            scaled_block_maxima(model, NoiseSpec(family, 1.0), 10**5, 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_alpha_mismatch_rejected(self, monkeypatch):
         # Checked before any uniform is drawn.
