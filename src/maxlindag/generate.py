@@ -12,7 +12,7 @@ from .tolerance import _is_real, _shown
 def _seed(seed: int) -> int:
     # The one seed check of the package: numpy's generators take an integer >= 0.
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValidationError(f"seed must be a non-negative integer, got {_shown(seed)!r}")
     return int(seed)
 
 
@@ -71,9 +71,11 @@ def random_weighted_model(
     ``weight_range`` is a pair of finite real numbers 0 < lo <= hi.
     ``polytree`` draws the DAG as a random polytree (ignoring ``density``);
     ``homogeneous`` replaces the random weights with the ancestor-count
-    weights that make every path max-weighted.
+    weights that make every path max-weighted.  The log-weights are one
+    draw of ``len(edges) + d`` uniforms: the edge weights in sorted edge
+    order, then the noise scales, the same stream as one draw per weight.
     """
-    message = f"weight range must satisfy 0 < lo <= hi < inf, got {weight_range!r}"
+    message = f"weight range must satisfy 0 < lo <= hi < inf, got {_shown(weight_range)!r}"
     if np.ndim(weight_range) != 1 or len(weight_range) != 2:
         raise ValidationError(message)
     lo, hi = _positive(weight_range, "weight range (0 < lo <= hi < inf)")
@@ -83,10 +85,6 @@ def random_weighted_model(
     dag = random_polytree(d, rng) if polytree else random_dag(d, density, rng)
     if homogeneous:
         return homogeneous_model(dag, alpha)
-
-    def draw() -> float:
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-    weights = {edge: draw() for edge in sorted(dag.edges)}
-    scales = tuple(draw() for _ in range(d))
-    return WeightedModel(dag, weights, scales, alpha)
+    edges = sorted(dag.edges)
+    draws = np.exp(rng.uniform(np.log(lo), np.log(hi), len(edges) + dag.d)).tolist()
+    return WeightedModel(dag, dict(zip(edges, draws)), tuple(draws[len(edges):]), alpha)

@@ -29,7 +29,7 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _node(v: int, d: int) -> int:
     # The node v as a Python int; anything but an integer in 1..d raises.
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 1 <= v <= d:
-        raise ValidationError(f"node {v!r} is not an integer in 1..{d}")
+        raise ValidationError(f"node {_shown(v)!r} is not an integer in 1..{d}")
     return int(v)
 
 
@@ -38,7 +38,7 @@ def _edge(pair, d: int) -> tuple[int, int]:
     try:
         k, i = pair
     except (TypeError, ValueError):
-        raise ValidationError(f"edge {pair!r} is not a pair of nodes") from None
+        raise ValidationError(f"edge {_shown(pair)!r} is not a pair of nodes") from None
     k, i = _node(k, d), _node(i, d)
     if k == i:
         raise ValidationError(f"self loop at node {k}")

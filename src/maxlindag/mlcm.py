@@ -101,15 +101,15 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
     Computed column by column in topological order through the max-times
     recurrence ``b_ji = max_{k in pa(i)} b_jk * c_ki`` with ``b_ii = c_ii``,
     so each entry equals the maximum path weight without enumerating paths.
+    Each column is one numpy call over its parents' columns; every product
+    is one multiplication and the maximum is exact.
     """
-    d = model.d
-    b = np.zeros((d, d))
+    b = np.diag(model.noise_scales)  # C-contiguous, as standardize's column sums expect
     for i in model.dag.topological_order():
-        col = np.zeros(d)
-        for k in model.dag.parents(i):
-            np.maximum(col, b[:, k - 1] * model.edge_weights[(k, i)], out=col)
-        col[i - 1] = model.noise_scales[i - 1]
-        b[:, i - 1] = col
+        if parents := model.dag.parents(i):
+            weights = [model.edge_weights[(k, i)] for k in parents]
+            col = b[:, i - 1]
+            np.maximum(col, (b[:, [k - 1 for k in parents]] * weights).max(axis=1), out=col)
     return b
 
 
@@ -347,9 +347,9 @@ def homogeneous_model(dag: Dag, alpha: float) -> WeightedModel:
     paths are max-weighted on any DAG.
     """
     alpha = _tail_index(alpha)
-    n_an = {i: len(dag.ancestors_closed(i)) for i in range(1, dag.d + 1)}
-    scales = tuple(n_an[i] ** (-1.0 / alpha) for i in range(1, dag.d + 1))
-    weights = {(k, i): (n_an[k] / n_an[i]) ** (1.0 / alpha) for k, i in dag.edges}
+    n_an = dag._reachability().sum(axis=0).tolist()  # |An(i)| at i - 1
+    scales = tuple(n ** (-1.0 / alpha) for n in n_an)
+    weights = {(k, i): (n_an[k - 1] / n_an[i - 1]) ** (1.0 / alpha) for k, i in dag.edges}
     return WeightedModel(dag, weights, scales, alpha)
 
 

@@ -33,6 +33,7 @@ the tail dependence coefficient exactly.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import TailSampleError, ValidationError
 from .generate import _seed
 from .graph import _count
 from .mlcm import WeightedModel, _tail_index, mlcm_from_weights
-from .tolerance import _check_tol, _is_real
+from .tolerance import _check_tol, _is_real, _shown
 
 _FAMILIES = ("pareto", "frechet")
 
@@ -139,13 +140,23 @@ def _noise_max_linear(mlcm: np.ndarray, noise: NoiseSpec, u: np.ndarray) -> np.n
     return x
 
 
+def _rows(n: int, what: str, d: int) -> int:
+    # A count of rows of d float64 values that numpy can shape into an
+    # (n, d) array; checked before any draw.
+    n = _count(n, what)
+    if n * d * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"{what} is too large for a numpy array of {d} columns")
+    return n
+
+
 def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleBlock:
     """Draw ``n`` independent copies of the model, reproducibly per seed.
 
     The noise tail index must match the model's; mixing indices would
     silently change the standardized coefficient matrix the sample reflects.
+    An ``n`` too large for an (n, d) float64 array raises before any draw.
     """
-    n = _count(n, "sample size")
+    n = _rows(n, "sample size", model.d)
     _same_tail_index(model, noise)
     seed = _seed(seed)
     u = np.random.default_rng(seed).random((n, model.d))
@@ -205,13 +216,16 @@ def limit_cdf(
         model.dag._check_node(v)
     values = np.asarray(x, dtype=object).ravel()
     if not all(_is_real(v) for v in values):
-        raise ValidationError(f"evaluation point must be real numbers, got {x!r}")
+        raise ValidationError(f"evaluation point must be real numbers, got {_shown(x)!r}")
     if values.size != len(nodes):
         raise ValidationError(
-            f"evaluation point {x!r} needs one value per evaluated node, "
+            f"evaluation point {_shown(x)!r} needs one value per evaluated node, "
             f"{len(nodes)}, got {values.size}"
         )
-    point = values.astype(float)
+    try:
+        point = values.astype(float)
+    except OverflowError:  # an integer or a fraction beyond float64
+        raise ValidationError("evaluation point has a value beyond float64") from None
     if not (point > 0).all():
         raise ValidationError("evaluation point must be strictly positive")
     b = mlcm_from_weights(model)[:, [v - 1 for v in nodes]]
@@ -243,10 +257,14 @@ def scaled_block_maxima(
     and each becomes the block's extreme uniform through its law (see the
     module docstring): O(n_blocks * d) draws and memory and
     O(n_blocks * nnz(B)) evaluation.  An unscaled block maximum that
-    overflows float64 raises :class:`ValidationError`.
+    overflows float64 raises :class:`ValidationError`, and so, before any
+    draw, do a block size beyond float64 and a block count too large for an
+    (n_blocks, d) float64 array.
     """
     block_size = _count(block_size, "block size")
-    n_blocks = _count(n_blocks, "block count")
+    if block_size > sys.float_info.max:
+        raise ValidationError("block size is too large for float64")
+    n_blocks = _rows(n_blocks, "block count", model.d)
     _same_tail_index(model, noise)
     u = np.random.default_rng(_seed(seed)).random((n_blocks, model.d))
     if noise.family == "frechet":

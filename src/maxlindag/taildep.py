@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, _bool_product, _node, _reach
+from .graph import Dag, _bool_product, _node, _nodes, _reach
 from .mlcm import _finite_square, _positive_diagonal
 from .tolerance import DEFAULT_TOL, ZERO_TOL, _check_tol, _shown
 
@@ -132,13 +132,8 @@ def chi_complement_graph(chi: np.ndarray) -> dict[int, frozenset[int]]:
     Nodes i != j are adjacent iff chi(i, j) is zero, i.e. iff the
     corresponding components are independent.
     """
-    chi = validate_tdm(chi)
-    positive = _positive_mask(chi)
-    d = chi.shape[0]
-    return {
-        i: frozenset(j for j in range(1, d + 1) if j != i and not positive[i - 1, j - 1])
-        for i in range(1, d + 1)
-    }
+    zero = ~_positive_mask(validate_tdm(chi))  # False on the diagonal, where chi is 1
+    return {i: _nodes(row) for i, row in enumerate(zero, start=1)}
 
 
 def maximum_chi_cliques(chi: np.ndarray) -> list[tuple[int, ...]]:

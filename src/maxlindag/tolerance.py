@@ -34,7 +34,11 @@ def _is_real(x) -> bool:
 
 
 def _shown(x):
-    # A rejected value as its message shows it: numpy scalars as Python ones.
+    # A rejected value as its message shows it: numpy scalars as Python ones,
+    # also inside a tuple or a list.
+    if isinstance(x, (tuple, list)):
+        shown = [_shown(v) for v in x]
+        return shown if isinstance(x, list) else tuple(shown)
     return x.item() if isinstance(x, np.generic) else x
 
 

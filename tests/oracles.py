@@ -80,6 +80,35 @@ def mlcm(d: int, edges: set[tuple[int, int]], weights: dict, scales: dict) -> np
     return b
 
 
+def log_uniform_weights(
+    d: int, edges: set[tuple[int, int]], lo: float, hi: float, rng: np.random.Generator,
+) -> tuple[dict[tuple[int, int], float], tuple[float, ...]]:
+    """Edge weights in sorted edge order, then d noise scales: one scalar draw each."""
+    def draw() -> float:
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    weights = {edge: draw() for edge in sorted(edges)}
+    return weights, tuple(draw() for _ in range(d))
+
+
+def mlcm_by_edges(d: int, edges: set[tuple[int, int]], weights: dict, scales) -> np.ndarray:
+    """Coefficient matrix by one ``np.maximum`` per edge, columns by ancestor count.
+
+    A node has more ancestors than each of its parents, so every parent's
+    column is final before it is read.
+    """
+    an = closed_ancestors(d, edges)
+    b = np.zeros((d, d))
+    for i in sorted(range(1, d + 1), key=lambda v: len(an[v])):
+        col = np.zeros(d)
+        for k, j in sorted(edges):
+            if j == i:
+                np.maximum(col, b[:, k - 1] * weights[(k, i)], out=col)
+        col[i - 1] = scales[i - 1]
+        b[:, i - 1] = col
+    return b
+
+
 def tdm(bbar: np.ndarray) -> np.ndarray:
     """Tail dependence by the defining sum over explicit common supports."""
     d = bbar.shape[0]

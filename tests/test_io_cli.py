@@ -420,6 +420,15 @@ class TestCliPipeline:
             ni = len(model.dag.ancestors_closed(i))
             assert weight == pytest.approx((nk / ni) ** (1 / model.alpha))
 
+    def test_simulate_size_beyond_an_array_exits_two(self, capsys, model_file, tmp_path):
+        # numpy's bare ValueError once printed a traceback and exited 1.
+        out_file = tmp_path / "big.csv"
+        code, out, err = run(capsys, "simulate", "--model", model_file, "--n",
+                             "100000000000000000000000", "--seed", "1", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sample size is too large for a numpy array")
+        assert not out_file.exists()
+
     def test_simulate_writes_samples_and_estimate(self, capsys, model_file, tmp_path):
         samples = tmp_path / "x.csv"
         chi_out = tmp_path / "chi_hat.csv"

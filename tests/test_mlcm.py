@@ -26,6 +26,8 @@ from maxlindag import (
     minimum_ml_dag,
     mlcm_from_weights,
     model_from_std_mlcm,
+    random_dag,
+    random_polytree,
     random_weighted_model,
     sign_pattern,
     standardize,
@@ -126,6 +128,37 @@ class TestMlcmFromWeights:
                 {i: model.noise_scales[i - 1] for i in range(1, d + 1)},
             )
             np.testing.assert_allclose(mlcm_from_weights(model), expected, rtol=1e-12)
+
+
+class TestModelBuildingBits:
+    """Model building gives the bits of one draw per weight and one maximum per edge."""
+
+    SIZES = [(1, 0.5), (2, 1.0), (5, 0.0), (5, 0.3), (12, 1.0), (40, 0.3)]
+
+    @pytest.mark.parametrize("weight_range", [(0.5, 2.0), (1e-3, 1e3), (1.0, 1.0)])
+    @pytest.mark.parametrize("kind", ["general", "polytree", "homogeneous"])
+    def test_equal_to_the_per_weight_and_per_edge_references(self, kind, weight_range):
+        for seed in range(20):
+            for d, density in self.SIZES:
+                rng = np.random.default_rng(seed)
+                model = random_weighted_model(d, density, weight_range, 1.5, rng,
+                                              polytree=kind == "polytree",
+                                              homogeneous=kind == "homogeneous")
+                ref = np.random.default_rng(seed)
+                dag = random_polytree(d, ref) if kind == "polytree" else random_dag(d, density, ref)
+                assert model.dag == dag
+                edges = set(dag.edges)
+                if kind == "homogeneous":
+                    an = oracles.closed_ancestors(d, edges)
+                    weights = {(k, i): (len(an[k]) / len(an[i])) ** (1 / 1.5) for k, i in edges}
+                    scales = tuple(len(an[i]) ** (-1 / 1.5) for i in range(1, d + 1))
+                else:
+                    weights, scales = oracles.log_uniform_weights(d, edges, *weight_range, ref)
+                assert model.edge_weights == weights and model.noise_scales == scales
+                assert rng.random() == ref.random()  # the generator's next draw
+                b = mlcm_from_weights(model)
+                assert b.flags.c_contiguous
+                assert b.tobytes() == oracles.mlcm_by_edges(d, edges, weights, scales).tobytes()
 
 
 class TestStandardize:

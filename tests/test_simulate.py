@@ -370,6 +370,45 @@ class TestScaledBlockMaxima:
             scaled_block_maxima(model, NoiseSpec("frechet", 1.0), 10, 10, seed=0)
 
 
+# Each size or point once raised a bare OverflowError, or numpy's bare
+# ValueError; numpy refuses every size here before it allocates anything.
+_BIG = random_weighted_model(3, seed_or_rng=1)
+BEYOND_CALLS = {
+    "sample": (lambda: sample(_BIG, NoiseSpec("pareto", 1.0), 2**63, 1),
+               "sample size is too large for a numpy array of 3 columns"),
+    "sample_bytes": (lambda: sample(_BIG, NoiseSpec("frechet", 1.0), 2**62, 1),
+                     "sample size is too large for a numpy array"),
+    "block_count": (lambda: scaled_block_maxima(_BIG, NoiseSpec("pareto", 1.0), 10, 2**63, 1),
+                    "block count is too large for a numpy array"),
+    "block_size_frechet": (
+        lambda: scaled_block_maxima(_BIG, NoiseSpec("frechet", 1.0), 10**400, 10, 1),
+        "block size is too large for float64"),
+    "block_size_pareto": (
+        lambda: scaled_block_maxima(_BIG, NoiseSpec("pareto", 1.0), 10**400, 10, 1),
+        "block size is too large for float64"),
+    "limit_cdf": (lambda: limit_cdf(_BIG, 10**400, i=1),
+                  "evaluation point has a value beyond float64"),
+    "limit_cdf_pair": (lambda: limit_cdf(_BIG, (1.0, -10**400), i=1, j=2),
+                       "evaluation point has a value beyond float64"),
+}
+
+
+@pytest.mark.parametrize("call", list(BEYOND_CALLS), ids=list(BEYOND_CALLS))
+def test_sizes_and_points_beyond_float64_or_an_array_are_rejected(call, monkeypatch):
+    # Checked before any uniform is drawn.
+    monkeypatch.setattr(np.random, "default_rng", None)
+    run, message = BEYOND_CALLS[call]
+    with pytest.raises(ValidationError, match=message):
+        run()
+
+
+def test_large_block_size_and_infinite_point_are_kept():
+    assert limit_cdf(_BIG, float("inf"), i=1) == 1.0
+    assert limit_cdf(_BIG, 10**300, i=1) == limit_cdf(_BIG, 1e300, i=1)
+    maxima = scaled_block_maxima(_BIG, NoiseSpec("frechet", 1.0), 10**300, 4, 1)
+    assert maxima.shape == (4, 3) and np.isfinite(maxima).all()
+
+
 class TestNoiseFamiliesAgree:
     def test_same_tdm_for_pareto_and_frechet(self):
         # same standardized matrix, alpha 2; both estimates near the truth

@@ -30,6 +30,7 @@ from maxlindag import (
     is_mlcm,
     is_rmwm_mlcm,
     lambda_coefficients,
+    limit_cdf,
     lambda_representation,
     lowest_common_ancestors,
     maximum_chi_cliques,
@@ -183,6 +184,19 @@ class TestChiCliques:
         for entry in corpus[:250]:
             v0 = tuple(sorted(entry.dag.initial_nodes()))
             assert v0 in maximum_chi_cliques(entry.chi)
+
+    def test_complement_graph_is_the_zero_pattern(self, corpus):
+        # i and j (i != j) are adjacent iff chi(i, j) is zero; keys 1..d and
+        # members are Python ints.
+        for entry in corpus:
+            d = entry.dag.d
+            adjacency = chi_complement_graph(entry.chi)
+            assert list(adjacency) == list(range(1, d + 1))
+            for i, neighbours in adjacency.items():
+                assert all(type(j) is int for j in neighbours)
+                assert neighbours == {
+                    j for j in range(1, d + 1) if j != i and entry.chi[i - 1, j - 1] == 0.0
+                }
 
     def test_matches_subset_scan_oracle(self, corpus):
         for entry in corpus[:80]:
@@ -663,6 +677,12 @@ class TestMessages:
             ),
             lambda: recover_from_ordering(np.ones((2, 2)), (1, 2)),
             lambda: Dag(np.int64(0), set()),
+            lambda: Dag(3, [(np.int64(5), 1)]),
+            lambda: Dag(3, [tuple(np.arange(1, 4))]),
+            lambda: random_weighted_model(3, seed_or_rng=np.int64(-2)),
+            lambda: random_weighted_model(3, weight_range=(np.float64(2.0), np.float64(0.5))),
+            lambda: limit_cdf(random_weighted_model(3), (np.float64(1.0), True), i=1, j=2),
+            lambda: limit_cdf(random_weighted_model(3), (np.float64(1.0), np.float64(2.0)), i=1),
         ]
         messages = []
         for call in raising:
@@ -677,6 +697,14 @@ class TestMessages:
             assert any(f.startswith(kind) for f in failures)
             messages.extend(failures)
         assert messages[0] == "matrix is asymmetric at entry (1,2): 1e-07 vs 0.0"
+        assert messages[8:14] == [
+            "node 5 is not an integer in 1..3",
+            "edge (1, 2, 3) is not a pair of nodes",
+            "seed must be a non-negative integer, got -2",
+            "weight range must satisfy 0 < lo <= hi < inf, got (2.0, 0.5)",
+            "evaluation point must be real numbers, got (1.0, True)",
+            "evaluation point (1.0, 2.0) needs one value per evaluated node, 1, got 2",
+        ]
         assert not [m for m in messages if "np.float64(" in m or "np.int64(" in m]
 
 
