@@ -10,15 +10,17 @@ information through one function, ``_settled_row``.  It computes
     bbar_ji = chi(j, i) - sum_{k placed} min(bbar_ki, bbar_kj)
 
 and then applies four rules: (1) columns the information rules out are set
-to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`;
-(3) entries within ``tol`` of zero snap to zero; (4) a diagonal entry that
-is not positive raises :class:`NotRealizableError`.  The sum runs over the
-placed rows in node order for every caller, and a ``tol`` outside (0, 1)
-raises :class:`ValidationError` everywhere.  Every recovery then gates its
-output in ``_recover``: a support that is not a reachability matrix raises
-:class:`NotRealizableError`, since no model has one.  The enumerators
-output every model, or every max-weighted model, compatible with a given
-chi, and both accept a candidate through one function, ``_identified``.
+to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`
+(``tolerance._outside``); (3) entries within ``tol`` of zero snap to zero
+(``tolerance._snap``); (4) a diagonal entry that is not positive raises
+:class:`NotRealizableError` (``tolerance._nonpositive``).  The sum runs
+over the placed rows in node order for every caller, and a ``tol`` outside
+(0, 1) raises :class:`ValidationError` everywhere.  Every recovery then
+gates its output in ``_recover``: a support that is not a reachability
+matrix raises :class:`NotRealizableError`, since no model has one.  The
+enumerators output every model, or every max-weighted model, compatible
+with a given chi, and both accept a candidate through one function,
+``_identified``.
 """
 from __future__ import annotations
 
@@ -40,14 +42,21 @@ from .mlcm import _analysis, is_mlcm
 from .taildep import (
     _independent_nodes,
     _min_sum,
-    _positive_mask,
     _tdm_on,
     clique_initial_filter,
     independence_pattern_check,
     maximum_chi_cliques,
     validate_tdm,
 )
-from .tolerance import DEFAULT_TOL, _check_tol, rel_residuals
+from .tolerance import (
+    DEFAULT_TOL,
+    _check_tol,
+    _nonpositive,
+    _outside,
+    _positive_mask,
+    _rel_close,
+    _snap,
+)
 
 
 def _settled_row(chi: np.ndarray, bbar: np.ndarray, node: int, forced: np.ndarray,
@@ -61,14 +70,14 @@ def _settled_row(chi: np.ndarray, bbar: np.ndarray, node: int, forced: np.ndarra
     row = chi[node] - np.minimum(bbar, bbar[:, node, None]).sum(axis=0)
     row[forced] = 0.0
     worst = row.min()
-    if worst < -tol:
+    if _outside(worst, 0.0, tol):
         col = int(np.argmin(row)) + 1
         raise NotRealizableError(
             f"row recursion for node {node + 1} produced {float(worst)} at column {col}; "
             "the matrix is not realizable with this structure"
         )
-    row[np.abs(row) <= tol] = 0.0
-    if row[node] <= 0.0:
+    _snap(row, tol)
+    if _nonpositive(row[node]):
         raise NotRealizableError(
             f"row recursion for node {node + 1} left the diagonal entry {float(row[node])}; "
             "the matrix is not realizable with this structure"
@@ -250,7 +259,7 @@ def _identified(chi: np.ndarray, bbar: np.ndarray, initials: Sequence[int],
     # The model of a candidate bbar that passed its caller's gate, or None
     # when its tail dependence matrix misses chi by more than a relative
     # tol.  The minimum DAG and the max-weighted flag come from one analysis.
-    if rel_residuals(_min_sum(bbar), chi).max() > tol:
+    if not _rel_close(_min_sum(bbar), chi, tol).all():
         return None
     analysis = _analysis(bbar)
     return IdentifiedModel(bbar, analysis.minimum_ml_dag(tol), tuple(initials), ordering,

@@ -41,7 +41,16 @@ import numpy as np
 
 from .errors import IllConditionedError, ValidationError
 from .graph import Dag, _dag_on, _edge, _node, is_reachability_matrix
-from .tolerance import DEFAULT_TOL, Verdict, _check_tol, _is_real, _shown, rel_residuals
+from .tolerance import (
+    DEFAULT_TOL,
+    Verdict,
+    _check_tol,
+    _is_real,
+    _rel_close,
+    _shown,
+    _verdict,
+    rel_residuals,
+)
 
 # Element cap on each temporary of the through kernel.
 _THROUGH_BLOCK = 1 << 16
@@ -234,8 +243,7 @@ def max_weighted_triple(
     if k == i or bbar[k - 1, i - 1] <= 0:
         raise ValidationError(f"node {k} is not a strict ancestor of {i}")
     through = bbar[j - 1, k - 1] * bbar[k - 1, i - 1] / bbar[k - 1, k - 1]
-    residual = float(rel_residuals(bbar[j - 1, i - 1], through))
-    return Verdict(residual <= tol, residual)
+    return _verdict(float(rel_residuals(bbar[j - 1, i - 1], through)), tol)
 
 
 class _Analysis(NamedTuple):
@@ -252,14 +260,12 @@ class _Analysis(NamedTuple):
             return Verdict(False, float("inf"), "sign_pattern")
         short = self.hi > self.b
         residual = float(rel_residuals(self.b[short], self.hi[short]).max(initial=0.0))
-        if residual <= tol:
-            return Verdict(True, residual)
-        return Verdict(False, residual, "recomposition")
+        return _verdict(residual, tol, "recomposition")
 
     def minimum_ml_dag(self, tol: float) -> Dag:
         if self.fault:
             raise ValidationError(self.fault)
-        redundant = (self.b <= self.hi) | (rel_residuals(self.b, self.hi) <= tol)
+        redundant = (self.b <= self.hi) | _rel_close(self.b, self.hi, tol)
         return _dag_on((self.b > 0) & ~redundant)
 
     def is_rmwm(self, tol: float) -> Verdict:
@@ -271,7 +277,7 @@ class _Analysis(NamedTuple):
         direct = self.b[chained]
         worst = float(max(rel_residuals(direct, self.hi[chained]).max(initial=0.0),
                           rel_residuals(direct, self.lo[chained]).max(initial=0.0)))
-        return Verdict(worst <= tol, worst)
+        return _verdict(worst, tol)
 
 
 def _analysis(b: np.ndarray) -> _Analysis:

@@ -24,10 +24,21 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IllConditionedError, ValidationError
+from .errors import ValidationError
 from .graph import Dag, _bool_product, _node, _nodes, _reach
 from .mlcm import _finite_square, _positive_diagonal
-from .tolerance import DEFAULT_TOL, ZERO_TOL, _check_tol, _shown
+from .tolerance import (
+    DEFAULT_TOL,
+    _COLSUM_TOL,
+    _check_tol,
+    _chi_close,
+    _chi_positive,
+    _nonpositive,
+    _outside,
+    _positive_mask,
+    _shown,
+    _worst_off,
+)
 
 # Element cap on each temporary of the min-sum kernel.
 _MIN_SUM_BLOCK = 1 << 16
@@ -39,20 +50,18 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
     Each check allows a deviation of ``DEFAULT_TOL``.
     """
     chi = _finite_square(chi, "tail dependence matrix")
-    asym = np.abs(chi - chi.T)
-    if asym.max(initial=0.0) > DEFAULT_TOL:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if (at := _worst_off(chi, chi.T, DEFAULT_TOL)) is not None:
+        i, j = at
         raise ValidationError(
             f"matrix is asymmetric at entry ({i + 1},{j + 1}): "
             f"{float(chi[i, j])} vs {float(chi[j, i])}"
         )
-    diag_off = np.abs(np.diag(chi) - 1.0)
-    if diag_off.max(initial=0.0) > DEFAULT_TOL:
-        i = int(np.argmax(diag_off))
+    if (at := _worst_off(np.diag(chi), 1.0, DEFAULT_TOL)) is not None:
+        (i,) = at
         raise ValidationError(
             f"diagonal entry ({i + 1},{i + 1}) is {float(chi[i, i])}, expected 1"
         )
-    out_of_range = (chi < -DEFAULT_TOL) | (chi > 1.0 + DEFAULT_TOL)
+    out_of_range = _outside(chi, 0.0, DEFAULT_TOL, 1.0)
     if out_of_range.any():
         i, j = map(int, np.argwhere(out_of_range)[0])
         raise ValidationError(f"entry ({i + 1},{j + 1}) = {float(chi[i, j])} outside [0, 1]")
@@ -74,8 +83,8 @@ def tdm_from_std_mlcm(bbar: np.ndarray) -> np.ndarray:
     """
     bbar = _positive_diagonal(bbar)
     colsums = bbar.sum(axis=0)
-    if np.abs(colsums - 1.0).max() > 1e-8:
-        j = int(np.argmax(np.abs(colsums - 1.0)))
+    if (at := _worst_off(colsums, 1.0, _COLSUM_TOL)) is not None:
+        (j,) = at
         raise ValidationError(f"column {j + 1} sums to {float(colsums[j])}, expected 1")
     return _min_sum(bbar)
 
@@ -93,23 +102,6 @@ def _min_sum(a: np.ndarray) -> np.ndarray:
     for r0 in range(0, n, rows):
         m[r0 : r0 + rows] = np.minimum(a[:, r0 : r0 + rows, None], a[:, None, :]).sum(axis=0)
     return m
-
-
-def _positive_mask(chi: np.ndarray) -> np.ndarray:
-    """The one zero rule for chi: positive (True) or zero (False).
-
-    Entries strictly between zero and ``ZERO_TOL`` are neither: they raise
-    :class:`IllConditionedError` instead of being classified silently.
-    """
-    chi = np.asarray(chi, dtype=float)
-    band = (chi > 0.0) & (chi < ZERO_TOL)
-    if band.any():
-        i, j = map(int, np.argwhere(band)[0])
-        raise IllConditionedError(
-            f"entry ({i + 1},{j + 1}) = {float(chi[i, j])} lies in (0, {ZERO_TOL}); "
-            "refusing to classify it as zero or positive"
-        )
-    return chi >= ZERO_TOL
 
 
 def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
@@ -204,7 +196,7 @@ def clique_initial_filter(
     w = np.asarray(_independent_nodes(_positive_mask(chi), clique, "clique")) - 1
     rest = np.ones(chi.shape[0], dtype=bool)
     rest[w] = False
-    low = chi[rest][:, rest] < _min_sum(chi[w][:, rest]) - tol
+    low = _outside(chi[rest][:, rest], _min_sum(chi[w][:, rest]), tol)
     cols = np.arange(len(low))
     return not (low & (cols >= cols[:, None])).any()  # pairs i <= j
 
@@ -302,13 +294,6 @@ class RmwmTdmCheck:
         return self.ok
 
 
-def _chi_close(a, b, tol: float):
-    # chi entries live in [0, 1]: flooring the scale at one makes the
-    # comparison absolute there, so sub-tolerance perturbations of any
-    # entry, however small, never flip a verdict.  Works elementwise.
-    return np.abs(a - b) <= tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-
-
 def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmTdmCheck:
     """Is ``chi`` the tail dependence matrix of a max-weighted model on ``dag``?
 
@@ -325,10 +310,13 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
 
     Zero classification in (a) and the equality comparisons in (c), (d)
     treat ``tol`` absolutely on the [0, 1] scale, so perturbations below
-    the tolerance never flip the verdict.  ``failures`` lists (c) in
-    ascending (i, j, k) and (d) in ascending (i, j) order.  ``chi`` itself
-    must pass :func:`validate_tdm`, whose checks allow ``DEFAULT_TOL``
-    whatever ``tol``.
+    the tolerance never flip the verdict.  Each condition has its rule in
+    :mod:`maxlindag.tolerance`: (a) ``_chi_positive``, an entry above ``tol``
+    is positive (not the rule of ``_positive_mask``); (b) ``_nonpositive``,
+    by sign alone; (c) and (d) ``_chi_close``.
+    ``failures`` lists (c) in ascending (i, j, k) and (d) in ascending
+    (i, j) order.  ``chi`` itself must pass :func:`validate_tdm`, whose
+    checks allow ``DEFAULT_TOL`` whatever ``tol``.
 
     All ancestry comes from the DAG's cached reachability matrix.  (b) and
     (c) are numpy passes one node at a time, and (d) is one min-sum pass
@@ -343,7 +331,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     reach = dag._reachability()
     strict = reach & ~np.eye(d, dtype=bool)
     common = _bool_product(reach.T, reach)  # True where i and j share an ancestor
-    positive = chi > tol
+    positive = _chi_positive(chi, tol)
     np.fill_diagonal(positive, True)
     mismatch = positive != common
     if mismatch.any():
@@ -357,7 +345,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     for i in np.argsort(reach.sum(axis=0), kind="stable"):
         an = strict[:, i]
         diag[i] = 1.0 - (diag[an] * chi[an, i]).sum()
-    bad = [i + 1 for i in range(d) if diag[i] <= 0.0]
+    bad = (np.flatnonzero(_nonpositive(diag)) + 1).tolist()
     if bad:
         failures.append(f"(b) nonpositive diagonal at nodes {bad}")
     # The implied bbar: bbar_ki = bbar_kk * chi(k, i) for every strict ancestor k of i.

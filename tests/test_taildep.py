@@ -114,6 +114,15 @@ class TestTdmFromStdMlcm:
         with pytest.raises(ValidationError):
             tdm_from_std_mlcm(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_column_sum_tolerance_boundary(self):
+        for gap, kept in ((0.5e-8, True), (2e-8, False)):
+            bbar = np.array([[1.0, 0.5], [0.0, 0.5 + gap]])
+            if kept:
+                tdm_from_std_mlcm(bbar)
+            else:
+                with pytest.raises(ValidationError, match="column 2 sums to"):
+                    tdm_from_std_mlcm(bbar)
+
 
 class TestValidateTdm:
     def test_asymmetric_names_the_entry(self):
@@ -128,6 +137,18 @@ class TestValidateTdm:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
             validate_tdm(np.array([[1.0, 1.2], [1.2, 1.0]]))
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda gap: [[1.0, 0.5 + gap], [0.5, 1.0]], "asymmetric"),
+        (lambda gap: [[1.0 + gap, 0.5], [0.5, 1.0]], "diagonal"),
+        (lambda gap: [[1.0, -gap], [-gap, 1.0]], "outside"),
+        (lambda gap: [[1.0, 1.0 + gap], [1.0 + gap, 1.0]], "outside"),
+    ], ids=["asymmetry", "diagonal", "below-zero", "above-one"])
+    def test_tolerance_boundary(self, check, message):
+        # Each check allows DEFAULT_TOL: half of it passes, twice it fails.
+        validate_tdm(np.array(check(0.5e-9)))
+        with pytest.raises(ValidationError, match=message):
+            validate_tdm(np.array(check(2e-9)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, value):
@@ -582,6 +603,28 @@ class TestCheckRmwmTdm:
         chi = CHI_TWO_CLIQUES.copy()
         chi[2, 3] = chi[3, 2] = 0.5 + 1e-10
         assert check_rmwm_tdm(TWO_CLIQUES_MW_DAG, chi).ok
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("dag, entry, kind", [
+        (Dag(3, {(1, 2), (2, 3)}), (0, 2), "(c)"),  # chi(1, 3) = chi(1, 2) * chi(2, 3)
+        (Dag(3, {(1, 2), (1, 3)}), (1, 2), "(d)"),  # chi(2, 3) = min(bbar_12, bbar_13)
+    ], ids=["c", "d"])
+    def test_tolerance_boundary(self, tol, dag, entry, kind):
+        chi = hom_chi(dag)
+        for gap, kept in ((0.5 * tol, True), (2 * tol, False)):
+            moved = chi.copy()
+            moved[entry] = moved[entry[::-1]] = chi[entry] + gap
+            result = check_rmwm_tdm(dag, moved, tol)
+            assert result.ok == kept
+            assert [f[:3] for f in result.failures] == ([] if kept else [kind])
+
+    def test_zero_pattern_tolerance_boundary(self):
+        # Condition (a) calls chi zero up to tol, not up to ZERO_TOL.
+        for value, kept in ((0.5e-9, True), (2e-9, False)):
+            chi = np.array([[1.0, value], [value, 1.0]])
+            result = check_rmwm_tdm(Dag(2), chi)
+            assert result.ok == kept
+            assert [f[:3] for f in result.failures] == ([] if kept else ["(a)"])
 
     def test_asymmetric_input_is_an_error(self):
         chi = CHI_TWO_CLIQUES.copy()
