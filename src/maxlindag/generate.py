@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Dag, _count
+from .graph import Dag, _node_count
 from .mlcm import WeightedModel, _positive, homogeneous_model
 from .tolerance import _is_real, _shown
 
@@ -28,7 +28,7 @@ def random_dag(d: int, density: float, seed_or_rng: int | np.random.Generator) -
     ``density`` is the inclusion probability of each of the d*(d-1)/2
     candidate edges, a real number in [0, 1].
     """
-    d = _count(d, "node count")
+    d = _node_count(d)
     if not (_is_real(density) and 0.0 <= density <= 1.0):
         raise ValidationError(f"edge density must lie in [0, 1], got {_shown(density)!r}")
     rng = _as_rng(seed_or_rng)
@@ -44,7 +44,7 @@ def random_polytree(d: int, seed_or_rng: int | np.random.Generator) -> Dag:
     The underlying undirected graph is a tree, so at most one path joins any
     two nodes and every model on the result is max-weighted.
     """
-    d = _count(d, "node count")
+    d = _node_count(d)
     rng = _as_rng(seed_or_rng)
     label = rng.permutation(d) + 1
     edges = set()

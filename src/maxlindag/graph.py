@@ -4,12 +4,14 @@ Nodes are the integers ``1..d`` throughout; external naming is an I/O
 concern.  A :class:`Dag` is immutable after construction and rejects cyclic
 edge sets outright, so every derived value can be shared freely.
 
-One rule reads each kind of input: ``_node`` for nodes, ``_edge`` for
-edges (a pair of distinct nodes), ``_ordering`` for causal orderings of
-length d and ``_reach`` for reachability matrices.
+One rule reads each kind of input: ``_node_count`` for node counts,
+``_node`` for nodes, ``_edge`` for edges (a pair of distinct nodes),
+``_ordering`` for causal orderings of length d and ``_reach`` for
+reachability matrices.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -52,6 +54,16 @@ def _count(n: int, what: str) -> int:
     return int(n)
 
 
+def _node_count(d: int) -> int:
+    # The one rule for a node count: a count whose d x d reachability matrix
+    # numpy can shape (sys.maxsize is the largest np.intp), checked before
+    # anything is built.
+    d = _count(d, "node count")
+    if d * d > sys.maxsize:
+        raise ValidationError(f"node count {_shown(d)!r} is too large for a d x d numpy array")
+    return d
+
+
 class AncestralSets(NamedTuple):
     """Ancestor/descendant neighbourhoods of one node."""
 
@@ -85,7 +97,7 @@ class Dag:
     _reach: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
-        d = _count(d, "node count")
+        d = _node_count(d)
         edge_set = frozenset(_edge(pair, d) for pair in edges)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edge_set)

@@ -23,9 +23,11 @@ nonnegative, a reachability matrix as support) and then runs one kernel,
 :func:`_through`, for the largest and smallest through value of every pair;
 :func:`is_mlcm`, :func:`is_rmwm_mlcm` and :func:`minimum_ml_dag` read their
 answers off one analysis each, and callers that need several answers share
-one.  The kernel works in row blocks whose temporaries hold at most
-``_THROUGH_BLOCK`` elements (512 KB of float64), or one row's d x d slab
-when that is larger, beside its d x d outputs.
+one.  The kernel takes the intermediate node ``l`` in chunks, in a
+topological order of the support, so it forms only the chains k < l < i,
+about a sixth of the d**3 triples.  Its temporaries hold at most
+``_THROUGH_BLOCK`` elements (512 KB of float64), or those of one ``l`` when
+that is larger, beside a reordered copy of the matrix and the d x d outputs.
 
 Each input kind has one check, called by every public function that reads
 it: ``_tail_index``, ``_positive`` (weights and scalings), ``_finite_square``
@@ -33,6 +35,7 @@ it: ``_tail_index``, ``_positive`` (weights and scalings), ``_finite_square``
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -52,7 +55,8 @@ from .tolerance import (
     rel_residuals,
 )
 
-# Element cap on each temporary of the through kernel.
+# Element cap on each temporary of the through kernel; a matrix whose d**3
+# triples fit under it is one chunk, in the order given.
 _THROUGH_BLOCK = 1 << 16
 
 
@@ -202,28 +206,111 @@ def _through(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Only intermediate nodes ``l`` other than ``k`` and ``i`` with
     ``b_kl > 0`` and ``b_li > 0`` count.  Returns ``(hi, lo)``; pairs without
-    such an ``l`` get ``-inf`` and ``inf``.  The product is formed first and
-    then divided, as in the scalar formula, so every value is bit-identical
-    to it.  Rows of ``k`` are taken in blocks whose temporaries hold at most
-    ``_THROUGH_BLOCK`` elements, or the d x d of a single row.
+    such an ``l`` get ``-inf`` and ``inf``.  ``b`` must have passed the
+    support gate of :func:`_analysis`.
+
+    The loop runs over chunks ``[l0, l1)`` of the intermediate node.  In a
+    topological order of the support a chain has k < l < i, so a chunk only
+    meets rows ``[0, l1)`` and columns ``[l0, d)``: about a sixth of the d**3
+    triples is formed.  The order sorts nodes by their closed ancestor
+    counts, stably; under the support gate a strict ancestor has strictly
+    fewer ancestors.  When the whole cube fits one chunk (``d**3 <=
+    _THROUGH_BLOCK``) no order is needed, since one chunk over every ``l``
+    is valid in any order, and none is made.  Otherwise each chunk's
+    temporaries hold at most ``_THROUGH_BLOCK`` elements, or the ones of a
+    single ``l``, and the permutation is undone at the end.
+
+    Every through value is formed as in the scalar formula, product first
+    and then the division, and maxima and minima are exact in any order, so
+    ``hi`` and ``lo`` are bit-identical to the scalar triple loop, whatever
+    the chunks and the order.  A chained product or through value outside
+    the normal range of float64 raises :class:`IllConditionedError` naming
+    its pair: there an overflow or the digits lost to an underflow would
+    decide the verdicts.  The kernel runs with floating-point overflow and
+    underflow raising, so a matrix whose values all stay normal pays no
+    check; any other runs again with them ignored, and is then checked.
     """
     d = b.shape[0]
-    off = b <= 0
-    np.fill_diagonal(off, True)
-    diag = np.diag(b)[:, None]
-    hi = np.full((d, d), -np.inf)
-    lo = np.full((d, d), np.inf)
-    rows = max(1, _THROUGH_BLOCK // (d * d))
-    for k0 in range(0, d, rows):
-        ks = slice(k0, k0 + rows)
-        values = b[ks, :, None] * b
-        values /= diag
-        off_chain = off[ks, :, None] | off
-        np.copyto(values, -np.inf, where=off_chain)
-        hi[ks] = values.max(axis=1)
-        np.copyto(values, np.inf, where=off_chain)
-        lo[ks] = values.min(axis=1)
+    order, m = None, b
+    if d**3 > _THROUGH_BLOCK:
+        order = np.argsort((b > 0).sum(axis=0), kind="stable")
+        m = b[np.ix_(order, order)]
+    try:
+        with np.errstate(over="raise", under="raise"):
+            hi, lo = _chained_extremes(m)
+        normal = True
+    except FloatingPointError:  # some product or quotient left the normal range
+        with np.errstate(over="ignore", under="ignore"):
+            hi, lo = _chained_extremes(m)
+        normal = False
+    if order is not None:
+        # Back to the given order in place, through m, which is done with:
+        # no further d x d copy.  Mode "raise" would buffer.
+        back = np.argsort(order)
+        for out in (hi, lo):
+            np.take(out, back, axis=0, out=m, mode="wrap")
+            np.take(m, back, axis=1, out=out, mode="wrap")
+    if not normal:
+        _normal_chains(b, hi, lo)
     return hi, lo
+
+
+def _chained_extremes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The kernel of _through on m, whose support is in topological order
+    # unless one chunk covers every l.
+    d = m.shape[0]
+    off = m <= 0
+    np.fill_diagonal(off, True)
+    diag = np.diag(m)[:, None]
+    l0 = 0
+    while l0 < d:
+        # The largest chunk with l1 * (l1 - l0) * d <= _THROUGH_BLOCK, at
+        # least one l: its temporaries stay within the cap with room to spare
+        # (its columns are d - l0 of d), and the first chunk is the whole
+        # cube exactly when d**3 fits.
+        step = (math.isqrt(l0 * l0 + 4 * (_THROUGH_BLOCK // d)) - l0) // 2
+        l1 = min(d, l0 + max(1, step))
+        values = m[:l1, l0:l1, None] * m[l0:l1, l0:]
+        values /= diag[l0:l1]
+        off_chain = off[:l1, l0:l1, None] | off[l0:l1, l0:]
+        np.copyto(values, -np.inf, where=off_chain)
+        top = values.max(axis=1)
+        np.copyto(values, np.inf, where=off_chain)
+        bottom = values.min(axis=1)
+        if l0 == 0:
+            if l1 == d:  # one chunk: every pair
+                return top, bottom
+            hi, lo = np.full((d, d), -np.inf), np.full((d, d), np.inf)
+            hi[:l1], lo[:l1] = top, bottom
+        else:
+            np.maximum(hi[:l1, l0:], top, out=hi[:l1, l0:])
+            np.minimum(lo[:l1, l0:], bottom, out=lo[:l1, l0:])
+        l0 = l1
+    return hi, lo
+
+
+def _normal_chains(b: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    # Raise unless every chained product b_kl * b_li and through value is a
+    # normal float64.  Through l, the smallest chained product joins the
+    # smallest entry into l with the smallest entry out of l.
+    tiny = np.finfo(float).tiny
+    chain = np.where(b > 0, b, np.inf)
+    np.fill_diagonal(chain, np.inf)
+    into, out_of = chain.min(axis=0), chain.min(axis=1)
+    with np.errstate(over="ignore", under="ignore"):
+        short = into * out_of < tiny
+    bad = (hi == np.inf) | (lo < tiny)
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+    elif short.any():
+        l = np.argmax(short)
+        k, i = np.argmin(chain[:, l]), np.argmin(chain[l])
+    else:
+        return
+    raise IllConditionedError(
+        f"a chained product or through value of pair ({k + 1},{i + 1}) "
+        "leaves the normal range of float64"
+    )
 
 
 def max_weighted_triple(

@@ -72,8 +72,11 @@ def _digits(n: int) -> int:
 
 def _shown(x):
     # A rejected value as its message shows it: numpy scalars as Python ones,
-    # also inside a tuple or a list, and an integer longer than repr allows
-    # (no limit without sys.get_int_max_str_digits) by its digit count.
+    # also inside a tuple, a list or an object array (shown as a list), and
+    # an integer longer than repr allows (no limit without
+    # sys.get_int_max_str_digits) by its digit count.
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return _shown(x.tolist())
     if isinstance(x, (tuple, list)):
         shown = [_shown(v) for v in x]
         return shown if isinstance(x, list) else tuple(shown)

@@ -7,6 +7,7 @@ into tests or compared directly.  Only meant for small instances.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -255,6 +256,31 @@ def mlcm_shortfall(bbar: np.ndarray) -> float:
                     if through > bbar[k, i]:
                         worst = max(worst, _rel(bbar[k, i], through))
     return worst
+
+
+def through_values(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest ``b_kl * b_li / b_ll`` over chains k -> l -> i, by the definition.
+
+    Scalar triple loop over every k, every l other than k with
+    ``b_kl > 0`` and every i other than k and l with ``b_li > 0``, each
+    value formed as product first, then the division.  Pairs without such
+    an l get ``-inf`` and ``inf``.  Returns ``(hi, lo)``.
+    """
+    d = b.shape[0]
+    rows = b.tolist()  # Python floats: the same float64 arithmetic, faster to loop over
+    hi = [[-math.inf] * d for _ in range(d)]
+    lo = [[math.inf] * d for _ in range(d)]
+    for k in range(d):
+        for l in range(d):
+            if l == k or rows[k][l] <= 0:
+                continue
+            for i in range(d):
+                if i in (k, l) or rows[l][i] <= 0:
+                    continue
+                value = rows[k][l] * rows[l][i] / rows[l][l]
+                hi[k][i] = max(hi[k][i], value)
+                lo[k][i] = min(lo[k][i], value)
+    return np.array(hi), np.array(lo)
 
 
 def rmwm_worst_residual(bbar: np.ndarray) -> float:

@@ -191,6 +191,18 @@ def test_numpy_integer_counts_are_accepted(call):
     COUNT_CALLS[call](np.int64(2))
 
 
+# Node counts whose d x d reachability matrix numpy cannot shape.  Never
+# try a count that passes this rule but is large: it would be allocated.
+@pytest.mark.parametrize("count, shown", [(10**5000, "<integer of 5001 digits>"),
+                                          (2**32, "4294967296")], ids=["10^5000", "2^32"])
+@pytest.mark.parametrize("call", ["Dag", "random_dag", "random_weighted_model",
+                                  "random_weighted_model_polytree"])
+def test_a_node_count_beyond_a_numpy_array_raises_before_any_allocation(call, count, shown):
+    with pytest.raises(ValidationError) as exc:
+        COUNT_CALLS[call](count)
+    assert str(exc.value) == f"node count {shown} is too large for a d x d numpy array"
+
+
 class TestAncestralSets:
     def test_dense4_ancestors_of_sink(self):
         dag = Dag(4, DENSE4_EDGES)

@@ -332,6 +332,15 @@ class TestCliCheck:
         code, out, _ = run(capsys, "check", "--mlcm", str(bad))
         assert code == 1 and "recomposition" in out
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_check_mlcm_outside_the_normal_range_is_rejected(self, capsys, tmp_path, scale):
+        path = tmp_path / "scaled.csv"
+        write_matrix(scale * np.triu(np.ones((3, 3))), path)
+        code, out, err = run(capsys, "check", "--mlcm", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("rejected: a chained product or through value of pair (1,3) "
+                       "leaves the normal range of float64\n")
+
     def test_missing_tdm_inputs_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "--tdm-on-dag")
         assert code == 2

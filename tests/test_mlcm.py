@@ -508,9 +508,13 @@ class TestIsMlcmAgainstRecomposition:
         assert is_mlcm(BBAR_TRIANGLE_VALID).residual == 0.0
 
 
-class TestThroughBlocks:
+def same_bits(got, want) -> bool:
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestThroughKernel:
     @pytest.mark.parametrize("block", [1, 300])
-    def test_row_blocks_bit_equal_to_one_pass(self, monkeypatch, block):
+    def test_chunks_of_intermediate_nodes_bit_equal_to_one_pass(self, monkeypatch, block):
         from maxlindag import mlcm
 
         model = random_weighted_model(10, density=0.5, seed_or_rng=3)
@@ -518,9 +522,67 @@ class TestThroughBlocks:
         monkeypatch.setattr(mlcm, "_THROUGH_BLOCK", bbar.size * bbar.shape[0])
         whole = mlcm._through(bbar)
         assert np.isfinite(whole[0]).any()
-        monkeypatch.setattr(mlcm, "_THROUGH_BLOCK", block)  # 10 and 4 row blocks
+        # 10 and 3 chunks of intermediate nodes, in a topological order
+        monkeypatch.setattr(mlcm, "_THROUGH_BLOCK", block)
         for one, blocked in zip(whole, mlcm._through(bbar)):
             assert one.tobytes() == blocked.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 1, 300])
+    def test_corpus_equals_the_triple_loop(self, monkeypatch, corpus, block):
+        from maxlindag import mlcm
+
+        if block is not None:  # the chunked, reordered path at d <= 8
+            monkeypatch.setattr(mlcm, "_THROUGH_BLOCK", block)
+        for entry in corpus:
+            assert same_bits(mlcm._through(entry.bbar), oracles.through_values(entry.bbar))
+
+    @pytest.mark.parametrize("name,bbar", LARGE_BBARS, ids=[n for n, _ in LARGE_BBARS])
+    def test_large_matrices_equal_the_triple_loop(self, name, bbar):
+        from maxlindag import mlcm
+
+        assert same_bits(mlcm._through(bbar), oracles.through_values(bbar))
+
+    def test_a_relabelled_matrix_equals_the_triple_loop(self):
+        from maxlindag import mlcm
+
+        bbar = dict(LARGE_BBARS)["general-60"]
+        order = np.random.default_rng(7).permutation(60)
+        relabelled = bbar[np.ix_(order, order)]
+        assert not (np.triu(relabelled) == relabelled).all()  # not in a topological order
+        assert 60**3 > mlcm._THROUGH_BLOCK  # so the kernel reorders it
+        through = mlcm._through(relabelled)
+        assert same_bits(through, oracles.through_values(relabelled))
+        assert same_bits(through, [m[np.ix_(order, order)] for m in mlcm._through(bbar)])
+
+
+class TestOutsideTheNormalRange:
+    UNIT = np.triu(np.ones((3, 3)))
+    # b_12 * b_23 = 1e-320 is subnormal, and the division by b_22 = 1e-20
+    # lifts it back to about 1e-300: only the product leaves the range.
+    RESCUED = np.array([[1.0, 1e-160, 1e-290], [0.0, 1e-20, 1e-160], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("check", [is_mlcm, is_rmwm_mlcm, minimum_ml_dag])
+    @pytest.mark.parametrize("b", [1e200 * UNIT, 1e-200 * UNIT, RESCUED],
+                             ids=["overflow", "underflow", "product-underflow"])
+    def test_each_check_raises_naming_the_pair(self, check, b):
+        with pytest.raises(IllConditionedError, match=r"pair \(1,3\) leaves the normal range"):
+            check(b)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_products_in_range_keep_the_verdicts_to_the_bit(self, scale):
+        for check in (is_mlcm, is_rmwm_mlcm):
+            assert check(scale * self.UNIT) == check(self.UNIT)
+        assert minimum_ml_dag(scale * self.UNIT) == minimum_ml_dag(self.UNIT)
+
+    def test_an_unchained_underflow_is_no_error(self):
+        from maxlindag import mlcm
+
+        # Node 4 is on no chain; its 1e-300 squares to zero in the kernel.
+        b = np.eye(4)
+        b[:3, :3] = BBAR_TRIANGLE_VALID
+        b[3, 3] = 1e-300
+        assert same_bits(mlcm._through(b), oracles.through_values(b))
+        assert is_mlcm(b).ok
 
 
 @pytest.fixture()

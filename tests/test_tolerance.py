@@ -87,6 +87,11 @@ HUGE_MESSAGES = {
     "point": (lambda: limit_cdf(random_weighted_model(3, seed_or_rng=1), (HUGE, 1.0), i=1),
               "evaluation point (<integer of 5001 digits>, 1.0) needs one value per "
               "evaluated node, 1, got 2"),
+    "point in an object array": (
+        lambda: limit_cdf(random_weighted_model(3, seed_or_rng=1),
+                          np.array([HUGE, 1.0], dtype=object), i=1),
+        "evaluation point [<integer of 5001 digits>, 1.0] needs one value per "
+        "evaluated node, 1, got 2"),
     "tol": (lambda: is_mlcm(np.eye(2), HUGE),
             "tol must lie in (0, 1), got <integer of 5001 digits>"),
     "tail index": (lambda: standardize(np.eye(2), -HUGE),
