@@ -40,17 +40,18 @@ from .graph import CausalOrdering, Dag, _count, _ordering, is_reachability_matri
 from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _analysis, is_mlcm
 from .taildep import (
+    _chi_cliques,
     _independent_nodes,
     _min_sum,
     _tdm_on,
     clique_initial_filter,
     independence_pattern_check,
-    maximum_chi_cliques,
     validate_tdm,
 )
 from .tolerance import (
     DEFAULT_TOL,
     _check_tol,
+    _filter_cut,
     _nonpositive,
     _outside,
     _positive_mask,
@@ -266,6 +267,13 @@ def _identified(chi: np.ndarray, bbar: np.ndarray, initials: Sequence[int],
                            analysis.is_rmwm(tol).ok)
 
 
+def _initial_sets(chi: np.ndarray, positive: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+    # The maximum chi-cliques that pass the initial-set filter, in sorted
+    # order: the candidates of both enumerators.
+    cliques = _chi_cliques(chi, positive, _filter_cut(chi, tol))
+    return [clique for clique in cliques if clique_initial_filter(chi, clique, tol)]
+
+
 def _leaves(chi: np.ndarray, bbar: np.ndarray, placed: list[int], mask: np.ndarray,
             rank: list[int], visited: set[bytes], tol: float) -> Iterator[None]:
     # Depth-first over the placement orders that respect `rank`, settling
@@ -303,10 +311,14 @@ def enumerate_all(
 
     For every maximum chi-clique surviving the initial-set filter, causal
     orderings are explored depth-first; a prefix is abandoned as soon as its
-    row recursion turns negative.  Each leaf matrix must pass the full
-    coefficient-matrix validity check and reproduce ``chi``.  An empty list
-    means no recursive max-linear model has this tail dependence matrix.  A
-    ``tol`` outside (0, 1) raises :class:`ValidationError`.
+    row recursion turns negative.  The cliques come from
+    ``taildep._chi_cliques`` (Tomita, Tanaka & Takahashi, TCS 2006) with the
+    filter's cut, which drops only cliques that :func:`clique_initial_filter`
+    rejects (the argument is in its docstring); the filter judges the rest.
+    Each leaf matrix must pass the full coefficient-matrix validity check
+    and reproduce ``chi``.  An empty list means no recursive max-linear
+    model has this tail dependence matrix.  A ``tol`` outside (0, 1) raises
+    :class:`ValidationError`.
 
     Each clique member has a rank of its own, in ascending node order, below
     every other node, which ranks by how many members it depends on.  At
@@ -352,9 +364,7 @@ def enumerate_all(
     positive = _positive_mask(chi)
     found: list[IdentifiedModel | None] = []
 
-    for clique in maximum_chi_cliques(chi):
-        if not clique_initial_filter(chi, clique, tol):
-            continue
+    for clique in _initial_sets(chi, positive, tol):
         # Members first, one at a time in ascending order (their internal
         # order never changes the matrix), then the others by how many
         # members they depend on: at least one, or the clique would grow.
@@ -394,17 +404,15 @@ def enumerate_all_rmwm(
     One candidate per surviving maximum chi-clique: recover through the
     implied causal ordering, then accept iff the support pattern is a
     reachability matrix, the max-weighted path identities hold and the
-    candidate reproduces ``chi``.  No permutation search is involved, but
-    the clique count itself can grow exponentially with d: the random
-    50-node polytree of seed 2 has 21 504 maximum cliques.
+    candidate reproduces ``chi``.  No permutation search is involved.  The
+    cliques come as in :func:`enumerate_all`: the random 50-node polytree of
+    seed 2 has 21 504 maximum cliques, and the cut search lists only the 48
+    that pass the filter.
     """
     _check_tol(tol)
     chi = validate_tdm(chi)
-    found = [
-        _rmwm_model(chi, clique, tol)
-        for clique in maximum_chi_cliques(chi)
-        if clique_initial_filter(chi, clique, tol)
-    ]
+    cliques = _initial_sets(chi, _positive_mask(chi), tol)
+    found = [_rmwm_model(chi, clique, tol) for clique in cliques]
     return _sorted_models([m for m in found if m is not None])
 
 

@@ -321,6 +321,9 @@ def max_weighted_triple(
     Requires ``j`` strictly above ``k`` and ``k`` strictly above ``i`` in
     the support pattern.  True iff ``b_ji == b_jk * b_ki / b_kk`` within
     ``tol``; the left side always dominates the right for valid matrices.
+    As in the matrix checks, a product ``b_jk * b_ki`` or through value
+    outside the normal range of float64 raises :class:`IllConditionedError`
+    naming the triple.
     """
     _check_tol(tol)
     bbar = _finite_square(bbar)
@@ -329,7 +332,14 @@ def max_weighted_triple(
         raise ValidationError(f"node {j} is not a strict ancestor of {k}")
     if k == i or bbar[k - 1, i - 1] <= 0:
         raise ValidationError(f"node {k} is not a strict ancestor of {i}")
-    through = bbar[j - 1, k - 1] * bbar[k - 1, i - 1] / bbar[k - 1, k - 1]
+    with np.errstate(all="ignore"):
+        product = bbar[j - 1, k - 1] * bbar[k - 1, i - 1]
+        through = product / bbar[k - 1, k - 1]
+    if not all(np.finfo(float).tiny <= abs(x) < np.inf for x in (product, through)):
+        raise IllConditionedError(
+            f"a chained product or through value of triple ({j},{k},{i}) "
+            "leaves the normal range of float64"
+        )
     return _verdict(float(rel_residuals(bbar[j - 1, i - 1], through)), tol)
 
 

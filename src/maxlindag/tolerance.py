@@ -26,6 +26,8 @@ to another -- is taken here, one private function per meaning:
   ``is_rmwm_mlcm``.
 - ``_chi_close(a, b, tol)``, absolute on the [0, 1] scale of chi:
   conditions (c) and (d) of ``check_rmwm_tdm``.
+- ``_filter_cut(chi, tol)``, the initial-set filter's ``_outside`` moved by
+  a slack delta: the cut of the clique search (``taildep._chi_cliques``).
 - ``_positive_mask(chi)``, the zero rule of chi at ``ZERO_TOL``: every
   clique, pattern, ordering and bijection computation.
   ``_chi_positive(chi, tol)``, condition (a)'s zero rule at ``tol``.
@@ -166,6 +168,14 @@ def _chi_close(a, b, tol: float):
     # comparison absolute there, so sub-tolerance perturbations of any
     # entry, however small, never flip a verdict.  Works elementwise.
     return np.abs(a - b) <= tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+
+
+def _filter_cut(chi: np.ndarray, tol: float) -> np.ndarray:
+    # chi + tol + delta on the pairs i <= j, inf below, with delta as
+    # argued in taildep._chi_cliques.
+    d = chi.shape[0]
+    delta = d * max(0.0, -float(chi.min())) + 8 * d * d * np.finfo(float).eps
+    return np.where(np.tri(d, k=-1, dtype=bool), np.inf, chi + (tol + delta))
 
 
 def _positive_mask(chi: np.ndarray) -> np.ndarray:

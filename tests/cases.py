@@ -7,7 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from maxlindag import Dag, WeightedModel, random_weighted_model
+from maxlindag import (
+    Dag,
+    WeightedModel,
+    mlcm_from_weights,
+    random_weighted_model,
+    standardize,
+    tdm_from_std_mlcm,
+)
 
 
 def bbar_single_edge(b: float) -> np.ndarray:
@@ -220,3 +227,19 @@ def enumeration_models() -> list[WeightedModel]:
                               polytree=kind == "polytree", homogeneous=kind == "homogeneous")
         for d, s, kind in runs
     ]
+
+
+def chi_of(model: WeightedModel) -> np.ndarray:
+    """The tail dependence matrix of a weighted model."""
+    return tdm_from_std_mlcm(standardize(mlcm_from_weights(model), model.alpha))
+
+
+def polytrees_40() -> list[WeightedModel]:
+    """Six d = 40 polytrees (alpha 1), drawn in turn from the corpus seed 20250801.
+
+    The structure-large benchmark workload runs ``enumerate_all_rmwm`` on
+    the same six; their chi-complement graphs have 2368 maximum cliques.
+    """
+    rng = np.random.default_rng(20250801)
+    return [random_weighted_model(40, alpha=1.0, seed_or_rng=rng, polytree=True)
+            for _ in range(6)]

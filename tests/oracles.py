@@ -138,6 +138,33 @@ def max_cliques(d: int, adjacency: dict[int, frozenset[int]]) -> list[tuple[int,
     return sorted(best)
 
 
+def bron_kerbosch_cliques(adjacency: dict[int, frozenset[int]]) -> list[tuple[int, ...]]:
+    """Maximum cliques from every maximal one, by pivoted Bron-Kerbosch on frozensets."""
+    cliques: list[frozenset[int]] = []
+    _bron_kerbosch(adjacency, frozenset(), set(adjacency), set(), cliques)
+    best = max(len(c) for c in cliques)
+    return sorted(tuple(sorted(c)) for c in cliques if len(c) == best)
+
+
+def _bron_kerbosch(
+    adjacency: dict[int, frozenset[int]],
+    clique: frozenset[int],
+    candidates: set[int],
+    excluded: set[int],
+    out: list[frozenset[int]],
+) -> None:
+    if not candidates and not excluded:
+        out.append(clique)
+        return
+    pivot = max(candidates | excluded, key=lambda v: len(adjacency[v] & candidates))
+    for v in sorted(candidates - adjacency[pivot]):
+        _bron_kerbosch(
+            adjacency, clique | {v}, candidates & adjacency[v], excluded & adjacency[v], out
+        )
+        candidates.remove(v)
+        excluded.add(v)
+
+
 def linear_extensions(d: int, edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All causal node orders, by filtering the full permutation set."""
     out = []

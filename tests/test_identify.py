@@ -1,5 +1,7 @@
 import gc
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from cases import (
     TWO_CLIQUES_MW_DAG,
     bbar_single_edge,
     bbar_single_edge_reversed,
+    chi_of,
     chi_single_edge,
     enumeration_models,
     large_models,
+    polytrees_40,
     three_strand_dag,
 )
 from maxlindag import (
@@ -44,6 +48,7 @@ from maxlindag import (
     is_mlcm,
     is_rmwm_mlcm,
     max_weighted_triple,
+    maximum_chi_cliques,
     minimum_ml_dag,
     mlcm_from_weights,
     model_from_std_mlcm,
@@ -680,3 +685,94 @@ def test_searches_free_themselves_without_the_cycle_collector(corpus):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def model_record(models) -> list[tuple]:
+    """Everything an enumerated model holds, as bytes and tuples, in list order."""
+    return [
+        (m.std_mlcm.tobytes(), m.initial_nodes, m.ordering_used.positions,
+         sorted(m.min_ml_dag.edges), m.max_weighted)
+        for m in models
+    ]
+
+
+class TestOneCliqueSearch:
+    """Both enumerators give the bytes of the route through the public calls.
+
+    That route lists every maximum clique with ``maximum_chi_cliques`` and
+    has the enumerator put each through ``clique_initial_filter``; the
+    enumerators' own search drops cliques the filter would reject first.
+    ``enumerate_all`` cannot run at d = 40; the clique lists it would get
+    there are compared in ``test_taildep.TestFilterCut``.
+    """
+
+    @staticmethod
+    def both_routes(monkeypatch, enumerate_models, chi, **kwargs):
+        from maxlindag import identify
+
+        ours = model_record(enumerate_models(chi, **kwargs))
+        with monkeypatch.context() as patch:
+            patch.setattr(identify, "_chi_cliques",
+                          lambda chi, positive, cut: maximum_chi_cliques(chi))
+            public = model_record(enumerate_models(chi, **kwargs))
+        return ours, public
+
+    def test_corpus(self, monkeypatch, corpus):
+        found = 0
+        for entry in corpus:
+            for enumerate_models in (enumerate_all, enumerate_all_rmwm):
+                ours, public = self.both_routes(monkeypatch, enumerate_models, entry.chi)
+                assert ours == public
+                found += len(ours)
+        assert found > 1000
+
+    def test_enumeration_models(self, monkeypatch):
+        for model in enumeration_models():
+            chi = chi_of(model)
+            ours, public = self.both_routes(monkeypatch, enumerate_all, chi, max_d=12)
+            assert ours == public and ours
+            ours, public = self.both_routes(monkeypatch, enumerate_all_rmwm, chi)
+            assert ours == public
+
+    def test_structure_large_polytrees(self, monkeypatch):
+        counts = []
+        for model in polytrees_40():
+            ours, public = self.both_routes(monkeypatch, enumerate_all_rmwm, chi_of(model))
+            assert ours == public
+            counts.append(len(ours))
+        assert min(counts) > 0
+
+
+def test_threads_share_inputs_and_match_the_serial_bytes():
+    # Four threads on the same inputs, among them a Dag whose reachability
+    # cache is filled by whichever thread comes first, with the interpreter
+    # switching threads as often as it can.
+    small = random_weighted_model(8, density=0.4, seed_or_rng=5, polytree=True)
+    chi, chi_large = chi_of(small), chi_of(polytrees_40()[0])
+    noise = NoiseSpec("pareto", small.alpha)
+
+    def outputs(model: WeightedModel) -> list:
+        return [
+            model_record(enumerate_all(chi)),
+            model_record(enumerate_all_rmwm(chi)),
+            model_record(enumerate_all_rmwm(chi_large)),
+            recover_from_reachability(chi, reachability_matrix(model.dag)).tobytes(),
+            sample(model, noise, 2000, 3).values.tobytes(),
+        ]
+
+    def fresh() -> WeightedModel:
+        dag = Dag(small.d, small.dag.edges)
+        return WeightedModel(dag, small.edge_weights, small.noise_scales, small.alpha)
+
+    serial = outputs(fresh())
+    shared = fresh()
+    assert shared.dag._reach is None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(outputs, shared) for _ in range(8)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8 and all(result == serial for result in results)

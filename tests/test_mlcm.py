@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -568,11 +570,22 @@ class TestOutsideTheNormalRange:
         with pytest.raises(IllConditionedError, match=r"pair \(1,3\) leaves the normal range"):
             check(b)
 
+    @pytest.mark.parametrize("b", [1e200 * UNIT, 1e-200 * UNIT, RESCUED],
+                             ids=["overflow", "underflow", "product-underflow"])
+    def test_the_triple_check_raises_naming_the_triple(self, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError,
+                               match=r"triple \(1,2,3\) leaves the normal range"):
+                max_weighted_triple(b, 1, 2, 3)
+
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_products_in_range_keep_the_verdicts_to_the_bit(self, scale):
         for check in (is_mlcm, is_rmwm_mlcm):
             assert check(scale * self.UNIT) == check(self.UNIT)
         assert minimum_ml_dag(scale * self.UNIT) == minimum_ml_dag(self.UNIT)
+        assert max_weighted_triple(scale * self.UNIT, 1, 2, 3) == \
+            max_weighted_triple(self.UNIT, 1, 2, 3)
 
     def test_an_unchained_underflow_is_no_error(self):
         from maxlindag import mlcm

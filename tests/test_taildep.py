@@ -11,6 +11,9 @@ from cases import (
     TWO_CLIQUES_ALT_DAG,
     TWO_CLIQUES_MW_DAG,
     bbar_single_edge,
+    chi_of,
+    enumeration_models,
+    polytrees_40,
     three_strand_dag,
     three_strand_join_dag,
 )
@@ -220,13 +223,23 @@ class TestChiCliques:
                 }
 
     def test_matches_subset_scan_oracle(self, corpus):
-        for entry in corpus[:80]:
-            if entry.dag.d > 7:
-                continue
-            adjacency = chi_complement_graph(entry.chi)
-            assert maximum_chi_cliques(entry.chi) == oracles.max_cliques(
-                entry.dag.d, adjacency
-            )
+        chis = [entry.chi for entry in corpus] + [
+            chi_of(random_weighted_model(d, density=density, seed_or_rng=seed, polytree=polytree))
+            for d in (9, 10) for seed in (1, 2) for density in (0.15, 0.4)
+            for polytree in (False, True)
+        ]
+        for chi in chis:
+            d = chi.shape[0]
+            assert maximum_chi_cliques(chi) == oracles.max_cliques(d, chi_complement_graph(chi))
+
+    def test_matches_the_frozenset_bron_kerbosch(self, corpus):
+        models = enumeration_models() + polytrees_40()
+        models.append(random_weighted_model(50, alpha=1.0, seed_or_rng=2, polytree=True))
+        chis = [entry.chi for entry in corpus] + [chi_of(m) for m in models]
+        for chi in chis:
+            expected = oracles.bron_kerbosch_cliques(chi_complement_graph(chi))
+            assert maximum_chi_cliques(chi) == expected
+        assert len(expected) == 21504  # the d = 50 polytree
 
     def test_ill_conditioned_band_is_an_error(self):
         # One zero rule for chi: every caller of it refuses the (0, ZERO_TOL) band.
@@ -248,6 +261,47 @@ class TestChiCliques:
         for call in calls:
             with pytest.raises(IllConditionedError):
                 call()
+
+
+class TestFilterCut:
+    """The enumerators' clique search drops only cliques the filter rejects."""
+
+    @pytest.mark.parametrize("m", [0.0, 5e-10], ids=["nonnegative", "negative-zeros"])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    def test_a_pair_within_delta_of_the_filter_edge_keeps_its_clique(self, m, tol, side):
+        from maxlindag.taildep import _chi_cliques
+        from maxlindag.tolerance import _filter_cut, _positive_mask
+
+        # 2 <- 1 -> 3 beside a node 4 whose zero entries are -m, as low as
+        # validate_tdm admits.  W = {1, 4} bounds chi(2, 3) by
+        # min(chi(1, 2), chi(1, 3)) - m = 0.5 - m; put it half the cut's
+        # slack delta = d m + 16 d^2 u above or below the filter's edge.
+        chi = np.full((4, 4), -m)
+        chi[:3, :3] = hom_chi(Dag(3, {(1, 2), (1, 3)}))
+        chi[3, 3] = 1.0
+        delta = 4 * m + 16 * 4**2 * 2.0**-53
+        chi[1, 2] = chi[2, 1] = 0.5 - m - tol + side * delta / 2
+        assert maximum_chi_cliques(chi) == [(1, 4), (2, 4), (3, 4)]
+        assert clique_initial_filter(chi, (1, 4), tol) == (side > 0)
+        cut = _filter_cut(validate_tdm(chi), tol)
+        assert (1, 4) in _chi_cliques(chi, _positive_mask(chi), cut)
+
+    def test_cuts_only_what_the_filter_rejects(self, corpus):
+        from maxlindag.taildep import _chi_cliques
+        from maxlindag.tolerance import _filter_cut, _positive_mask
+
+        chis = [entry.chi for entry in corpus] + [chi_of(m) for m in polytrees_40()]
+        cut_any = False
+        for chi in chis:
+            for tol in (1e-9, 1e-3):
+                cliques = maximum_chi_cliques(chi)
+                kept = _chi_cliques(chi, _positive_mask(chi), _filter_cut(chi, tol))
+                assert set(kept) <= set(cliques) and kept == sorted(kept)
+                passing = [w for w in cliques if clique_initial_filter(chi, w, tol)]
+                assert [w for w in kept if clique_initial_filter(chi, w, tol)] == passing
+                cut_any |= len(kept) < len(cliques)
+        assert cut_any
 
 
 class TestCliqueInitialFilter:
