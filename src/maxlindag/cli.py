@@ -145,7 +145,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not analysis.is_mlcm(args.tol):
             print("invalid: not a coefficient matrix of any model")
             return EXIT_REJECTED
-        verdict = analysis.is_rmwm(args.tol)
+        verdict = analysis.structure(args.tol)[1]
         if verdict:
             print(f"valid max-weighted coefficient matrix (residual {verdict.residual:.3g})")
             return EXIT_OK

@@ -24,8 +24,10 @@ from .tolerance import _shown
 
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Boolean a @ b for 0/1 a and b: a BLAS product, exact while counts stay below 2**53.
-    return (a.astype(float) @ b.astype(float)) > 0
+    # Boolean a @ b for 0/1 a and b: a BLAS product, exact while counts stay
+    # below 2**53.  One float copy when a and b are the same array.
+    fa = a.astype(float)
+    return (fa @ (fa if b is a else b.astype(float))) > 0
 
 
 def _node(v: int, d: int) -> int:
@@ -251,20 +253,21 @@ def is_reachability_matrix(matrix: np.ndarray) -> bool:
     """True iff ``matrix`` is the reachability matrix of some DAG.
 
     Requires 0/1 entries, unit diagonal, transitive closure, and
-    antisymmetry (mutual reachability only on the diagonal).
+    antisymmetry (mutual reachability only on the diagonal).  A boolean
+    input skips the 0/1 test; the closure is one boolean product.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if not ((m == 0) | (m == 1)).all():
+    if m.dtype != bool:
+        if not ((m == 0) | (m == 1)).all():
+            return False
+        m = m.astype(bool)
+    if not m.diagonal().all():
         return False
-    m = m.astype(np.int64)
-    if not (np.diag(m) == 1).all():
+    if np.count_nonzero(m & m.T) != m.shape[0]:  # mutual reachability off the diagonal
         return False
-    if (m & m.T).sum() != m.shape[0]:  # mutual reachability off the diagonal
-        return False
-    closure = _bool_product(m, m)
-    return bool((m[closure] == 1).all())
+    return not (_bool_product(m, m) > m).any()
 
 
 def _reach(matrix: np.ndarray) -> np.ndarray:

@@ -17,10 +17,11 @@ to zero; (2) an entry below ``-tol`` raises :class:`NotRealizableError`
 over the placed rows in node order for every caller, and a ``tol`` outside
 (0, 1) raises :class:`ValidationError` everywhere.  Every recovery then
 gates its output in ``_recover``: a support that is not a reachability
-matrix raises :class:`NotRealizableError`, since no model has one.  The
+matrix raises :class:`NotRealizableError`, since no model has one.  A public
+recovery validates chi once and passes it to private cores.  The
 enumerators output every model, or every max-weighted model, compatible
-with a given chi, and both accept a candidate through one function,
-``_identified``.
+with a given chi, and both accept a gated candidate through one function,
+``_identified``, with no second gate.
 """
 from __future__ import annotations
 
@@ -36,16 +37,17 @@ from .errors import (
     PatternMismatchError,
     ValidationError,
 )
-from .graph import CausalOrdering, Dag, _count, _ordering, is_reachability_matrix
+from .graph import CausalOrdering, Dag, _count, _dag_on, _ordering, _reach
+from .graph import is_reachability_matrix
 from .graph import transitive_reduction as _transitive_reduction
-from .mlcm import _analysis, is_mlcm
+from .mlcm import _gated, is_mlcm
 from .taildep import (
     _chi_cliques,
     _independent_nodes,
     _min_sum,
+    _pattern_matches,
     _tdm_on,
     clique_initial_filter,
-    independence_pattern_check,
     validate_tdm,
 )
 from .tolerance import (
@@ -55,8 +57,9 @@ from .tolerance import (
     _nonpositive,
     _outside,
     _positive_mask,
-    _rel_close,
     _snap,
+    _within,
+    rel_residuals,
 )
 
 
@@ -116,7 +119,11 @@ def recover_from_ordering(
     _check_tol(tol)
     chi = validate_tdm(chi)
     d = chi.shape[0]
-    ordering = _ordering(ordering, d, f"matrix is {d}x{d}")
+    return _recover_ordered(chi, _ordering(ordering, d, f"matrix is {d}x{d}"), tol)
+
+
+def _recover_ordered(chi: np.ndarray, ordering: CausalOrdering, tol: float) -> np.ndarray:
+    # recover_from_ordering on a chi that passed validate_tdm.
     pos = np.asarray(ordering.positions)
     order = [v - 1 for v in ordering.node_order]
     return _recover(chi, order, pos[None, :] >= pos[:, None], tol)
@@ -138,12 +145,12 @@ def recover_from_reachability(
     """
     _check_tol(tol)
     chi = validate_tdm(chi)
-    if not independence_pattern_check(chi, reach):
+    reach = _reach(reach)
+    if not _pattern_matches(chi, reach):
         raise PatternMismatchError(
             "zero pattern of the tail dependence matrix does not match the "
             "common-ancestor pattern of the reachability matrix"
         )
-    reach = np.asarray(reach).astype(bool)
     order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
     return _recover(chi, order, reach, tol)
 
@@ -160,7 +167,11 @@ def ordering_from_initials(
     has initial nodes ``initials`` and tail dependence ``chi``, the result
     is a valid causal ordering of that DAG.
     """
-    chi = validate_tdm(chi)
+    return _initial_ordering(validate_tdm(chi), initials)
+
+
+def _initial_ordering(chi: np.ndarray, initials: Sequence[int]) -> CausalOrdering:
+    # ordering_from_initials on a chi that passed validate_tdm.
     positive = _positive_mask(chi)
     d = chi.shape[0]
     widx = [v - 1 for v in _independent_nodes(positive, initials, "initial nodes")]
@@ -190,8 +201,8 @@ def recover_rmwm_from_initials(
     including when the recovered support is not a reachability matrix.
     """
     _check_tol(tol)
-    ordering = ordering_from_initials(chi, initials)
-    return recover_from_ordering(chi, ordering, tol)
+    chi = validate_tdm(chi)
+    return _recover_ordered(chi, _initial_ordering(chi, initials), tol)
 
 
 def initial_bijection(
@@ -257,14 +268,13 @@ def _sorted_models(models: list[IdentifiedModel]) -> list[IdentifiedModel]:
 
 def _identified(chi: np.ndarray, bbar: np.ndarray, initials: Sequence[int],
                 ordering: CausalOrdering, tol: float) -> IdentifiedModel | None:
-    # The model of a candidate bbar that passed its caller's gate, or None
-    # when its tail dependence matrix misses chi by more than a relative
-    # tol.  The minimum DAG and the max-weighted flag come from one analysis.
-    if not _rel_close(_min_sum(bbar), chi, tol).all():
+    # The model of a candidate bbar that passed the support gate (the leaf
+    # is_mlcm, or _recover), or None when its tail dependence matrix misses
+    # chi by more than a relative tol.  No second gate runs.
+    if not _within(rel_residuals(_min_sum(bbar), chi), tol).all():
         return None
-    analysis = _analysis(bbar)
-    return IdentifiedModel(bbar, analysis.minimum_ml_dag(tol), tuple(initials), ordering,
-                           analysis.is_rmwm(tol).ok)
+    edges, rmwm = _gated(bbar).structure(tol)
+    return IdentifiedModel(bbar, _dag_on(edges), tuple(initials), ordering, rmwm.ok)
 
 
 def _initial_sets(chi: np.ndarray, positive: np.ndarray, tol: float) -> list[tuple[int, ...]]:
@@ -386,9 +396,9 @@ def _rmwm_model(chi: np.ndarray, initials: Sequence[int], tol: float) -> Identif
     # The max-weighted model with these initial nodes, or None: the initial
     # nodes fix a causal ordering, the recovery on it returns bbar (support
     # gate included), and bbar must reproduce chi and be max-weighted.
-    ordering = ordering_from_initials(chi, initials)
+    ordering = _initial_ordering(chi, initials)
     try:
-        bbar = recover_from_ordering(chi, ordering, tol)
+        bbar = _recover_ordered(chi, ordering, tol)
     except NotRealizableError:
         return None
     model = _identified(chi, bbar, initials, ordering, tol)

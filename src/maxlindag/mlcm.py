@@ -22,12 +22,13 @@ One private analysis, :func:`_analysis`, gates a matrix (square, finite,
 nonnegative, a reachability matrix as support) and then runs one kernel,
 :func:`_through`, for the largest and smallest through value of every pair;
 :func:`is_mlcm`, :func:`is_rmwm_mlcm` and :func:`minimum_ml_dag` read their
-answers off one analysis each, and callers that need several answers share
-one.  The kernel takes the intermediate node ``l`` in chunks, in a
-topological order of the support, so it forms only the chains k < l < i,
-about a sixth of the d**3 triples.  Its temporaries hold at most
-``_THROUGH_BLOCK`` elements (512 KB of float64), or those of one ``l`` when
-that is larger, beside a reordered copy of the matrix and the d x d outputs.
+answers off one analysis each, the last two off one residual pass.  A matrix
+gated elsewhere skips the gate through ``_gated``.  The kernel takes the
+intermediate node ``l`` in chunks, in a topological order of the support,
+so it forms only the chains k < l < i, about a sixth of the d**3 triples.
+Its temporaries hold at most ``_THROUGH_BLOCK`` elements (512 KB of
+float64), or those of one ``l`` when that is larger, beside a reordered copy
+of the matrix and the d x d outputs.
 
 Each input kind has one check, called by every public function that reads
 it: ``_tail_index``, ``_positive`` (weights and scalings), ``_finite_square``
@@ -49,9 +50,9 @@ from .tolerance import (
     Verdict,
     _check_tol,
     _is_real,
-    _rel_close,
     _shown,
     _verdict,
+    _within,
     rel_residuals,
 )
 
@@ -318,15 +319,15 @@ def max_weighted_triple(
 ) -> Verdict:
     """Is the maximum j-to-i path weight realized through ``k``?
 
-    Requires ``j`` strictly above ``k`` and ``k`` strictly above ``i`` in
-    the support pattern.  True iff ``b_ji == b_jk * b_ki / b_kk`` within
-    ``tol``; the left side always dominates the right for valid matrices.
-    As in the matrix checks, a product ``b_jk * b_ki`` or through value
-    outside the normal range of float64 raises :class:`IllConditionedError`
-    naming the triple.
+    Requires a nonnegative matrix with positive diagonal, ``j`` strictly
+    above ``k`` and ``k`` strictly above ``i`` in the support pattern.  True
+    iff ``b_ji == b_jk * b_ki / b_kk`` within ``tol``; the left side always
+    dominates the right for valid matrices.  As in the matrix checks, a
+    product ``b_jk * b_ki`` or through value outside the normal range of
+    float64 raises :class:`IllConditionedError` naming the triple.
     """
     _check_tol(tol)
-    bbar = _finite_square(bbar)
+    bbar = _positive_diagonal(bbar)
     j, k, i = (_node(v, bbar.shape[0]) for v in (j, k, i))
     if j == k or bbar[j - 1, k - 1] <= 0:
         raise ValidationError(f"node {j} is not a strict ancestor of {k}")
@@ -359,22 +360,22 @@ class _Analysis(NamedTuple):
         residual = float(rel_residuals(self.b[short], self.hi[short]).max(initial=0.0))
         return _verdict(residual, tol, "recomposition")
 
-    def minimum_ml_dag(self, tol: float) -> Dag:
+    def structure(self, tol: float) -> tuple[np.ndarray, Verdict]:
+        # The minimum-DAG edge mask and the max-weighted verdict, from one
+        # residual pass of b against hi over the chained pairs; a pair with
+        # no chain keeps its entry.
         if self.fault:
             raise ValidationError(self.fault)
-        redundant = (self.b <= self.hi) | _rel_close(self.b, self.hi, tol)
-        return _dag_on((self.b > 0) & ~redundant)
-
-    def is_rmwm(self, tol: float) -> Verdict:
-        if self.fault:
-            raise ValidationError(self.fault)
+        chained = self.hi != -np.inf
+        direct, hi = self.b[chained], self.hi[chained]
+        residuals = rel_residuals(direct, hi)
+        redundant = np.zeros_like(chained)
+        redundant[chained] = (direct <= hi) | _within(residuals, tol)
         # Exact to the bit while a through value stays below 2 * b_ji, the
         # only range where a residual can pass any tolerance below one half.
-        chained = self.hi != -np.inf
-        direct = self.b[chained]
-        worst = float(max(rel_residuals(direct, self.hi[chained]).max(initial=0.0),
+        worst = float(max(residuals.max(initial=0.0),
                           rel_residuals(direct, self.lo[chained]).max(initial=0.0)))
-        return _verdict(worst, tol)
+        return (self.b > 0) & ~redundant, _verdict(worst, tol)
 
 
 def _analysis(b: np.ndarray) -> _Analysis:
@@ -384,6 +385,11 @@ def _analysis(b: np.ndarray) -> _Analysis:
         return _Analysis(b, "coefficient matrix has negative entries")
     if not is_reachability_matrix(b > 0):
         return _Analysis(b, "support pattern is not a reachability matrix of a DAG")
+    return _gated(b)
+
+
+def _gated(b: np.ndarray) -> _Analysis:
+    # The analysis of a float matrix that has passed the support gate.
     return _Analysis(b, None, *_through(b))
 
 
@@ -397,7 +403,7 @@ def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     through value, so only those two are compared.
     """
     _check_tol(tol)
-    return _analysis(bbar).is_rmwm(tol)
+    return _analysis(bbar).structure(tol)[1]
 
 
 def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
@@ -415,7 +421,7 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
     ``b_ki`` shrinks as the through value grows.
     """
     _check_tol(tol)
-    return _analysis(b).minimum_ml_dag(tol)
+    return _dag_on(_analysis(b).structure(tol)[0])
 
 
 def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:

@@ -117,7 +117,12 @@ def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
     must pass :func:`validate_tdm` and ``reach`` :func:`is_reachability_matrix`.
     """
     chi = validate_tdm(chi)
-    reach = _reach(reach)
+    return _pattern_matches(chi, _reach(reach))
+
+
+def _pattern_matches(chi: np.ndarray, reach: np.ndarray) -> bool:
+    # independence_pattern_check on a chi that passed validate_tdm and the
+    # boolean reach that _reach returned.
     if chi.shape != reach.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
     return bool((_positive_mask(chi) == _bool_product(reach.T, reach)).all())

@@ -19,7 +19,7 @@ to another -- is taken here, one private function per meaning:
 - ``_worst_off(a, b, bound)``, the index of the largest ``|a - b|`` beyond
   ``bound``: ``validate_tdm``'s asymmetry and diagonal at ``DEFAULT_TOL``,
   and ``taildep.tdm_from_std_mlcm``'s column sums at ``_COLSUM_TOL``.
-- ``_rel_close(a, b, tol)`` and ``_verdict(residual, tol)``, relative
+- ``_within(residuals, tol)`` and ``_verdict(residual, tol)``, relative
   through :func:`rel_residuals`: elementwise for ``mlcm.minimum_ml_dag`` and
   the chi round trip of ``identify._identified``, and as a :class:`Verdict`
   on the worst residual for ``max_weighted_triple``, ``is_mlcm`` and
@@ -152,9 +152,9 @@ def _worst_off(a, b, bound: float):
     return np.unravel_index(np.argmax(off), off.shape) if off.max(initial=0.0) > bound else None
 
 
-def _rel_close(a, b, tol: float) -> np.ndarray:
-    # Elementwise: a and b agree within a relative tol.
-    return rel_residuals(a, b) <= tol
+def _within(residuals, tol: float):
+    # Elementwise: relative residuals that pass a tol.
+    return residuals <= tol
 
 
 def _verdict(residual: float, tol: float, reason: str | None = None) -> Verdict:

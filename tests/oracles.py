@@ -40,6 +40,26 @@ def reachability(d: int, edges: set[tuple[int, int]]) -> np.ndarray:
     return r
 
 
+def is_reachability_matrix(matrix) -> bool:
+    """The library's support gate before its boolean fast path, frozen.
+
+    0/1 test on every input, an int64 copy, and the closure read through
+    fancy indexing of a float product.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    if not ((m == 0) | (m == 1)).all():
+        return False
+    m = m.astype(np.int64)
+    if not (np.diag(m) == 1).all():
+        return False
+    if (m & m.T).sum() != m.shape[0]:
+        return False
+    closure = (m.astype(float) @ m.astype(float)) > 0
+    return bool((m[closure] == 1).all())
+
+
 def all_paths(edges: set[tuple[int, int]], start: int, goal: int) -> list[tuple[int, ...]]:
     """All directed paths start -> goal, by exhaustive DFS."""
     children: dict[int, list[int]] = {}

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,54 @@ class TestReachability:
         m[0, 2] = 1
         assert is_reachability_matrix(m)
         assert not is_reachability_matrix(np.array([[1, 1], [1, 1]]))
+
+
+class TestReachabilityGateAgainstOracle:
+    """The support gate gives the verdict of its frozen int64 version."""
+
+    @staticmethod
+    def verdict(m) -> bool:
+        ours = is_reachability_matrix(m)
+        assert ours == oracles.is_reachability_matrix(m), m
+        return ours
+
+    def test_every_0_1_matrix_up_to_d_3(self):
+        # The labelled partial orders on 0..3 elements: 1, 1, 3 and 19.
+        for d, posets in enumerate((1, 1, 3, 19)):
+            passed = 0
+            for bits in itertools.product((0, 1), repeat=d * d):
+                m = np.array(bits, dtype=np.int64).reshape(d, d)
+                passed += self.verdict(m)
+                assert self.verdict(m.astype(bool)) == self.verdict(m.astype(float))
+            assert passed == posets
+
+    def test_random_reachabilities_and_one_bit_flips(self):
+        rng = np.random.default_rng(24)
+        verdicts = set()
+        for d in range(4, 31):
+            reach = reachability_matrix(random_dag(d, float(rng.uniform(0.05, 0.5)), rng))
+            for _ in range(4):
+                flipped = reach.copy()
+                flipped[tuple(rng.integers(0, d, 2))] ^= 1
+                for m in (reach, flipped):
+                    for dtype in (bool, np.int64, float, object):
+                        verdicts.add(self.verdict(m.astype(dtype)))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+    def test_entries_other_than_0_and_1(self, value):
+        chain = np.triu(np.ones((3, 3)))
+        for at in [(0, 1), (1, 0), (2, 2)]:
+            for dtype in (float, object):
+                m = chain.astype(dtype)
+                m[at] = value
+                assert not self.verdict(m)
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3), np.ones((1, 1, 1)),
+                                   np.array(1), np.ones((0, 0)), np.zeros((0, 0), dtype=bool)],
+                             ids=["2x3", "1-D", "3-D", "0-D", "0x0", "0x0-bool"])
+    def test_shapes(self, m):
+        assert self.verdict(m) == (m.shape == (0, 0))
 
 
 class TestTransitiveReduction:

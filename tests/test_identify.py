@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from maxlindag import (
     CausalOrdering,
     Dag,
     EnumerationCapError,
+    MaxlinError,
     NoiseSpec,
     NotRealizableError,
     PatternMismatchError,
@@ -44,6 +47,7 @@ from maxlindag import (
     enumerate_all,
     enumerate_all_rmwm,
     homogeneous_model,
+    independence_pattern_check,
     initial_bijection,
     is_mlcm,
     is_rmwm_mlcm,
@@ -63,6 +67,7 @@ from maxlindag import (
     standardize,
     tdm_from_std_mlcm,
     transitive_reduction,
+    validate_tdm,
 )
 from maxlindag.tolerance import ZERO_TOL
 
@@ -741,6 +746,128 @@ class TestOneCliqueSearch:
             assert ours == public
             counts.append(len(ours))
         assert min(counts) > 0
+
+
+class TestModelsAgreeWithThePublicChecks:
+    """Each model's ``min_ml_dag`` and ``max_weighted`` are what the public
+    checks say of its ``std_mlcm``, though the enumerators read both off one
+    kernel pass with no second support gate."""
+
+    @staticmethod
+    def checked(models, tol) -> int:
+        for model in models:
+            assert model.min_ml_dag.edges == minimum_ml_dag(model.std_mlcm, tol).edges
+            assert model.max_weighted == is_rmwm_mlcm(model.std_mlcm, tol).ok
+        return len(models)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_corpus(self, corpus, tol):
+        found = sum(self.checked(enumerate_models(entry.chi, tol), tol)
+                    for entry in corpus for enumerate_models in (enumerate_all, enumerate_all_rmwm))
+        assert found > 1000
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_enumeration_models(self, tol):
+        for model in enumeration_models():
+            chi = chi_of(model)
+            assert self.checked(enumerate_all(chi, tol, max_d=12), tol) > 0
+            self.checked(enumerate_all_rmwm(chi, tol), tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_structure_large_polytrees(self, tol):
+        assert min(self.checked(enumerate_all_rmwm(chi_of(model), tol), tol)
+                   for model in polytrees_40()) > 0
+
+
+class TestRecoveriesValidateChiOnce:
+    """Each recovery gives the bytes, or the error type and message, of its
+    route through the public calls, which validates chi in every call."""
+
+    MISMATCH = ("zero pattern of the tail dependence matrix does not match the "
+                "common-ancestor pattern of the reachability matrix")
+
+    @classmethod
+    def reachability_route(cls, chi, reach, tol):
+        from maxlindag import identify
+
+        chi = validate_tdm(chi)
+        if not independence_pattern_check(chi, reach):
+            raise PatternMismatchError(cls.MISMATCH)
+        reach = np.asarray(reach).astype(bool)
+        order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
+        return identify._recover(chi, order, reach, tol)
+
+    @staticmethod
+    def ordering_route(chi, ordering, tol):
+        from maxlindag import identify
+
+        pos = np.asarray(ordering.positions)
+        order = [v - 1 for v in ordering.node_order]
+        return identify._recover(validate_tdm(chi), order, pos[None, :] >= pos[:, None], tol)
+
+    @staticmethod
+    def initials_route(chi, initials, tol):
+        return recover_from_ordering(chi, ordering_from_initials(chi, initials), tol)
+
+    @staticmethod
+    def digest(calls) -> tuple[str, set[str]]:
+        # One hash over every outcome, and the kinds of outcome seen.
+        h, kinds = hashlib.sha256(), set()
+        for call, *args in calls:
+            try:
+                outcome = call(*args).tobytes()
+                kinds.add("matrix")
+            except MaxlinError as exc:
+                outcome = f"{type(exc).__name__}: {exc}".encode()
+                kinds.add(type(exc).__name__)
+            h.update(len(outcome).to_bytes(8, "little") + outcome)
+        return h.hexdigest(), kinds
+
+    def test_one_validation_per_recovery(self, monkeypatch):
+        from maxlindag import identify, taildep
+
+        model = random_weighted_model(6, density=0.5, seed_or_rng=3, polytree=True)
+        chi, dag = chi_of(model), model.dag
+        reach = reachability_matrix(dag)
+        order = CausalOrdering.from_node_order(dag.topological_order())
+        original, calls = taildep.validate_tdm, []
+
+        def counted(chi):
+            calls.append(chi)
+            return original(chi)
+
+        for module in (identify, taildep):
+            monkeypatch.setattr(module, "validate_tdm", counted)
+        for recovery, side in [(recover_from_reachability, reach),
+                               (recover_from_reachability, reach.T),
+                               (recover_from_ordering, order),
+                               (recover_rmwm_from_initials, sorted(dag.initial_nodes()))]:
+            calls.clear()
+            with suppress(PatternMismatchError):
+                recovery(chi, side)
+            assert len(calls) == 1
+
+    def test_corpus_with_true_and_wrong_side_information(self, corpus):
+        ours, routes = [], []
+        for index, entry in enumerate(corpus):
+            chi, dag = entry.chi, entry.dag
+            other = next(e for e in corpus[index + 1:] + corpus if e.dag.d == dag.d)
+            order = CausalOrdering.from_node_order(dag.topological_order())
+            backwards = CausalOrdering.from_node_order(dag.topological_order()[::-1])
+            for reach in (entry.reach, other.reach, entry.reach.T):
+                ours.append((recover_from_reachability, chi, reach, 1e-9))
+                routes.append((self.reachability_route, chi, reach, 1e-9))
+            for ordering in (order, backwards):
+                ours.append((recover_from_ordering, chi, ordering, 1e-9))
+                routes.append((self.ordering_route, chi, ordering, 1e-9))
+            for initials in (dag.initial_nodes(), dag.terminal_nodes(),
+                             other.dag.initial_nodes()):
+                ours.append((recover_rmwm_from_initials, chi, sorted(initials), 1e-9))
+                routes.append((self.initials_route, chi, sorted(initials), 1e-9))
+        digest, kinds = self.digest(ours)
+        assert (digest, kinds) == self.digest(routes)
+        assert kinds == {"matrix", "PatternMismatchError", "NotRealizableError",
+                         "ValidationError"}
 
 
 def test_threads_share_inputs_and_match_the_serial_bytes():

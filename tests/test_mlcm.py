@@ -293,6 +293,12 @@ class TestMaxWeightedTriple:
         with pytest.raises(ValidationError):
             max_weighted_triple(BBAR_DENSE4_THROUGH, 3, 2, 4)
 
+    @pytest.mark.parametrize("b_kk", [-1.0, 0.0])
+    def test_middle_diagonal_must_be_positive(self, b_kk):
+        b = np.array([[1.0, 1.0, 1.0], [0.0, b_kk, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValidationError, match="nonnegative with positive diagonal"):
+            max_weighted_triple(b, 1, 2, 3)
+
 
 class TestIsRmwmMlcm:
     def test_two_cliques_matrices(self):
@@ -600,8 +606,8 @@ class TestOutsideTheNormalRange:
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Counts of through-kernel passes and reachability checks in ``mlcm``."""
-    from maxlindag import mlcm
+    """Counts of through-kernel passes, and of support gates wherever they run."""
+    from maxlindag import graph, identify, mlcm
 
     calls = {"through": 0, "reach": 0}
 
@@ -613,9 +619,9 @@ def kernel_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(mlcm, "_through", counted("through", mlcm._through))
-    monkeypatch.setattr(
-        mlcm, "is_reachability_matrix", counted("reach", mlcm.is_reachability_matrix)
-    )
+    gate = counted("reach", graph.is_reachability_matrix)
+    for module in (graph, mlcm, identify):
+        monkeypatch.setattr(module, "is_reachability_matrix", gate)
     return calls
 
 
@@ -654,20 +660,29 @@ class TestOneAnalysisPerCheck:
     ):
         from maxlindag import enumerate_all_rmwm, identify
 
-        candidates = []
-        original = identify.recover_from_ordering
+        candidates = []  # (gates, kernel passes, accepted) per _rmwm_model call
+        original = identify._rmwm_model
 
-        def recover(*args):
-            candidates.append(original(*args))
-            return candidates[-1]
+        def candidate(*args):
+            gates, passes = kernel_calls["reach"], kernel_calls["through"]
+            model = original(*args)
+            candidates.append((kernel_calls["reach"] - gates,
+                               kernel_calls["through"] - passes, model is not None))
+            return model
 
-        monkeypatch.setattr(identify, "recover_from_ordering", recover)
+        monkeypatch.setattr(identify, "_rmwm_model", candidate)
+        accepted = 0
         for entry in corpus[:60]:
-            kernel_calls.update(through=0, reach=0)
             candidates.clear()
             models = enumerate_all_rmwm(entry.chi)
-            assert kernel_calls["reach"] == len(candidates)
-            assert len(models) <= kernel_calls["through"] <= len(candidates)
+            assert len(models) == sum(ok for _, _, ok in candidates)
+            for gates, passes, ok in candidates:
+                # The recovery's gate only, reached once the rows settle;
+                # one kernel pass for a candidate that reproduces chi.
+                assert passes <= gates <= 1
+                assert not ok or gates == passes == 1
+            accepted += len(models)
+        assert accepted > 0
 
     def test_enumerate_all_one_pass_per_leaf_and_model(self, kernel_calls, monkeypatch, corpus):
         from maxlindag import enumerate_all, identify
@@ -682,10 +697,12 @@ class TestOneAnalysisPerCheck:
 
         monkeypatch.setattr(identify, "is_mlcm", leaf_check)
         for entry in corpus[:40]:
-            kernel_calls["through"] = 0
+            kernel_calls.update(through=0, reach=0)
             leaf_passes.clear()
             models = enumerate_all(entry.chi)
             assert set(leaf_passes) <= {0, 1}
+            # The leaf's gate is the only one: an accepted leaf gets no second.
+            assert kernel_calls["reach"] == len(leaf_passes)
             assert kernel_calls["through"] == sum(leaf_passes) + len(models)
 
 
