@@ -87,7 +87,8 @@ def tdm_from_std_mlcm(bbar: np.ndarray) -> np.ndarray:
     the output is symmetric with unit diagonal by construction.
     """
     bbar = _positive_diagonal(bbar)
-    colsums = bbar.sum(axis=0)
+    with np.errstate(over="ignore"):  # a sum beyond float64 is inf, reported below
+        colsums = bbar.sum(axis=0)
     if (at := _worst_off(colsums, 1.0, _COLSUM_TOL)) is not None:
         (j,) = at
         raise ValidationError(f"column {j + 1} sums to {float(colsums[j])}, expected 1")

@@ -576,6 +576,16 @@ def max_linear_sample(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def empirical_tdm(values: np.ndarray, u: float) -> np.ndarray:
+    """The exceedance-ratio estimate from one (n, d) array of 0/1 hits."""
+    quantiles = np.array([np.quantile(column, u) for column in values.T])
+    hits = np.greater(values, quantiles[None, :], out=np.empty_like(values, dtype=np.float64))
+    counts = hits.sum(axis=0)
+    chi = 2.0 * (hits.T @ hits) / (counts[:, None] + counts[None, :])
+    np.fill_diagonal(chi, 1.0)
+    return chi
+
+
 def scaled_block_maxima(
     b: np.ndarray, family: str, alpha: float, block_size: int, n_blocks: int, seed: int,
 ) -> np.ndarray:

@@ -69,6 +69,7 @@ from maxlindag import (
     transitive_reduction,
     validate_tdm,
 )
+from maxlindag.simulate import _ROWS
 from maxlindag.tolerance import ZERO_TOL
 
 
@@ -920,12 +921,15 @@ def test_threads_share_inputs_and_match_the_serial_bytes():
     noise = NoiseSpec("pareto", small.alpha)
 
     def outputs(model: WeightedModel) -> list:
+        # The sample spans two row blocks of the sampler and the estimator.
+        block = sample(model, noise, _ROWS + 1000, 3)
         return [
             model_record(enumerate_all(chi)),
             model_record(enumerate_all_rmwm(chi)),
             model_record(enumerate_all_rmwm(chi_large)),
             recover_from_reachability(chi, reachability_matrix(model.dag)).tobytes(),
-            sample(model, noise, 2000, 3).values.tobytes(),
+            block.values.tobytes(),
+            empirical_tdm(block, 0.95).tobytes(),
         ]
 
     def fresh() -> WeightedModel:

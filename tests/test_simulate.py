@@ -200,6 +200,47 @@ class TestColumnKernel:
         np.fill_diagonal(expected, 1.0)
         assert np.array_equal(empirical_tdm(block, 0.95), expected)
 
+    @pytest.mark.parametrize("n", [_ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 7])
+    def test_empirical_tdm_equals_the_whole_array_estimate(self, n):
+        # The hits are counted one row block at a time; the counts, and so
+        # every bit of chi, are those of one (n, d) array of hits, whatever
+        # the layout of the sample.  At u = 0.5 nearly every row has a hit,
+        # so a row lost at a block boundary shows.
+        noise = NoiseSpec("pareto", 1.0)
+        model = kind_model("general", 7, 1.0, seed=n % 5)
+        values = sample(model, noise, n, seed=n).values
+        for u in (0.5, 0.95, 0.99):
+            assert n * (1.0 - u) >= 50
+            expected = oracles.empirical_tdm(values, u).tobytes()
+            for layout in (np.asfortranarray(values), np.ascontiguousarray(values)):
+                assert oracles.empirical_tdm(layout, u).tobytes() == expected
+                block = SampleBlock(layout, n, model, noise)
+                assert empirical_tdm(block, u).tobytes() == expected
+
+    @pytest.mark.parametrize("kernel,bound", [
+        ("sample", 1.25), ("empirical_tdm", 0.25), ("scaled_block_maxima", 1.5),
+    ])
+    def test_peak_memory_is_one_sample(self, kernel, bound):
+        # In units of one (n, d) float64 array.  The output is one unit and the
+        # row blocks of draws, noise or hits add 0.1-0.2 at d = 20; one more
+        # (n, d) temporary would add a whole unit.
+        n, d = 200_000, 20
+        model = kind_model("general", d, 1.0, seed=2)
+        noise = NoiseSpec("pareto", 1.0)
+        block = sample(model, noise, n, seed=1) if kernel == "empirical_tdm" else None
+        calls = {
+            "sample": lambda: sample(model, noise, n, seed=1),
+            "empirical_tdm": lambda: empirical_tdm(block, 0.98),
+            "scaled_block_maxima": lambda: scaled_block_maxima(model, noise, 10, n, seed=1),
+        }
+        tracemalloc.start()
+        try:
+            calls[kernel]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * d * 8, peak / (n * d * 8)
+
 
 class TestOverflow:
     @pytest.mark.parametrize("family", ["pareto", "frechet"])
@@ -264,6 +305,40 @@ class TestEmpiricalTdm:
         block = sample(model, NoiseSpec("frechet", 1.0), 1000, seed=0)
         with pytest.raises(ValidationError):
             empirical_tdm(block, 1.0)
+
+    @pytest.mark.parametrize("values,message", [
+        (np.ones(1000), "sample values must be a 2-D array, got 1-D"),
+        (np.ones((1000, 2, 2)), "sample values must be a 2-D array, got 3-D"),
+        ([[1.0, 2.0]] * 1000, "sample values must be a numpy array, got list"),
+        (np.ones((1000, 2), dtype=bool), "sample values must be real numbers, got dtype bool"),
+        (np.ones((1000, 2), dtype=complex),
+         "sample values must be real numbers, got dtype complex128"),
+        (np.ones((1000, 0)),
+         r"sample values need at least one row and one column, got shape \(1000, 0\)"),
+        (np.ones((0, 2)),
+         r"sample values need at least one row and one column, got shape \(0, 2\)"),
+        (np.full((1000, 2), np.nan), "sample column 1 has a value that is not finite"),
+        (np.column_stack([np.arange(1000.0), np.full(1000, np.inf)]),
+         "sample column 2 has a value that is not finite"),
+        (np.column_stack([np.arange(1000.0), np.r_[np.arange(999.0), -np.inf]]),
+         "sample column 2 has a value that is not finite"),
+    ], ids=["1-D", "3-D", "list", "bool", "complex", "no-columns", "no-rows", "nan",
+            "inf-column", "one-minus-inf"])
+    def test_malformed_values_are_malformed_input(self, values, message):
+        # Each once raised AttributeError, numpy's ValueError, a RuntimeWarning
+        # or TailSampleError, or gave a 0x0 matrix.
+        block = SampleBlock(values, 0, single_edge_model(0.5), NoiseSpec("frechet", 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                empirical_tdm(block, 0.9)
+
+    def test_integer_values_are_real(self):
+        values = np.random.default_rng(4).integers(0, 10**6, size=(2000, 3))
+        model = random_weighted_model(3, seed_or_rng=1)
+        blocks = [SampleBlock(v, 0, model, NoiseSpec("pareto", 1.0))
+                  for v in (values, values.astype(float))]
+        assert np.array_equal(empirical_tdm(blocks[0], 0.9), empirical_tdm(blocks[1], 0.9))
 
 
 class TestLimitCdf:
@@ -403,6 +478,36 @@ BEYOND_CALLS = {
     "limit_cdf_pair": (lambda: limit_cdf(_BIG, (1.0, -10**400), i=1, j=2),
                        "evaluation point has a value beyond float64"),
 }
+
+
+# Each argument of another type once raised AttributeError.
+_NOISE = NoiseSpec("pareto", 1.0)
+TYPE_CALLS = {
+    "sample_model": (lambda: sample(None, _NOISE, 10, 1),
+                     "model must be a WeightedModel, got NoneType"),
+    "sample_noise": (lambda: sample(_BIG, "pareto", 10, 1),
+                     "noise must be a NoiseSpec, got str"),
+    "block_maxima_model": (lambda: scaled_block_maxima(_BIG.dag, _NOISE, 10, 10, 1),
+                           "model must be a WeightedModel, got Dag"),
+    "block_maxima_noise": (lambda: scaled_block_maxima(_BIG, "pareto", 10, 10, 1),
+                           "noise must be a NoiseSpec, got str"),
+    "unit_frechet_points": (lambda: unit_frechet_points(None),
+                            "model must be a WeightedModel, got NoneType"),
+    "limit_cdf": (lambda: limit_cdf(None, 1.0, i=1),
+                  "model must be a WeightedModel, got NoneType"),
+    "empirical_tdm": (lambda: empirical_tdm(np.ones((1000, 3)), 0.9),
+                      "block must be a SampleBlock, got ndarray"),
+}
+
+
+@pytest.mark.parametrize("call", list(TYPE_CALLS), ids=list(TYPE_CALLS))
+def test_arguments_of_another_type_are_rejected(call, monkeypatch):
+    # Checked before any uniform is drawn.
+    monkeypatch.setattr(np.random, "default_rng", None)
+    run, message = TYPE_CALLS[call]
+    with pytest.raises(ValidationError) as exc:
+        run()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("call", list(BEYOND_CALLS), ids=list(BEYOND_CALLS))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,14 @@ class TestTdmFromStdMlcm:
             else:
                 with pytest.raises(ValidationError, match="column 2 sums to"):
                     tdm_from_std_mlcm(bbar)
+
+    def test_a_column_sum_beyond_float64_is_rejected_without_a_warning(self):
+        # The column sums once overflowed with a RuntimeWarning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                tdm_from_std_mlcm(np.array([[1e308, 1e308], [0.0, 1e308]]))
+        assert str(exc.value) == "column 2 sums to inf, expected 1"
 
 
 class TestValidateTdm:
