@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _format_models(models) -> str:
+    # One CSV call for every model's std_mlcm block, each d x d for one chi.
+    rows = iter(dumps_matrix(np.vstack([m.std_mlcm for m in models])).splitlines())
     lines: list[str] = []
     for index, model in enumerate(models, start=1):
         lines.append(f"model {index}")
@@ -112,7 +115,7 @@ def _format_models(models) -> str:
             + " ".join(f"{k}->{i}" for k, i in sorted(model.min_ml_dag.edges))
         )
         lines.append("std_mlcm:")
-        lines.append(dumps_matrix(model.std_mlcm).rstrip("\n"))
+        lines.extend(islice(rows, len(model.std_mlcm)))
         lines.append("")
     return "\n".join(lines)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CycleError, ValidationError
-from .tolerance import _shown
+from .tolerance import _instance, _shown
 
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,7 +245,7 @@ def reachability_matrix(dag: Dag) -> np.ndarray:
     Equals the sign pattern of any max-linear coefficient matrix on the DAG;
     the diagonal is all ones and the relation is transitively closed.
     """
-    return dag._reachability().astype(np.int64)
+    return _instance(dag, Dag, "dag")._reachability().astype(np.int64)
 
 
 def _nodes(mask: np.ndarray) -> frozenset[int]:

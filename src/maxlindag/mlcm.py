@@ -49,6 +49,7 @@ from .tolerance import (
     DEFAULT_TOL,
     Verdict,
     _check_tol,
+    _instance,
     _is_real,
     _shown,
     _verdict,
@@ -118,6 +119,7 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
     Each column is one numpy call over its parents' columns; every product
     is one multiplication and the maximum is exact.
     """
+    model = _instance(model, WeightedModel, "model")
     b = np.diag(model.noise_scales)  # C-contiguous, as standardize's column sums expect
     for i in model.dag.topological_order():
         if parents := model.dag.parents(i):

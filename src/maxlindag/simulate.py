@@ -46,7 +46,7 @@ from .errors import TailSampleError, ValidationError
 from .generate import _seed
 from .graph import _count
 from .mlcm import WeightedModel, _tail_index, mlcm_from_weights
-from .tolerance import _check_tol, _is_real, _shown
+from .tolerance import _check_tol, _instance, _is_real, _shown
 
 _FAMILIES = ("pareto", "frechet")
 
@@ -165,13 +165,6 @@ def _noise_max_linear(
                     "a larger tail index keeps the draws finite"
                 )
     return xt.T
-
-
-def _instance(value, kind: type, what: str):
-    # A value of the given type, checked before any draw.
-    if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 def _rows(n: int, what: str, d: int) -> int:

@@ -3,7 +3,9 @@
 Max-times path products compound rounding, so every equality-based
 classification works at a tolerance and reports its worst-case residual next
 to the boolean verdict.  ``_check_tol`` is the one rule for ``tol``: a real
-number, not a bool or a string, in the open interval (0, 1).
+number, not a bool or a string, in the open interval (0, 1).  ``_instance``
+is the one type rule for a library object passed in (a ``Dag``, a model, a
+noise spec or a sample block): anything else raises ``ValidationError``.
 
 Every numeric verdict of the package -- is a value zero, negative, or close
 to another -- is taken here, one private function per meaning:
@@ -58,6 +60,13 @@ _COLSUM_TOL = 1e-8
 def _is_real(x) -> bool:
     # A real number, numpy scalars included; a bool or a string is not one.
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _instance(value, kind: type, what: str):
+    # A value of the given type, checked before it is used.
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 class _Text(str):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,14 @@ class TestReachability:
         dag = Dag(4, DENSE4_EDGES)
         reach = reachability_matrix(dag)
         assert np.array_equal(reachability_matrix(dag_from_reachability(reach)), reach)
+
+    @pytest.mark.parametrize("dag, shown", [(None, "NoneType"), (np.eye(2), "ndarray")])
+    def test_a_dag_of_another_type_is_rejected(self, dag, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                reachability_matrix(dag)
+        assert str(exc.value) == f"dag must be a Dag, got {shown}"
 
     def test_is_reachability_matrix_rejects_intransitive(self):
         m = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])

@@ -1,23 +1,31 @@
+import math
 import os
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cases import CHI_TRIANGLE, CHI_TWO_CLIQUES, TWO_CLIQUES_MW_DAG
 from maxlindag import (
     Dag,
     FormatError,
+    NoiseSpec,
     WeightedModel,
     homogeneous_model,
     mlcm_from_weights,
     random_weighted_model,
     reachability_matrix,
+    sample,
     standardize,
     tdm_from_std_mlcm,
 )
 from maxlindag.cli import main
 from maxlindag.io import (
+    _CELLS,
     dumps_matrix,
     dumps_model,
     loads_matrix,
@@ -133,6 +141,94 @@ class TestMatrixFiles:
         with pytest.raises(FormatError):
             write_matrix(np.zeros(3), path)
         assert path.read_text() == "1\n"
+
+
+def percent_g(matrix) -> str:
+    """The CSV text of a matrix, one ``"%.17g" % v`` per value."""
+    rows = np.asarray(matrix, dtype=float).tolist()
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows) or "\n"
+
+
+def seventeen_digit_ties() -> list[float]:
+    # Odd multiples of 2**(k - 17) in [10**k, 10**(k+1)): x * 10**(16 - k) is
+    # an odd multiple of 1/2, and the digit kept before the tie alternates
+    # between even and odd along consecutive odd multiples.
+    ties = []
+    for k in range(-6, 16):
+        first = math.ceil(Fraction(10) ** k * 2 ** (17 - k)) | 1
+        for m in range(first, first + 8, 2):
+            x = math.ldexp(m, k - 17)
+            if m < 2**53 and x < 10.0 ** (k + 1):
+                assert (Fraction(x) * Fraction(10) ** (16 - k)).denominator == 2
+                ties.append(x)
+    return ties
+
+
+def powers_of_ten() -> list[float]:
+    values = [10.0**e for e in range(-8, 19)]
+    return [w for v in values for w in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))]
+
+
+class TestPercentG:
+    """The CSV text is ``"%.17g" % v`` per value, byte for byte."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60), st.integers(1, 6))
+    def test_any_float64_bit_pattern(self, bits, d):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        matrix = np.resize(values, (-(-len(values) // d), d))
+        assert dumps_matrix(matrix) == percent_g(matrix)
+
+    @pytest.mark.parametrize("name, values", [
+        ("powers of ten and their neighbours", powers_of_ten()),
+        ("the double below 1e17", [99999999999999984.0, 9.999999999999999e16, 1e17]),
+        ("17-digit ties", seventeen_digit_ties()),
+        ("zeros and bounds", [0.0, -0.0, 1e-6, np.nextafter(1e-6, 1.0), 1e-5, 1e-4, 1.0]),
+        ("subnormals", [5e-324, 2.2250738585072009e-308, 1e-310, np.nextafter(0.0, 1.0) * 3]),
+        ("non-finite", [np.inf, -np.inf, np.nan]),
+        ("integers", [float(v) for v in (1, 9, 10, 99, 100, 12345, 2**53, 2**53 + 2, 10**16)]),
+    ])
+    def test_grid(self, name, values):
+        column = np.array(values + [-v for v in values]).reshape(-1, 1)
+        assert dumps_matrix(column) == percent_g(column)
+        assert dumps_matrix(column.T) == percent_g(column.T)
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_edges(self, d, extra, order):
+        rows = max(1, _CELLS // d) + extra
+        rng = np.random.default_rng(d)
+        matrix = 10.0 ** rng.uniform(-7, 18, size=(rows, d)) * rng.choice([-1.0, 1.0], size=(rows, d))
+        matrix[rng.random((rows, d)) < 0.05] = 0.0
+        matrix = np.asarray(matrix, order=order)
+        assert dumps_matrix(matrix) == percent_g(matrix)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 2 * _CELLS + 1)])
+    def test_degenerate_shapes(self, shape):
+        matrix = np.linspace(0.5, 2.0, math.prod(shape)).reshape(shape)
+        assert dumps_matrix(matrix) == percent_g(matrix)
+
+    def test_the_corpus_matrices(self, corpus):
+        for entry in corpus:
+            for matrix in (entry.bbar, entry.chi):
+                assert dumps_matrix(matrix) == percent_g(matrix), entry.index
+
+    def test_peak_memory_is_a_fraction_of_the_sample(self, tmp_path):
+        # The text is written in row blocks: one (n, d) text would take about
+        # 2.4 units of the sample's n * d * 8 bytes.
+        n, d = 50_000, 10
+        model = random_weighted_model(d, 0.3, (0.5, 2.0), 1.0, seed_or_rng=3)
+        values = sample(model, NoiseSpec("pareto", 1.0), n, seed=1).values
+        path = tmp_path / "sample.csv"
+        tracemalloc.start()
+        try:
+            write_matrix(values, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * d * 8, peak / (n * d * 8)
+        assert path.read_bytes() == percent_g(values).encode()
 
 
 class TestDotExport:

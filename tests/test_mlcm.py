@@ -137,6 +137,15 @@ class TestMlcmFromWeights:
             np.testing.assert_allclose(mlcm_from_weights(model), expected, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("model, shown", [(None, "NoneType"), (Dag(2), "Dag")])
+    def test_a_model_of_another_type_is_rejected(self, model, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                mlcm_from_weights(model)
+        assert str(exc.value) == f"model must be a WeightedModel, got {shown}"
+
+
 class TestModelBuildingBits:
     """Model building gives the bits of one draw per weight and one maximum per edge."""
 
