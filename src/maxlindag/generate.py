@@ -4,16 +4,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Dag, _node_count
-from .mlcm import WeightedModel, _positive, homogeneous_model
-from .tolerance import _is_real, _shown
-
-
-def _seed(seed: int) -> int:
-    # The one seed check of the package: numpy's generators take an integer >= 0.
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {_shown(seed)!r}")
-    return int(seed)
+from .graph import Dag
+from .mlcm import WeightedModel, homogeneous_model
+from .tolerance import _is_real, _node_count, _positive, _seed, _shown
 
 
 def _as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:

@@ -4,10 +4,9 @@ Nodes are the integers ``1..d`` throughout; external naming is an I/O
 concern.  A :class:`Dag` is immutable after construction and rejects cyclic
 edge sets outright, so every derived value can be shared freely.
 
-One rule reads each kind of input: ``_node_count`` for node counts,
-``_node`` for nodes, ``_edge`` for edges (a pair of distinct nodes),
-``_ordering`` for causal orderings of length d and ``_reach`` for
-reachability matrices.
+Plain inputs (node counts, nodes, edges, collections, arrays) are read by
+the rules of :mod:`maxlindag.tolerance`; ``_ordering`` reads causal
+orderings of length d and ``_reach`` reachability matrices.
 
 ``causal_orderings`` walks one explicit stack that it owns, as the clique
 search and ``enumerate_all`` do: no recursion limit, and no state shared
@@ -15,7 +14,6 @@ with the caller.
 """
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -24,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CycleError, ValidationError
-from .tolerance import _instance, _shown
+from .tolerance import _count, _edge, _instance, _items, _node, _node_count, _real_array
 
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -32,42 +30,6 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # below 2**53.  One float copy when a and b are the same array.
     fa = a.astype(float)
     return (fa @ (fa if b is a else b.astype(float))) > 0
-
-
-def _node(v: int, d: int) -> int:
-    # The node v as a Python int; anything but an integer in 1..d raises.
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 1 <= v <= d:
-        raise ValidationError(f"node {_shown(v)!r} is not an integer in 1..{d}")
-    return int(v)
-
-
-def _edge(pair, d: int) -> tuple[int, int]:
-    # The edge k -> i as a pair of distinct nodes; anything else raises.
-    try:
-        k, i = pair
-    except (TypeError, ValueError):
-        raise ValidationError(f"edge {_shown(pair)!r} is not a pair of nodes") from None
-    k, i = _node(k, d), _node(i, d)
-    if k == i:
-        raise ValidationError(f"self loop at node {k}")
-    return k, i
-
-
-def _count(n: int, what: str) -> int:
-    # The count n as a Python int; anything but an integer of at least 1 raises.
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"{what} must be an integer of at least 1, got {_shown(n)!r}")
-    return int(n)
-
-
-def _node_count(d: int) -> int:
-    # The one rule for a node count: a count whose d x d reachability matrix
-    # numpy can shape (sys.maxsize is the largest np.intp), checked before
-    # anything is built.
-    d = _count(d, "node count")
-    if d * d > sys.maxsize:
-        raise ValidationError(f"node count {_shown(d)!r} is too large for a d x d numpy array")
-    return d
 
 
 class AncestralSets(NamedTuple):
@@ -104,7 +66,7 @@ class Dag:
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
         d = _node_count(d)
-        edge_set = frozenset(_edge(pair, d) for pair in edges)
+        edge_set = frozenset(_edge(pair, d) for pair in _items(edges, "edges", "node pairs"))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edge_set)
 
@@ -199,15 +161,16 @@ class CausalOrdering:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        d = len(self.positions)
-        pos = tuple(_node(p, d) for p in self.positions)
-        if sorted(pos) != list(range(1, d + 1)):
-            raise ValidationError(f"positions {pos} are not a bijection on 1..{d}")
+        positions = _items(self.positions, "positions")
+        pos = tuple(_node(p, len(positions)) for p in positions)
+        if sorted(pos) != list(range(1, len(pos) + 1)):
+            raise ValidationError(f"positions {pos} are not a bijection on 1..{len(pos)}")
         object.__setattr__(self, "positions", pos)
 
     @classmethod
     def from_node_order(cls, nodes: Sequence[int]) -> "CausalOrdering":
         """Build from the nodes listed earliest-first."""
+        nodes = _items(nodes, "node order")
         d = len(nodes)
         nodes = [_node(v, d) for v in nodes]
         if sorted(nodes) != list(range(1, d + 1)):
@@ -234,7 +197,7 @@ class CausalOrdering:
 
 def ancestral_sets(dag: Dag, i: int) -> AncestralSets:
     """All five neighbourhoods (an, An, pa, de, De) of node ``i``."""
-    an = dag.ancestors(i)
+    an = _instance(dag, Dag, "dag").ancestors(i)
     de = dag.descendants(i)
     return AncestralSets(an, an | {i}, dag.parents(i), de, de | {i})
 
@@ -256,29 +219,35 @@ def _nodes(mask: np.ndarray) -> frozenset[int]:
 def is_reachability_matrix(matrix: np.ndarray) -> bool:
     """True iff ``matrix`` is the reachability matrix of some DAG.
 
-    Requires 0/1 entries, unit diagonal, transitive closure, and
-    antisymmetry (mutual reachability only on the diagonal).  A boolean
-    input skips the 0/1 test; the closure is one boolean product.
+    Requires 0/1 entries, unit diagonal, transitive closure and antisymmetry
+    (mutual reachability only on the diagonal); a boolean input skips the 0/1
+    test.  Input that is no array of real numbers raises ValidationError.
     """
-    m = np.asarray(matrix)
+    return _reachability_mask(matrix) is not None
+
+
+def _reachability_mask(matrix) -> np.ndarray | None:
+    # The boolean matrix of a reachability matrix, or None for a real array
+    # that is not one.
+    m = _real_array(matrix, "reachability input")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
+        return None
     if m.dtype != bool:
         if not ((m == 0) | (m == 1)).all():
-            return False
+            return None
         m = m.astype(bool)
     if not m.diagonal().all():
-        return False
+        return None
     if np.count_nonzero(m & m.T) != m.shape[0]:  # mutual reachability off the diagonal
-        return False
-    return not (_bool_product(m, m) > m).any()
+        return None
+    return None if (_bool_product(m, m) > m).any() else m
 
 
 def _reach(matrix: np.ndarray) -> np.ndarray:
     # The one rule for a reachability input: the boolean matrix, or a raise.
-    if not is_reachability_matrix(matrix):
+    if (m := _reachability_mask(matrix)) is None:
         raise ValidationError("reachability input is not a reachability matrix of a DAG")
-    return np.asarray(matrix).astype(bool)
+    return m
 
 
 def dag_from_reachability(matrix: np.ndarray) -> Dag:
@@ -295,7 +264,7 @@ def transitive_reduction(dag: Dag) -> Dag:
     DAGs, removing all redundant edges at once yields the minimum-edge
     representative of the reachability relation.
     """
-    strict = dag._reachability() & ~np.eye(dag.d, dtype=bool)
+    strict = _instance(dag, Dag, "dag")._reachability() & ~np.eye(dag.d, dtype=bool)
     return _dag_on(strict & ~_bool_product(strict, strict))
 
 
@@ -308,7 +277,7 @@ def _dag_on(pairs: np.ndarray) -> Dag:
 def _ordering(ordering: CausalOrdering | Sequence[int], d: int, against: str) -> CausalOrdering:
     # A CausalOrdering, or positions sigma(1..d), of length d; `against` names what fixes d.
     if not isinstance(ordering, CausalOrdering):
-        ordering = CausalOrdering(tuple(ordering))
+        ordering = CausalOrdering(ordering)
     if len(ordering) != d:
         raise ValidationError(f"ordering has length {len(ordering)}, {against}")
     return ordering
@@ -316,7 +285,8 @@ def _ordering(ordering: CausalOrdering | Sequence[int], d: int, against: str) ->
 
 def validate_causal_ordering(dag: Dag, ordering: CausalOrdering | Sequence[int]) -> bool:
     """True iff sigma(j) < sigma(i) for every ancestor j of every node i."""
-    pos = _ordering(ordering, dag.d, f"DAG has {dag.d} nodes").positions
+    d = _instance(dag, Dag, "dag").d
+    pos = _ordering(ordering, d, f"DAG has {d} nodes").positions
     return all(pos[k - 1] < pos[i - 1] for k, i in dag.edges)
 
 
@@ -327,7 +297,7 @@ def causal_orderings(dag: Dag, limit: int | None = None) -> Iterator[CausalOrder
     count can be factorial in d even for moderate graphs.
     """
     limit = None if limit is None else _count(limit, "ordering limit")
-    return islice(_extensions(dag), limit)
+    return islice(_extensions(_instance(dag, Dag, "dag")), limit)
 
 
 def _extensions(dag: Dag) -> Iterator[CausalOrdering]:

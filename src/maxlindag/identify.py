@@ -37,8 +37,7 @@ from .errors import (
     PatternMismatchError,
     ValidationError,
 )
-from .graph import CausalOrdering, Dag, _count, _dag_on, _ordering, _reach
-from .graph import is_reachability_matrix
+from .graph import CausalOrdering, Dag, _dag_on, _ordering, _reach, is_reachability_matrix
 from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _gated, is_mlcm
 from .taildep import (
@@ -53,6 +52,7 @@ from .taildep import (
 from .tolerance import (
     DEFAULT_TOL,
     _check_tol,
+    _count,
     _filter_cut,
     _nonpositive,
     _outside,

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .graph import Dag
 from .mlcm import WeightedModel
+from .tolerance import _real_array
 
 
 def dumps_model(model: WeightedModel) -> str:
@@ -224,7 +225,7 @@ def _csv_block(block: np.ndarray) -> bytes:
 def _csv_blocks(matrix: np.ndarray) -> Iterator[bytes]:
     # The CSV bytes of a matrix in row blocks of about _CELLS values; the
     # shape is checked before the first block is asked for.
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _real_array(matrix, "matrix").astype(float, copy=False)
     if matrix.ndim != 2:
         raise FormatError(f"expected a 2-d matrix, got shape {matrix.shape}")
     n, d = matrix.shape

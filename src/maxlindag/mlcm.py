@@ -30,32 +30,29 @@ Its temporaries hold at most ``_THROUGH_BLOCK`` elements (512 KB of
 float64), or those of one ``l`` when that is larger, beside a reordered copy
 of the matrix and the d x d outputs.
 
-Each input kind has one check, called by every public function that reads
-it: ``_tail_index``, ``_positive`` (weights and scalings), ``_finite_square``
-(matrix shape) and ``_positive_diagonal``.
+Each input kind has one check in :mod:`maxlindag.tolerance`, called by every
+public function that reads it, matrices included (``_finite_square``).
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .graph import Dag, _dag_on, _edge, _node, is_reachability_matrix
+from .graph import Dag, _dag_on, is_reachability_matrix
 from .tolerance import (
     DEFAULT_TOL,
     Verdict,
     _check_tol,
-    _instance,
-    _is_real,
-    _shown,
     _verdict,
     _within,
     rel_residuals,
 )
+from .tolerance import _edge, _finite_square, _instance, _node, _positive, _positive_diagonal
+from .tolerance import _tail_index
 
 # Element cap on each temporary of the through kernel; a matrix whose d**3
 # triples fit under it is one chunk, in the order given.
@@ -77,13 +74,14 @@ class WeightedModel:
     alpha: float
 
     def __post_init__(self):
-        keys = [_edge(pair, self.dag.d) for pair in self.edge_weights]
+        d = _instance(self.dag, Dag, "dag").d
+        keys = [_edge(pair, d) for pair in self.edge_weights]
         weights = dict(zip(keys, _positive(self.edge_weights.values(), "edge weights")))
         if set(weights) != set(self.dag.edges):
             raise ValidationError("edge_weights keys must match the DAG edge set")
         scales = _positive(self.noise_scales, "noise scales")
-        if len(scales) != self.dag.d:
-            raise ValidationError(f"expected {self.dag.d} noise scales, got {len(scales)}")
+        if len(scales) != d:
+            raise ValidationError(f"expected {d} noise scales, got {len(scales)}")
         alpha = _tail_index(self.alpha)
         object.__setattr__(self, "edge_weights", weights)
         object.__setattr__(self, "noise_scales", scales)
@@ -92,22 +90,6 @@ class WeightedModel:
     @property
     def d(self) -> int:
         return self.dag.d
-
-
-def _tail_index(alpha: float) -> float:
-    # The one tail index rule: a real number, finite and positive.
-    if not (_is_real(alpha) and 0.0 < alpha <= sys.float_info.max):
-        raise ValidationError(f"tail index must be finite and positive, got {_shown(alpha)!r}")
-    return float(alpha)
-
-
-def _positive(values: Iterable[float], what: str) -> tuple[float, ...]:
-    # The one rule for weights and scalings: finite real numbers above zero.
-    # An integer beyond float64 is not finite here: float() would overflow.
-    values = tuple(values)
-    if not all(_is_real(c) and 0.0 < c <= sys.float_info.max for c in values):
-        raise ValidationError(f"{what} must be finite and strictly positive")
-    return tuple(float(c) for c in values)
 
 
 def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
@@ -126,24 +108,6 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
             weights = [model.edge_weights[(k, i)] for k in parents]
             col = b[:, i - 1]
             np.maximum(col, (b[:, [k - 1 for k in parents]] * weights).max(axis=1), out=col)
-    return b
-
-
-def _finite_square(m: np.ndarray, noun: str = "coefficient matrix") -> np.ndarray:
-    # The one shape rule for a matrix: square, nonempty and finite.
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValidationError(f"{noun} must be square and nonempty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{noun} has non-finite entries")
-    return m
-
-
-def _positive_diagonal(b: np.ndarray) -> np.ndarray:
-    # A square finite matrix, nonnegative with positive diagonal.
-    b = _finite_square(b)
-    if (b < 0).any() or (np.diag(b) <= 0).any():
-        raise ValidationError("matrix must be nonnegative with positive diagonal")
     return b
 
 
@@ -458,7 +422,7 @@ def homogeneous_model(dag: Dag, alpha: float) -> WeightedModel:
     paths are max-weighted on any DAG.
     """
     alpha = _tail_index(alpha)
-    n_an = dag._reachability().sum(axis=0).tolist()  # |An(i)| at i - 1
+    n_an = _instance(dag, Dag, "dag")._reachability().sum(axis=0).tolist()  # |An(i)| at i - 1
     scales = tuple(n ** (-1.0 / alpha) for n in n_an)
     weights = {(k, i): (n_an[k - 1] / n_an[i - 1]) ** (1.0 / alpha) for k, i in dag.edges}
     return WeightedModel(dag, weights, scales, alpha)
@@ -475,5 +439,6 @@ def model_from_std_mlcm(bbar: np.ndarray, alpha: float, tol: float = DEFAULT_TOL
         raise ValidationError(f"matrix is not a valid coefficient matrix ({verdict.reason})")
     b = destandardize(bbar, 1.0, alpha)
     dag = minimum_ml_dag(b, tol)
-    weights = {(k, i): b[k - 1, i - 1] / b[k - 1, k - 1] for k, i in dag.edges}
+    with np.errstate(over="ignore"):  # WeightedModel rejects a weight beyond float64
+        weights = {(k, i): b[k - 1, i - 1] / b[k - 1, k - 1] for k, i in dag.edges}
     return WeightedModel(dag, weights, tuple(np.diag(b)), alpha)

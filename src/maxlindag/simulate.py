@@ -43,10 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailSampleError, ValidationError
-from .generate import _seed
-from .graph import _count
-from .mlcm import WeightedModel, _tail_index, mlcm_from_weights
-from .tolerance import _check_tol, _instance, _is_real, _shown
+from .mlcm import WeightedModel, mlcm_from_weights
+from .tolerance import _check_tol, _count, _instance, _is_real, _rows, _seed, _shown, _tail_index
 
 _FAMILIES = ("pareto", "frechet")
 
@@ -165,15 +163,6 @@ def _noise_max_linear(
                     "a larger tail index keeps the draws finite"
                 )
     return xt.T
-
-
-def _rows(n: int, what: str, d: int) -> int:
-    # A count of rows of d float64 values that numpy can shape into an
-    # (n, d) array; checked before any draw.
-    n = _count(n, what)
-    if n * d * 8 > np.iinfo(np.intp).max:
-        raise ValidationError(f"{what} is too large for a numpy array of {d} columns")
-    return n
 
 
 def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleBlock:

@@ -30,8 +30,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Dag, _bool_product, _node, _nodes, _reach
-from .mlcm import _finite_square, _positive_diagonal
+from .graph import Dag, _bool_product, _nodes, _reach
 from .tolerance import (
     DEFAULT_TOL,
     _COLSUM_TOL,
@@ -41,9 +40,9 @@ from .tolerance import (
     _nonpositive,
     _outside,
     _positive_mask,
-    _shown,
     _worst_off,
 )
+from .tolerance import _finite_square, _instance, _items, _node, _positive_diagonal
 
 # Element cap on each temporary of the min-sum kernel.
 _MIN_SUM_BLOCK = 1 << 16
@@ -75,7 +74,7 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
 
 def _tdm_on(chi: np.ndarray, dag: Dag) -> np.ndarray:
     chi = validate_tdm(chi)
-    if chi.shape[0] != dag.d:
+    if chi.shape[0] != _instance(dag, Dag, "dag").d:
         raise ValidationError(f"matrix is {chi.shape[0]}x{chi.shape[0]}, DAG has {dag.d} nodes")
     return chi
 
@@ -257,13 +256,7 @@ def _colours(adj: dict[int, int], p: int) -> int:
 
 def _independent_nodes(positive: np.ndarray, nodes: Sequence[int], name: str) -> list[int]:
     # Sorted distinct nodes, checked in range and pairwise independent.
-    try:
-        nodes = list(nodes)
-    except TypeError:
-        raise ValidationError(
-            f"{name} must be a collection of nodes, got {_shown(nodes)!r}"
-        ) from None
-    w = sorted({_node(v, positive.shape[0]) for v in nodes})
+    w = sorted({_node(v, positive.shape[0]) for v in _items(nodes, name)})
     if not w:
         raise ValidationError(f"no {name} given")
     for a in w:
@@ -302,7 +295,7 @@ def lambda_coefficients(dag: Dag, j: int) -> dict[int, float]:
     lambda_jl``; transitive-reduction parents of ``j`` get coefficient one.
     Values may be zero or negative by design.
     """
-    return _down_set_coefficients(dag, dag.ancestors(j))
+    return _down_set_coefficients(dag, _instance(dag, Dag, "dag").ancestors(j))
 
 
 def _down_set_coefficients(dag: Dag, members: frozenset[int]) -> dict[int, float]:
@@ -332,7 +325,7 @@ def lambda_representation(dag: Dag, chi: np.ndarray, j: int, i: int) -> float:
 
 def lowest_common_ancestors(dag: Dag, i: int, j: int) -> frozenset[int]:
     """Common ancestors of i and j without a path to another common ancestor."""
-    common = dag.ancestors_closed(i) & dag.ancestors_closed(j)
+    common = _instance(dag, Dag, "dag").ancestors_closed(i) & dag.ancestors_closed(j)
     return frozenset(k for k in common if not (dag.descendants(k) & common))
 
 
@@ -342,7 +335,8 @@ def mu_coefficients(dag: Dag, i: int, j: int) -> dict[int, float]:
     Recursion ``mu_ij,k = 1 - sum_{l in de(k) & An(i) & An(j)} mu_ij,l``;
     lowest common ancestors get coefficient one.
     """
-    return _down_set_coefficients(dag, dag.ancestors_closed(i) & dag.ancestors_closed(j))
+    common = _instance(dag, Dag, "dag").ancestors_closed(i) & dag.ancestors_closed(j)
+    return _down_set_coefficients(dag, common)
 
 
 class MuRepresentation(NamedTuple):

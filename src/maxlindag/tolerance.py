@@ -1,11 +1,16 @@
-"""Shared numerical tolerances, the tolerance rule and every comparison rule.
+"""Shared numerical tolerances, every input rule and every comparison rule.
 
 Max-times path products compound rounding, so every equality-based
 classification works at a tolerance and reports its worst-case residual next
-to the boolean verdict.  ``_check_tol`` is the one rule for ``tol``: a real
-number, not a bool or a string, in the open interval (0, 1).  ``_instance``
-is the one type rule for a library object passed in (a ``Dag``, a model, a
-noise spec or a sample block): anything else raises ``ValidationError``.
+to the boolean verdict.
+
+Every rule that judges a plain value passed in is here too, and raises
+``ValidationError``: ``_check_tol`` (every ``tol``), ``_instance`` (a library
+object of the expected type), ``_items`` (a collection), ``_is_integer``
+under ``_node``, ``_edge``, ``_count``, ``_node_count``, ``_rows`` and
+``_seed``, ``_tail_index`` and ``_positive`` (finite reals above zero), and
+``_real_array``, the one conversion of a caller's array, under
+``_finite_square`` and ``_positive_diagonal``.
 
 Every numeric verdict of the package -- is a value zero, negative, or close
 to another -- is taken here, one private function per meaning:
@@ -104,6 +109,122 @@ def _check_tol(tol: float, what: str = "tol") -> float:
     return float(tol)
 
 
+def _items(values, what: str, kind: str = "nodes") -> list:
+    # The items of a collection passed in, as a list.
+    try:
+        return list(values)
+    except TypeError:
+        message = f"{what} must be a collection of {kind}, got {_shown(values)!r}"
+        raise ValidationError(message) from None
+
+
+def _is_integer(v) -> bool:
+    # An integer, numpy integers included; a bool is not one.
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _node(v: int, d: int) -> int:
+    # The node v as a Python int; anything but an integer in 1..d raises.
+    if not (_is_integer(v) and 1 <= v <= d):
+        raise ValidationError(f"node {_shown(v)!r} is not an integer in 1..{d}")
+    return int(v)
+
+
+def _edge(pair, d: int) -> tuple[int, int]:
+    # The edge k -> i as a pair of distinct nodes; anything else raises.
+    try:
+        k, i = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"edge {_shown(pair)!r} is not a pair of nodes") from None
+    k, i = _node(k, d), _node(i, d)
+    if k == i:
+        raise ValidationError(f"self loop at node {k}")
+    return k, i
+
+
+def _count(n: int, what: str) -> int:
+    # The count n as a Python int; anything but an integer of at least 1 raises.
+    if not (_is_integer(n) and n >= 1):
+        raise ValidationError(f"{what} must be an integer of at least 1, got {_shown(n)!r}")
+    return int(n)
+
+
+def _node_count(d: int) -> int:
+    # A count whose d x d reachability matrix numpy can shape (sys.maxsize is
+    # the largest np.intp), checked before anything is built.
+    d = _count(d, "node count")
+    if d * d > sys.maxsize:
+        raise ValidationError(f"node count {_shown(d)!r} is too large for a d x d numpy array")
+    return d
+
+
+def _rows(n: int, what: str, d: int) -> int:
+    # A count of rows of d float64 values that numpy can shape into an
+    # (n, d) array; checked before any draw.
+    n = _count(n, what)
+    if n * d * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"{what} is too large for a numpy array of {d} columns")
+    return n
+
+
+def _seed(seed: int) -> int:
+    # numpy's generators take an integer >= 0.
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {_shown(seed)!r}")
+    return int(seed)
+
+
+def _tail_index(alpha: float) -> float:
+    # A real number, finite and positive.
+    if not (_is_real(alpha) and 0.0 < alpha <= sys.float_info.max):
+        raise ValidationError(f"tail index must be finite and positive, got {_shown(alpha)!r}")
+    return float(alpha)
+
+
+def _positive(values, what: str) -> tuple[float, ...]:
+    # Weights and scalings: finite real numbers above zero.  An integer
+    # beyond float64 is not finite here: float() would overflow.
+    values = _items(values, what, "numbers")
+    if not all(_is_real(c) and 0.0 < c <= sys.float_info.max for c in values):
+        raise ValidationError(f"{what} must be finite and strictly positive")
+    return tuple(float(c) for c in values)
+
+
+def _real_array(m, noun: str) -> np.ndarray:
+    # Bools, integers and reals as numpy holds them, an object array of reals
+    # as float64; anything else raises, with no warning.
+    try:
+        a = np.asarray(m)
+        if a.dtype.kind == "O" and all(map(_is_real, a.flat)):
+            with np.errstate(over="raise"):  # a long double beyond float64
+                a = a.astype(float)
+    except ValueError:
+        raise ValidationError(f"{noun} is ragged: its rows differ in length") from None
+    except (OverflowError, FloatingPointError):
+        raise ValidationError(f"{noun} has a value beyond float64") from None
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{noun} must hold real numbers, got dtype {a.dtype}")
+    return a
+
+
+def _finite_square(m, noun: str = "coefficient matrix") -> np.ndarray:
+    # A matrix as float64: square, nonempty and finite.
+    m = _real_array(m, noun).astype(float, copy=False)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"{noun} must be square and nonempty, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{noun} has non-finite entries")
+    return m
+
+
+def _positive_diagonal(b) -> np.ndarray:
+    # A square finite matrix, nonnegative with positive diagonal.
+    b = _finite_square(b)
+    if (b < 0).any() or (np.diag(b) <= 0).any():
+        raise ValidationError("matrix must be nonnegative with positive diagonal")
+    return b
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Boolean classification plus the worst residual that produced it.
@@ -157,7 +278,8 @@ def _nonpositive(x):
 
 def _worst_off(a, b, bound: float):
     # The index of the largest |a - b| when it exceeds bound, else None.
-    off = np.abs(a - b)
+    with np.errstate(over="ignore"):  # a difference beyond float64 is inf
+        off = np.abs(a - b)
     return np.unravel_index(np.argmax(off), off.shape) if off.max(initial=0.0) > bound else None
 
 

@@ -60,6 +60,45 @@ def test_only_the_tolerance_module_compares_against_a_tolerance():
     assert found == {}
 
 
+INPUT_RULES = {"_node", "_edge", "_count", "_node_count", "_rows", "_seed", "_tail_index",
+               "_positive", "_finite_square", "_positive_diagonal", "_is_integer"}
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_plain_value_rule_is_defined_in_the_tolerance_module():
+    defined = {
+        (module, node.name)
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in INPUT_RULES
+    }
+    assert defined == {("tolerance.py", name) for name in INPUT_RULES}
+
+
+def test_the_integer_type_test_is_written_once():
+    sites = [
+        module
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "integer"
+    ]
+    assert sites == ["tolerance.py"]
+
+
+@pytest.mark.parametrize("module, unreached", [("simulate.py", {"generate", "graph"}),
+                                               ("taildep.py", {"mlcm"})])
+def test_no_module_imports_another_only_to_reach_a_rule(module, unreached):
+    imported = {
+        node.module
+        for node in ast.walk(_package_trees()[module])
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert not imported & unreached
+
+
 @pytest.mark.parametrize("source, flagged", [
     ("worst < -tol", True),
     ("low = a < b - tol", True),
