@@ -69,9 +69,11 @@ def random_weighted_model(
     order, then the noise scales, the same stream as one draw per weight.
     """
     message = f"weight range must satisfy 0 < lo <= hi < inf, got {_shown(weight_range)!r}"
-    if np.ndim(weight_range) != 1 or len(weight_range) != 2:
-        raise ValidationError(message)
-    lo, hi = _positive(weight_range, "weight range (0 < lo <= hi < inf)")
+    try:
+        lo, hi = weight_range
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+    lo, hi = _positive((lo, hi), "weight range (0 < lo <= hi < inf)")
     if lo > hi:
         raise ValidationError(message)
     rng = _as_rng(seed_or_rng)

@@ -14,6 +14,7 @@ with the caller.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -294,9 +295,11 @@ def causal_orderings(dag: Dag, limit: int | None = None) -> Iterator[CausalOrder
     """Yield causal orderings (linear extensions) in lexicographic node order.
 
     Stops after ``limit`` orderings when given, a count of at least 1; the
-    count can be factorial in d even for moderate graphs.
+    count can be factorial in d even for moderate graphs; a limit beyond
+    ``sys.maxsize`` is never reached.
     """
-    limit = None if limit is None else _count(limit, "ordering limit")
+    # islice stops at sys.maxsize at most, a count no enumeration reaches.
+    limit = None if limit is None else min(_count(limit, "ordering limit"), sys.maxsize)
     return islice(_extensions(_instance(dag, Dag, "dag")), limit)
 
 

@@ -116,7 +116,7 @@ def recover_from_ordering(
     beyond ``tol``, leaves a diagonal entry that is not positive, or returns
     a matrix whose support is not a reachability matrix.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = validate_tdm(chi)
     d = chi.shape[0]
     return _recover_ordered(chi, _ordering(ordering, d, f"matrix is {d}x{d}"), tol)
@@ -143,7 +143,7 @@ def recover_from_reachability(
     diagonal entry that is not positive, or an output support that is not a
     reachability matrix; that support may be smaller than ``reach``.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = validate_tdm(chi)
     reach = _reach(reach)
     if not _pattern_matches(chi, reach):
@@ -167,12 +167,13 @@ def ordering_from_initials(
     has initial nodes ``initials`` and tail dependence ``chi``, the result
     is a valid causal ordering of that DAG.
     """
-    return _initial_ordering(validate_tdm(chi), initials)
+    chi = validate_tdm(chi)
+    return _initial_ordering(chi, _positive_mask(chi), initials)
 
 
-def _initial_ordering(chi: np.ndarray, initials: Sequence[int]) -> CausalOrdering:
-    # ordering_from_initials on a chi that passed validate_tdm.
-    positive = _positive_mask(chi)
+def _initial_ordering(chi: np.ndarray, positive: np.ndarray,
+                      initials: Sequence[int]) -> CausalOrdering:
+    # ordering_from_initials on a validated chi and its _positive_mask.
     d = chi.shape[0]
     widx = [v - 1 for v in _independent_nodes(positive, initials, "initial nodes")]
     counts = positive[widx, :].sum(axis=0)
@@ -200,9 +201,9 @@ def recover_rmwm_from_initials(
     :class:`NotRealizableError` as :func:`recover_from_ordering` does,
     including when the recovered support is not a reachability matrix.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = validate_tdm(chi)
-    return _recover_ordered(chi, _initial_ordering(chi, initials), tol)
+    return _recover_ordered(chi, _initial_ordering(chi, _positive_mask(chi), initials), tol)
 
 
 def initial_bijection(
@@ -219,8 +220,12 @@ def initial_bijection(
     or the map fails to be a bijection; the two sets then cannot be initial
     node sets of models sharing ``chi``.
     """
-    chi = validate_tdm(chi)
-    positive = _positive_mask(chi)
+    return _bijection(_positive_mask(validate_tdm(chi)), initials, other_initials)
+
+
+def _bijection(positive: np.ndarray, initials: Sequence[int],
+               other_initials: Sequence[int]) -> dict[int, int]:
+    # initial_bijection on the _positive_mask of a validated chi.
     v0 = _independent_nodes(positive, initials, "initial nodes")
     v0t = _independent_nodes(positive, other_initials, "initial nodes")
     if len(v0) != len(v0t):
@@ -363,7 +368,7 @@ def enumerate_all(
     The search is capped at ``max_d`` nodes (default 10) because its worst
     case is factorial; larger inputs raise :class:`EnumerationCapError`.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     max_d = _count(max_d, "enumeration cap max_d")
     chi = validate_tdm(chi)
     d = chi.shape[0]
@@ -391,11 +396,13 @@ def enumerate_all(
     return _sorted_models([m for m in found if m is not None])
 
 
-def _rmwm_model(chi: np.ndarray, initials: Sequence[int], tol: float) -> IdentifiedModel | None:
+def _rmwm_model(chi: np.ndarray, positive: np.ndarray, initials: Sequence[int],
+                tol: float) -> IdentifiedModel | None:
     # The max-weighted model with these initial nodes, or None: the initial
-    # nodes fix a causal ordering, the recovery on it returns bbar (support
-    # gate included), and bbar must reproduce chi and be max-weighted.
-    ordering = _initial_ordering(chi, initials)
+    # nodes and chi's _positive_mask fix a causal ordering, the recovery on
+    # it returns bbar (support gate included), and bbar must reproduce chi
+    # and be max-weighted.
+    ordering = _initial_ordering(chi, positive, initials)
     try:
         bbar = _recover_ordered(chi, ordering, tol)
     except NotRealizableError:
@@ -418,10 +425,11 @@ def enumerate_all_rmwm(
     seed 2 has 21 504 maximum cliques, and the cut search lists only the 48
     that pass the filter.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = validate_tdm(chi)
-    cliques = _initial_sets(chi, _positive_mask(chi), tol)
-    found = [_rmwm_model(chi, clique, tol) for clique in cliques]
+    positive = _positive_mask(chi)
+    cliques = _initial_sets(chi, positive, tol)
+    found = [_rmwm_model(chi, positive, clique, tol) for clique in cliques]
     return _sorted_models([m for m in found if m is not None])
 
 
@@ -469,13 +477,14 @@ def rmwm_equivalence_constraints(
     whose size differs from chi's, or with a redundant edge, raises
     :class:`ValidationError`.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = _tdm_on(chi, transitive_reduction)
     redundant = transitive_reduction.edges - _transitive_reduction(transitive_reduction).edges
     if redundant:
         a, b = min(redundant)
         raise ValidationError(f"the DAG is not transitively reduced: edge {a}->{b} is redundant")
-    phi = initial_bijection(chi, initials, other_initials)
+    positive = _positive_mask(chi)
+    phi = _bijection(positive, initials, other_initials)
     moved = tuple(j for j in sorted(phi) if phi[j] != j)
     violations: list[str] = []
 
@@ -489,7 +498,7 @@ def rmwm_equivalence_constraints(
 
     model = None
     with suppress(ValidationError):  # other_initials cannot be an initial node set
-        model = _rmwm_model(chi, other_initials, tol)
+        model = _rmwm_model(chi, positive, sorted(phi.values()), tol)
     alt = model.min_ml_dag if model is not None else None
     if alt is None:
         violations.append("(b) no max-weighted model with the alternative initial nodes exists")

@@ -254,18 +254,15 @@ def loads_matrix(text: str) -> np.ndarray:
         if not line.strip():
             continue
         cells = line.split(",")
+        if rows and len(cells) != len(rows[0]):
+            width = len(rows[0])
+            raise FormatError(f"matrix line {lineno} has {len(cells)} cells, expected {width}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise FormatError(f"matrix line {lineno} has a non-numeric cell: {exc}") from exc
     if not rows:
         raise FormatError("matrix file is empty")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise FormatError(
-                f"matrix row {lineno} has {len(row)} cells, expected {width}"
-            )
     return np.asarray(rows, dtype=float)
 
 

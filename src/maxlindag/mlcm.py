@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,12 +159,11 @@ def destandardize(bbar: np.ndarray, betas: float | Sequence[float], alpha: float
     bbar = _positive_diagonal(bbar)
     alpha = _tail_index(alpha)
     d = bbar.shape[0]
-    beta = _positive((betas,) if np.ndim(betas) == 0 else betas, "column scalings")
+    beta = _positive(betas if isinstance(betas, Iterable) else (betas,), "column scalings")
     if len(beta) not in (1, d):
         raise ValidationError(f"expected 1 or {d} column scalings, got {len(beta)}")
-    beta = np.broadcast_to(np.asarray(beta), (d,))
-    with np.errstate(all="ignore"):
-        b = bbar ** (1.0 / alpha) * beta[None, :]
+    with np.errstate(all="ignore"):  # one scaling per column, or one for all
+        b = bbar ** (1.0 / alpha) * np.asarray(beta)
     return _kept_columns(b, 1.0 / alpha)
 
 
@@ -292,7 +291,7 @@ def max_weighted_triple(
     product ``b_jk * b_ki`` or through value outside the normal range of
     float64 raises :class:`IllConditionedError` naming the triple.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     bbar = _positive_diagonal(bbar)
     j, k, i = (_node(v, bbar.shape[0]) for v in (j, k, i))
     if j == k or bbar[j - 1, k - 1] <= 0:
@@ -368,7 +367,7 @@ def is_rmwm_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     relative residual against ``b_ji`` peaks at the largest or the smallest
     through value, so only those two are compared.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     return _analysis(bbar).structure(tol)[1]
 
 
@@ -386,7 +385,7 @@ def minimum_ml_dag(b: np.ndarray, tol: float = DEFAULT_TOL) -> Dag:
     Only the largest through value is compared: the relative gap below
     ``b_ki`` shrinks as the through value grows.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     return _dag_on(_analysis(b).structure(tol)[0])
 
 
@@ -410,7 +409,7 @@ def is_mlcm(bbar: np.ndarray, tol: float = DEFAULT_TOL) -> Verdict:
     (negative entries, or a support that is not a reachability matrix) or
     "recomposition".
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     return _analysis(bbar).is_mlcm(tol)
 
 

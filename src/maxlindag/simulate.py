@@ -62,9 +62,11 @@ class NoiseSpec:
     alpha: float
 
     def __post_init__(self):
-        family = str(self.family).strip().lower().replace("é", "e")
+        family = self.family if isinstance(self.family, str) else ""
+        family = family.strip().lower().replace("é", "e")
         if family not in _FAMILIES:
-            raise ValidationError(f"unsupported noise family {self.family!r}; use {_FAMILIES}")
+            message = f"unsupported noise family {_shown(self.family)!r}; use {_FAMILIES}"
+            raise ValidationError(message)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "alpha", _tail_index(self.alpha))
 
@@ -209,7 +211,7 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
     n, d >= 1.
     """
     values = _sample_values(block)
-    _check_tol(u, "quantile level")
+    u = _check_tol(u, "quantile level")
     n, d = values.shape
     if n * (1.0 - u) < 50.0:
         raise TailSampleError(
@@ -260,9 +262,7 @@ def limit_cdf(
     _instance(model, WeightedModel, "model")
     if i is None and j is not None:
         raise ValidationError("a bivariate evaluation needs both node arguments")
-    nodes = [v for v in (i, j) if v is not None] or range(1, model.d + 1)
-    for v in nodes:
-        model.dag._check_node(v)
+    nodes = [model.dag._check_node(v) for v in (i, j) if v is not None] or range(1, model.d + 1)
     values = np.asarray(x, dtype=object).ravel()
     if not all(_is_real(v) for v in values):
         raise ValidationError(f"evaluation point must be real numbers, got {_shown(x)!r}")
@@ -278,7 +278,8 @@ def limit_cdf(
     if not (point > 0).all():
         raise ValidationError("evaluation point must be strictly positive")
     b = mlcm_from_weights(model)[:, [v - 1 for v in nodes]]
-    return float(np.exp(-((b / point) ** model.alpha).max(axis=1).sum()))
+    with np.errstate(over="ignore"):  # a term beyond float64 is inf, where G is exactly 0
+        return float(np.exp(-((b / point) ** model.alpha).max(axis=1).sum()))
 
 
 def unit_frechet_points(model: WeightedModel) -> np.ndarray:

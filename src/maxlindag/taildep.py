@@ -278,7 +278,7 @@ def clique_initial_filter(
     chi(k, j))``.  A False return certifies that no compatible model has
     initial nodes W; True keeps W as a candidate.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = validate_tdm(chi)
     w = np.asarray(_independent_nodes(_positive_mask(chi), clique, "clique")) - 1
     rest = np.ones(chi.shape[0], dtype=bool)
@@ -317,6 +317,7 @@ def lambda_representation(dag: Dag, chi: np.ndarray, j: int, i: int) -> float:
     Requires ``j`` in An(i); with j == i this yields the diagonal entry.
     """
     chi = _tdm_on(chi, dag)
+    j, i = dag._check_node(j), dag._check_node(i)
     if j != i and j not in dag.ancestors(i):
         raise ValidationError(f"node {j} is not in An({i})")
     coeffs = lambda_coefficients(dag, j)
@@ -355,9 +356,7 @@ def mu_representation(dag: Dag, chi: np.ndarray, i: int, j: int) -> MuRepresenta
     returned alongside it.
     """
     chi = _tdm_on(chi, dag)
-    dag._check_node(i)
-    dag._check_node(j)
-    coeffs = mu_coefficients(dag, i, j)
+    coeffs = mu_coefficients(dag, i, j)  # reads i and j through the DAG's node rule
     value = sum(
         c * min(chi[k - 1, i - 1], chi[k - 1, j - 1]) for k, c in coeffs.items()
     )
@@ -411,7 +410,7 @@ def check_rmwm_tdm(dag: Dag, chi: np.ndarray, tol: float = DEFAULT_TOL) -> RmwmT
     over the columns of the implied bbar that occur in an incomparable pair
     with common ancestors; that bbar is ``std_mlcm`` on success.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     chi = _tdm_on(chi, dag)
     d = dag.d
     failures: list[str] = []

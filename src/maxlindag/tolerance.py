@@ -10,7 +10,10 @@ object of the expected type), ``_items`` (a collection), ``_is_integer``
 under ``_node``, ``_edge``, ``_count``, ``_node_count``, ``_rows`` and
 ``_seed``, ``_tail_index`` and ``_positive`` (finite reals above zero), and
 ``_real_array``, the one conversion of a caller's array, under
-``_finite_square`` and ``_positive_diagonal``.
+``_finite_square`` and ``_positive_diagonal``.  ``_value`` reads a numpy
+scalar as its Python value, for ``_tail_index``, ``_positive`` and the
+messages of ``_shown``, so that no rule compares a float16 or float32 with
+a Python float that it cannot hold.
 
 Every numeric verdict of the package -- is a value zero, negative, or close
 to another -- is taken here, one private function per meaning:
@@ -67,6 +70,11 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _value(x):
+    # A numpy scalar as its Python value (a long double stays one).
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _instance(value, kind: type, what: str):
     # A value of the given type, checked before it is used.
     if not isinstance(value, kind):
@@ -98,7 +106,7 @@ def _shown(x):
         return shown if isinstance(x, list) else tuple(shown)
     if isinstance(x, int) and 0 < getattr(sys, "get_int_max_str_digits", int)() < _digits(x):
         return _Text(f"<{'negative ' if x < 0 else ''}integer of {_digits(x)} digits>")
-    return x.item() if isinstance(x, np.generic) else x
+    return _value(x)
 
 
 def _check_tol(tol: float, what: str = "tol") -> float:
@@ -176,6 +184,7 @@ def _seed(seed: int) -> int:
 
 def _tail_index(alpha: float) -> float:
     # A real number, finite and positive.
+    alpha = _value(alpha)
     if not (_is_real(alpha) and 0.0 < alpha <= sys.float_info.max):
         raise ValidationError(f"tail index must be finite and positive, got {_shown(alpha)!r}")
     return float(alpha)
@@ -184,7 +193,7 @@ def _tail_index(alpha: float) -> float:
 def _positive(values, what: str) -> tuple[float, ...]:
     # Weights and scalings: finite real numbers above zero.  An integer
     # beyond float64 is not finite here: float() would overflow.
-    values = _items(values, what, "numbers")
+    values = [_value(c) for c in _items(values, what, "numbers")]
     if not all(_is_real(c) and 0.0 < c <= sys.float_info.max for c in values):
         raise ValidationError(f"{what} must be finite and strictly positive")
     return tuple(float(c) for c in values)

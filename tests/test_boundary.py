@@ -1,12 +1,15 @@
 """Seeded boundary fuzz: a public call returns or raises a MaxlinError, with no warning.
 
 Each slot puts one hostile value into one argument of a public function that
-takes a matrix, a Dag or a collection, with valid values in the others.
-hypothesis draws the values with ``derandomize=True``, so every run tries the
-same examples, and every matrix has at most 4 rows.
+takes a matrix, a Dag, a collection or a scalar, with valid values in the
+others.  hypothesis draws the values with ``derandomize=True``, so every run
+tries the same examples, and every matrix has at most 4 rows.
 """
 import os
+import subprocess
+import sys
 import warnings
+from importlib.util import find_spec
 
 import numpy as np
 import pytest
@@ -22,13 +25,6 @@ CHAIN = ml.Dag(3, {(1, 2), (2, 3)})
 BBAR = ml.standardize(ml.mlcm_from_weights(ml.homogeneous_model(CHAIN, 1.0)), 1.0)
 CHI = ml.tdm_from_std_mlcm(BBAR)
 REACH = ml.reachability_matrix(CHAIN)
-
-# hypothesis imports libcst to report a failing example, and libcst's import
-# warns of a deprecation in mypy_extensions.  Under the suite's
-# error::DeprecationWarning that would end the session instead of reporting.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
 
 MATRIX_SLOTS = {
     "is_reachability_matrix": ml.is_reachability_matrix,
@@ -229,3 +225,155 @@ def test_a_difference_or_weight_beyond_float64_raises_without_a_warning(call, me
         with pytest.raises(ValidationError) as exc:
             call()
     assert str(exc.value) == message
+
+
+MODEL = ml.homogeneous_model(CHAIN, 1.0)
+B = ml.mlcm_from_weights(MODEL)
+PARETO = ml.NoiseSpec("pareto", 1.0)
+BLOCK = ml.sample(MODEL, PARETO, 1000, 1)
+WEIGHTS = {(1, 2): 1.0, (2, 3): 1.0}
+
+SCALAR_SLOTS = {
+    "tol is_mlcm": lambda v: ml.is_mlcm(BBAR, v),
+    "tol recover_from_ordering": lambda v: ml.recover_from_ordering(CHI, (1, 2, 3), v),
+    "tol clique_initial_filter": lambda v: ml.clique_initial_filter(CHI, [1], v),
+    "tol check_rmwm_tdm": lambda v: ml.check_rmwm_tdm(CHAIN, CHI, v),
+    "tol enumerate_all_rmwm": lambda v: ml.enumerate_all_rmwm(CHI, v),
+    "tail index standardize": lambda v: ml.standardize(B, v),
+    "tail index destandardize": lambda v: ml.destandardize(BBAR, 1.0, v),
+    "tail index homogeneous_model": lambda v: ml.homogeneous_model(CHAIN, v),
+    "tail index model_from_std_mlcm": lambda v: ml.model_from_std_mlcm(BBAR, v),
+    "tail index WeightedModel": lambda v: ml.WeightedModel(CHAIN, WEIGHTS, (1.0, 1.0, 1.0), v),
+    "tail index NoiseSpec": lambda v: ml.NoiseSpec("pareto", v),
+    "tail index random_weighted_model": lambda v: ml.random_weighted_model(3, alpha=v),
+    "betas": lambda v: ml.destandardize(BBAR, v, 1.0),
+    "betas, one of three": lambda v: ml.destandardize(BBAR, (1.0, v, 1.0), 1.0),
+    "edge weight": lambda v: ml.WeightedModel(CHAIN, {(1, 2): v, (2, 3): 1.0}, (1, 1, 1), 1.0),
+    "weight_range": lambda v: ml.random_weighted_model(3, weight_range=v),
+    "weight_range hi": lambda v: ml.random_weighted_model(3, weight_range=(0.5, v)),
+    "density random_dag": lambda v: ml.random_dag(3, v, 0),
+    "density random_weighted_model": lambda v: ml.random_weighted_model(3, density=v),
+    "seed random_dag": lambda v: ml.random_dag(3, 0.5, v),
+    "seed random_polytree": lambda v: ml.random_polytree(3, v),
+    "seed random_weighted_model": lambda v: ml.random_weighted_model(3, seed_or_rng=v),
+    "seed sample": lambda v: ml.sample(MODEL, PARETO, 4, v),
+    "seed scaled_block_maxima": lambda v: ml.scaled_block_maxima(MODEL, PARETO, 2, 2, v),
+    "node count Dag": ml.Dag,
+    "node count random_dag": lambda v: ml.random_dag(v, 0.5, 0),
+    "node count random_polytree": lambda v: ml.random_polytree(v, 0),
+    "sample size": lambda v: ml.sample(MODEL, PARETO, v, 1),
+    "block count": lambda v: ml.scaled_block_maxima(MODEL, PARETO, 2, v, 1),
+    "block size": lambda v: ml.scaled_block_maxima(MODEL, PARETO, v, 2, 1),
+    "max_d": lambda v: ml.enumerate_all(CHI, max_d=v),
+    "node Dag edge": lambda v: ml.Dag(3, [(v, 2)]),
+    "node ancestral_sets": lambda v: ml.ancestral_sets(CHAIN, v),
+    "node lambda_representation": lambda v: ml.lambda_representation(CHAIN, CHI, 1, v),
+    "node mu_representation": lambda v: ml.mu_representation(CHAIN, CHI, v, 3),
+    "node max_weighted_triple": lambda v: ml.max_weighted_triple(BBAR, v, 2, 3),
+    "node limit_cdf": lambda v: ml.limit_cdf(MODEL, 1.0, i=v),
+    "limit": lambda v: list(ml.causal_orderings(CHAIN, v)),
+    "noise family": lambda v: ml.NoiseSpec(v, 1.0),
+    "u": lambda v: ml.empirical_tdm(BLOCK, v),
+    "limit_cdf point": lambda v: ml.limit_cdf(MODEL, v, i=1),
+    "limit_cdf pair point": lambda v: ml.limit_cdf(MODEL, (1.0, v), i=1, j=2),
+}
+
+# Every kind a scalar argument has leaked or might: numpy scalars of every
+# width, ragged lists, integers beyond float64 and beyond the 4300 digits
+# that repr allows, NaN, infinities, bools, strings and complex numbers.
+# No integer lies between 3 and 2**63, so that no slot allocates much.
+# hypothesis cannot show a value that repr refuses, so it draws from SHOWN.
+SHOWN = [np.float16(0.5), np.float32(0.5), np.float16(np.inf), np.float32(np.nan),
+         np.float32(-1.5), np.float16(6e-8), np.longdouble(0.5), np.int8(-1), np.int64(2),
+         np.uint64(2**64 - 1), np.bool_(True), np.complex64(1), np.str_("pareto"),
+         [[1, 2], [3]], [[0.5], 2.0], (0.5, 2.0), (), 2, 3, 2**63, 10**400, -(10**400),
+         np.nan, np.inf, -np.inf, -0.0, 0, -1, 5e-324, 0.5, 1e308,
+         True, False, "0.5", "pareto", "", 1 + 2j, None]
+SCALARS = SHOWN + [10**5000, -(10**5000)]
+hostile_scalars = st.one_of(
+    st.sampled_from(SHOWN),
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats(),
+)
+
+
+@pytest.mark.parametrize("name", list(SCALAR_SLOTS))
+def test_every_listed_scalar_is_answered_or_rejected(name):
+    for value in SCALARS:
+        returns_or_raises_a_library_error(SCALAR_SLOTS[name], value)
+
+
+@pytest.mark.parametrize("name", list(SCALAR_SLOTS))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(value=hostile_scalars)
+def test_a_hostile_scalar_is_answered_or_rejected(name, value):
+    returns_or_raises_a_library_error(SCALAR_SLOTS[name], value)
+
+
+def test_a_numpy_scalar_reads_as_its_python_value():
+    # float16 and float32 arguments answer as the Python floats they hold,
+    # with no overflow warning from a comparison with the largest float64.
+    cases = [
+        (lambda a: ml.standardize(B, a), 0.5),
+        (lambda a: ml.destandardize(BBAR, 1.0, a), 0.5),
+        (lambda b: ml.destandardize(BBAR, b, 1.0), 0.5),
+        (lambda b: ml.destandardize(BBAR, (1.0, b, 1.0), 1.0), 0.5),
+        (lambda a: ml.mlcm_from_weights(ml.homogeneous_model(CHAIN, a)), 0.5),
+        (lambda a: ml.mlcm_from_weights(ml.model_from_std_mlcm(BBAR, a)), 0.5),
+        (lambda c: ml.mlcm_from_weights(
+            ml.WeightedModel(CHAIN, {(1, 2): c, (2, 3): 1.0}, (1.0, 1.0, 1.0), 1.0)), 0.5),
+        (lambda a: ml.NoiseSpec("pareto", a).alpha, 0.5),
+        (lambda c: ml.mlcm_from_weights(ml.random_weighted_model(3, weight_range=(c, 2.0))), 0.5),
+        (lambda a: ml.mlcm_from_weights(ml.random_weighted_model(3, alpha=a)), 0.5),
+    ]
+    for call, value in cases:
+        expected = call(value)
+        for kind in (np.float16, np.float32):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(call(kind(value)), expected)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ml.destandardize(BBAR, [[1, 2], [3]], 1.0),
+     "column scalings must be finite and strictly positive"),
+    (lambda: ml.random_weighted_model(3, weight_range=[[1, 2], [3]]),
+     "weight range (0 < lo <= hi < inf) must be finite and strictly positive"),
+    (lambda: ml.NoiseSpec(10**5000, 1.0),
+     "unsupported noise family <integer of 5001 digits>; use ('pareto', 'frechet')"),
+    (lambda: ml.NoiseSpec(None, 1.0), "unsupported noise family None; use ('pareto', 'frechet')"),
+], ids=["ragged betas", "ragged weight range", "family beyond 4300 digits", "family None"])
+def test_a_scalar_argument_is_read_by_its_rule_alone(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as exc:
+            call()
+    assert str(exc.value) == message
+
+
+def test_a_limit_beyond_sys_maxsize_is_no_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for limit in (sys.maxsize, sys.maxsize + 1, 2**63, 10**400):
+            assert list(ml.causal_orderings(ml.Dag(3), limit)) == list(ml.causal_orderings(ml.Dag(3)))
+
+
+def test_a_limit_cdf_term_beyond_float64_gives_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ml.limit_cdf(MODEL, 5e-324, i=1) == 0.0
+        assert ml.limit_cdf(MODEL, (5e-324, 1.0), i=1, j=2) == 0.0
+        assert ml.limit_cdf(ml.homogeneous_model(CHAIN, 2.0), 1e-200, i=3) == 0.0
+
+
+def test_libcst_imports_under_the_suite_filters(pytestconfig):
+    # hypothesis imports libcst to report a failing example.  A fresh
+    # interpreter imports it under the suite's own warning filters, which
+    # must not turn its import into an error.
+    if find_spec("libcst") is None:
+        pytest.skip("libcst is not installed")
+    flags = [arg for f in pytestconfig.getini("filterwarnings") for arg in ("-W", f)]
+    result = subprocess.run([sys.executable, *flags, "-c", "import libcst"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -912,6 +912,51 @@ class TestRecoveriesValidateChiOnce:
                          "ValidationError"}
 
 
+class TestMaxWeightedPathsReadChiOnce:
+    """A public max-weighted call validates chi once and forms its zero
+    pattern once; only the public filter calls of the clique search form
+    their own."""
+
+    @staticmethod
+    def counted(monkeypatch, name: str, modules) -> list:
+        calls, original = [], getattr(modules[0], name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_equivalence_constraints_validate_chi_once(self, monkeypatch):
+        from maxlindag import identify, taildep
+
+        chi = chi_of(random_weighted_model(8, seed_or_rng=4, polytree=True))
+        models = enumerate_all_rmwm(chi)
+        assert len(models) == 2
+        validations = self.counted(monkeypatch, "validate_tdm", (taildep, identify))
+        masks = self.counted(monkeypatch, "_positive_mask", (taildep, identify))
+        for a, b in itertools.permutations(models, 2):
+            validations.clear()
+            masks.clear()
+            report = rmwm_equivalence_constraints(
+                chi, a.initial_nodes, b.initial_nodes, transitive_reduction(a.min_ml_dag))
+            assert report.alt_transitive_reduction == b.min_ml_dag
+            assert (len(validations), len(masks)) == (1, 1)
+
+    def test_enumerate_all_rmwm_forms_one_zero_pattern_beside_the_filter(self, monkeypatch):
+        from maxlindag import identify, taildep
+
+        chi = chi_of(random_weighted_model(40, seed_or_rng=3, polytree=True))
+        expected = model_record(enumerate_all_rmwm(chi))
+        masks = self.counted(monkeypatch, "_positive_mask", (taildep, identify))
+        filters = self.counted(monkeypatch, "clique_initial_filter", (identify,))
+        assert model_record(enumerate_all_rmwm(chi)) == expected
+        assert len(filters) > 0
+        assert len(masks) == 1 + len(filters)
+
+
 def test_threads_share_inputs_and_match_the_serial_bytes():
     # Four threads on the same inputs, among them a Dag whose reachability
     # cache is filled by whichever thread comes first, with the interpreter

@@ -107,8 +107,11 @@ class TestMatrixFiles:
         np.testing.assert_array_equal(read_matrix(path), matrix)
 
     def test_ragged_rows_raise(self):
-        with pytest.raises(FormatError, match="row 2"):
-            loads_matrix("1,2\n3\n")
+        # The message names the file line; blank lines count there.
+        for text, line in [("1,2\n3\n", 2), ("\n1,0\n0\n", 3), ("1,0\n\n\n0\n", 4)]:
+            with pytest.raises(FormatError) as exc:
+                loads_matrix(text)
+            assert str(exc.value) == f"matrix line {line} has 1 cells, expected 2"
 
     def test_non_numeric_cell_raises(self):
         with pytest.raises(FormatError, match="line 1"):
