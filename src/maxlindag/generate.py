@@ -6,7 +6,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Dag
 from .mlcm import WeightedModel, homogeneous_model
-from .tolerance import _is_real, _node_count, _positive, _seed, _shown
+from .tolerance import _flag, _is_real, _node_count, _positive, _seed, _shown
 
 
 def _as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
@@ -64,9 +64,10 @@ def random_weighted_model(
     ``weight_range`` is a pair of finite real numbers 0 < lo <= hi.
     ``polytree`` draws the DAG as a random polytree (ignoring ``density``);
     ``homogeneous`` replaces the random weights with the ancestor-count
-    weights that make every path max-weighted.  The log-weights are one
-    draw of ``len(edges) + d`` uniforms: the edge weights in sorted edge
-    order, then the noise scales, the same stream as one draw per weight.
+    weights that make every path max-weighted; both flags are bools.  The
+    log-weights are one draw of ``len(edges) + d`` uniforms: the edge
+    weights in sorted edge order, then the noise scales, the same stream as
+    one draw per weight.
     """
     message = f"weight range must satisfy 0 < lo <= hi < inf, got {_shown(weight_range)!r}"
     try:
@@ -76,6 +77,7 @@ def random_weighted_model(
     lo, hi = _positive((lo, hi), "weight range (0 < lo <= hi < inf)")
     if lo > hi:
         raise ValidationError(message)
+    polytree, homogeneous = _flag(polytree, "polytree"), _flag(homogeneous, "homogeneous")
     rng = _as_rng(seed_or_rng)
     dag = random_polytree(d, rng) if polytree else random_dag(d, density, rng)
     if homogeneous:

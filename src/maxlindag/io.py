@@ -22,11 +22,12 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .graph import Dag
 from .mlcm import WeightedModel
-from .tolerance import _real_array
+from .tolerance import _instance, _path, _real_array
 
 
 def dumps_model(model: WeightedModel) -> str:
     """Serialize a model as a JSON key/value tree."""
+    _instance(model, WeightedModel, "model")
     payload = {
         "alpha": model.alpha,
         "d": model.d,
@@ -37,7 +38,7 @@ def dumps_model(model: WeightedModel) -> str:
 
 
 def write_model(model: WeightedModel, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(model))
+    Path(_path(path)).write_text(dumps_model(model))
 
 
 def _json_value(value, kind: type | tuple[type, ...], what: str):
@@ -55,7 +56,7 @@ def loads_model(text: str) -> WeightedModel:
     each edge a ``[k, i, c_ki]`` array listed once; nothing is coerced.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(_instance(text, str, "model text"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -84,7 +85,7 @@ def loads_model(text: str) -> WeightedModel:
 
 
 def read_model(path: str | Path) -> WeightedModel:
-    return loads_model(Path(path).read_text())
+    return loads_model(Path(_path(path)).read_text())
 
 
 # The CSV kernel.  Every value is written as Python's ``"%.17g" % v``, with
@@ -243,14 +244,14 @@ def dumps_matrix(matrix: np.ndarray) -> str:
 def write_matrix(matrix: np.ndarray, path: str | Path) -> None:
     """Write the text of :func:`dumps_matrix` in row blocks, never all of it at once."""
     blocks = _csv_blocks(matrix)
-    with open(path, "wb") as fh:
+    with open(_path(path), "wb") as fh:
         fh.writelines(blocks)
 
 
 def loads_matrix(text: str) -> np.ndarray:
     """Parse a CSV matrix; ragged rows or non-numeric cells raise :class:`FormatError`."""
     rows: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_instance(text, str, "matrix text").splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -267,11 +268,12 @@ def loads_matrix(text: str) -> np.ndarray:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    return loads_matrix(Path(path).read_text())
+    return loads_matrix(Path(_path(path)).read_text())
 
 
 def model_to_dot(model: WeightedModel) -> str:
     """DOT description of the model's DAG, edges labeled with their weights."""
+    _instance(model, WeightedModel, "model")
     lines = ["digraph model {"]
     for i in range(1, model.d + 1):
         lines.append(f"  {i};")

@@ -6,7 +6,8 @@ to the boolean verdict.
 
 Every rule that judges a plain value passed in is here too, and raises
 ``ValidationError``: ``_check_tol`` (every ``tol``), ``_instance`` (a library
-object of the expected type), ``_items`` (a collection), ``_is_integer``
+object, or a text, of the expected type), ``_items`` (a collection),
+``_flag`` (a bool switch), ``_path`` (a file path), ``_is_integer``
 under ``_node``, ``_edge``, ``_count``, ``_node_count``, ``_rows`` and
 ``_seed``, ``_tail_index`` and ``_positive`` (finite reals above zero), and
 ``_real_array``, the one conversion of a caller's array, under
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 
@@ -148,6 +150,21 @@ def _edge(pair, d: int) -> tuple[int, int]:
     if k == i:
         raise ValidationError(f"self loop at node {k}")
     return k, i
+
+
+def _flag(value, what: str) -> bool:
+    # A switch: a bool or a numpy bool, not a value read by its truth.
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be a bool, got {_shown(value)!r}")
+    return bool(value)
+
+
+def _path(path) -> str:
+    # A file path: a str, or an os.PathLike that gives one.
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(name, str):
+        raise ValidationError(f"path must be a str or a path, got {type(path).__name__}")
+    return name
 
 
 def _count(n: int, what: str) -> int:

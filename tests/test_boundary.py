@@ -1,9 +1,10 @@
 """Seeded boundary fuzz: a public call returns or raises a MaxlinError, with no warning.
 
 Each slot puts one hostile value into one argument of a public function that
-takes a matrix, a Dag, a collection or a scalar, with valid values in the
-others.  hypothesis draws the values with ``derandomize=True``, so every run
-tries the same examples, and every matrix has at most 4 rows.
+takes a matrix, a Dag, a collection, a scalar, or the text, model or path of
+a file format, with valid values in the others.  hypothesis draws the values
+with ``derandomize=True``, so every run tries the same examples, and every
+matrix has at most 4 rows.
 """
 import os
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 import maxlindag as ml
 from maxlindag import MaxlinError, ValidationError
+from maxlindag import io
 from maxlindag.io import dumps_matrix, write_matrix
 
 CHAIN = ml.Dag(3, {(1, 2), (2, 3)})
@@ -276,6 +278,8 @@ SCALAR_SLOTS = {
     "u": lambda v: ml.empirical_tdm(BLOCK, v),
     "limit_cdf point": lambda v: ml.limit_cdf(MODEL, v, i=1),
     "limit_cdf pair point": lambda v: ml.limit_cdf(MODEL, (1.0, v), i=1, j=2),
+    "flag polytree": lambda v: ml.random_weighted_model(3, polytree=v),
+    "flag homogeneous": lambda v: ml.random_weighted_model(3, homogeneous=v),
 }
 
 # Every kind a scalar argument has leaked or might: numpy scalars of every
@@ -365,6 +369,88 @@ def test_a_limit_cdf_term_beyond_float64_gives_zero_without_a_warning():
         assert ml.limit_cdf(MODEL, 5e-324, i=1) == 0.0
         assert ml.limit_cdf(MODEL, (5e-324, 1.0), i=1, j=2) == 0.0
         assert ml.limit_cdf(ml.homogeneous_model(CHAIN, 2.0), 1e-200, i=3) == 0.0
+
+
+# The text and model arguments of the file formats take any hostile value; a
+# path argument takes values that are no path, since a string names a file.
+IO_SLOTS = {
+    "loads_matrix text": io.loads_matrix,
+    "loads_model text": io.loads_model,
+    "dumps_model model": io.dumps_model,
+    "write_model model": lambda v: io.write_model(v, os.devnull),
+    "model_to_dot model": io.model_to_dot,
+}
+PATH_SLOTS = {
+    "read_matrix path": io.read_matrix,
+    "read_model path": io.read_model,
+    "write_matrix path": lambda v: write_matrix(BBAR, v),
+    "write_model path": lambda v: io.write_model(MODEL, v),
+}
+
+
+class _BytesPath:
+    def __fspath__(self):
+        return b"chi.csv"
+
+
+NOT_PATHS = [None, True, 3, 2.5, np.float32(1), b"chi.csv", bytearray(b"chi.csv"), _BytesPath(),
+             {1: 2}, [None], ["chi.csv"], ("chi.csv",), BBAR, MODEL, CHAIN]
+
+
+@pytest.mark.parametrize("name", list(IO_SLOTS))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(value=st.one_of(hostile_values, st.sampled_from([b"1,0", bytearray(b"{}"), "1,0\n0,1"])))
+def test_a_hostile_io_argument_is_answered_or_rejected(name, value):
+    returns_or_raises_a_library_error(IO_SLOTS[name], value)
+
+
+@pytest.mark.parametrize("name", list(PATH_SLOTS))
+def test_a_value_that_is_no_path_is_rejected(name):
+    for value in NOT_PATHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                PATH_SLOTS[name](value)
+        assert str(exc.value) == f"path must be a str or a path, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: io.loads_matrix(None), "matrix text must be a str, got NoneType"),
+    (lambda: io.loads_matrix(b"1,0"), "matrix text must be a str, got bytes"),
+    (lambda: io.loads_model(b"{}"), "model text must be a str, got bytes"),
+    (lambda: io.read_matrix(None), "path must be a str or a path, got NoneType"),
+    (lambda: io.dumps_model(None), "model must be a WeightedModel, got NoneType"),
+    (lambda: io.model_to_dot(None), "model must be a WeightedModel, got NoneType"),
+    (lambda: ml.random_weighted_model(3, polytree="no"), "polytree must be a bool, got 'no'"),
+    (lambda: ml.random_weighted_model(3, homogeneous="no"),
+     "homogeneous must be a bool, got 'no'"),
+    (lambda: ml.random_weighted_model(3, polytree=1), "polytree must be a bool, got 1"),
+], ids=["loads_matrix None", "loads_matrix bytes", "loads_model bytes", "read_matrix None",
+        "dumps_model None", "model_to_dot None", "polytree", "homogeneous", "polytree 1"])
+def test_an_io_argument_or_flag_is_read_by_its_rule(call, message):
+    # The None and bytes matrix calls and the model calls once raised
+    # AttributeError or TypeError, bytes model text went on to the JSON
+    # parser, and the flags drew a model.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as exc:
+            call()
+    assert str(exc.value) == message
+
+
+def test_numpy_bools_are_flags():
+    for flag in ("polytree", "homogeneous"):
+        for value in (True, False):
+            expected = ml.random_weighted_model(5, seed_or_rng=3, **{flag: value})
+            got = ml.random_weighted_model(5, seed_or_rng=3, **{flag: np.bool_(value)})
+            assert io.dumps_model(got) == io.dumps_model(expected)
+
+
+def test_a_path_object_is_a_path(tmp_path):
+    io.write_model(MODEL, tmp_path / "model.json")
+    assert io.dumps_model(io.read_model(tmp_path / "model.json")) == io.dumps_model(MODEL)
+    write_matrix(BBAR, tmp_path / "bbar.csv")
+    assert io.read_matrix(tmp_path / "bbar.csv").tobytes() == BBAR.tobytes()
 
 
 def test_libcst_imports_under_the_suite_filters(pytestconfig):

@@ -25,7 +25,7 @@ from maxlindag import (
     tdm_from_std_mlcm,
     unit_frechet_points,
 )
-from maxlindag.simulate import _ROWS
+from maxlindag.simulate import _ROWS, _STRIDE, _tail_quantile
 
 
 def single_edge_model(b: float, alpha: float = 1.0) -> WeightedModel:
@@ -217,6 +217,21 @@ class TestColumnKernel:
                 block = SampleBlock(layout, n, model, noise)
                 assert empirical_tdm(block, u).tobytes() == expected
 
+    def test_row_blocks_without_a_hit_count_nothing(self):
+        # Rows sorted by their largest marginal rank put every hit in the last
+        # row block, so the first blocks keep no row for the counts.
+        n, u = 3 * _ROWS + 7, 0.98
+        noise = NoiseSpec("pareto", 1.0)
+        model = kind_model("general", 7, 1.0, seed=2)
+        values = sample(model, noise, n, seed=5).values
+        ranks = values.argsort(axis=0).argsort(axis=0)
+        values = values[ranks.max(axis=1).argsort()]
+        quantiles = np.array([np.quantile(column, u) for column in values.T])
+        assert not (values[: 2 * _ROWS] > quantiles).any()
+        expected = oracles.empirical_tdm(values, u).tobytes()
+        for layout in (np.asfortranarray(values), np.ascontiguousarray(values)):
+            assert empirical_tdm(SampleBlock(layout, n, model, noise), u).tobytes() == expected
+
     @pytest.mark.parametrize("kernel,bound", [
         ("sample", 1.25), ("empirical_tdm", 0.25), ("scaled_block_maxima", 1.5),
     ])
@@ -240,6 +255,81 @@ class TestColumnKernel:
         finally:
             tracemalloc.stop()
         assert peak <= bound * n * d * 8, peak / (n * d * 8)
+
+
+def tail_columns(n: int):
+    # Heavy and light tails, ties, negative values, sorted, reversed and
+    # constant columns, and a strided view, each in five dtypes.
+    rng = np.random.default_rng(n)
+    pareto = rng.pareto(1.0, n) + 1.0
+    normal = rng.normal(size=n)
+    kinds = {
+        "pareto": pareto, "normal": normal, "sorted": np.sort(normal),
+        "reversed": np.sort(normal)[::-1], "constant": np.full(n, -2.5),
+        "ties": rng.integers(-4, 5, n).astype(float), "strided": np.c_[normal, pareto][:, 0],
+    }
+    for name, column in kinds.items():
+        small = np.clip(column, -1000.0, 1000.0)  # no int16 difference wraps
+        yield name, column
+        for dtype in (np.float32, np.int64, np.int16):
+            yield name, small.astype(dtype)
+        yield name, (np.abs(small) % 256).astype(np.uint8)
+
+
+@pytest.fixture
+def partitioned(monkeypatch):
+    # The length of every array that np.partition is given.
+    sizes, partition = [], np.partition
+    monkeypatch.setattr(np, "partition", lambda a, kth: sizes.append(len(a)) or partition(a, kth))
+    return sizes
+
+
+class TestTailQuantile:
+    LEVELS = (0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98, 0.99)
+    SIZES = (50, 51, 999, _ROWS - 1, _ROWS, _ROWS + 1, 70_001)
+
+    def test_the_grid_reaches_every_branch_of_the_interpolation(self):
+        # gamma == 0, 0 < gamma < 0.5 and numpy's gamma >= 0.5 branch.
+        gammas = [(n - 1) * u % 1 for n in self.SIZES for u in self.LEVELS]
+        assert 0.0 in gammas
+        assert any(0.0 < gamma < 0.5 for gamma in gammas)
+        assert any(gamma >= 0.5 for gamma in gammas)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_numpys_quantile_in_bits_and_dtype(self, n):
+        for name, column in tail_columns(n):
+            for u in self.LEVELS:
+                expected, got = np.quantile(column, u), _tail_quantile(column, u)
+                assert type(got) is type(expected), (name, column.dtype, u)
+                assert got.tobytes() == expected.tobytes(), (name, column.dtype, u)
+
+    def test_zeros_of_both_signs(self):
+        rng = np.random.default_rng(7)
+        for n in (50, 51, 999, _ROWS + 1):
+            column = rng.choice([-0.0, 0.0, -1.0], n)
+            for dtype in (np.float64, np.float32):
+                for u in self.LEVELS:
+                    expected = np.quantile(column.astype(dtype), u)
+                    assert _tail_quantile(column.astype(dtype), u).tobytes() == expected.tobytes()
+
+    def test_a_thin_subsample_falls_back_to_the_whole_column(self, partitioned):
+        # The large values lie at multiples of _STRIDE only: the strided
+        # subsample is all large, so the cut leaves fewer candidates than
+        # the tail holds, and the whole column is partitioned.
+        n, u = 32_000, 0.98
+        column = np.random.default_rng(3).random(n)
+        column[::_STRIDE] += 10.0
+        assert _tail_quantile(column, u).tobytes() == np.quantile(column, u).tobytes()
+        assert partitioned[-1] == n
+
+    def test_ties_at_the_cut_stay_on_the_tail(self, partitioned):
+        # A fifth of the values tie at the top.  The cut falls on them, and
+        # every value at or above it is a candidate, so only those are
+        # partitioned.
+        n, u = 32_000, 0.95
+        column = (np.random.default_rng(4).random(n) < 0.2).astype(float)
+        assert _tail_quantile(column, u).tobytes() == np.quantile(column, u).tobytes()
+        assert max(partitioned) < n / 2
 
 
 class TestOverflow:
