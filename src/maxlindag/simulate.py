@@ -1,31 +1,37 @@
 """Forward simulation and limit distributions for max-linear models.
 
 Sampling draws i.i.d. regularly varying noise (Pareto or Frechet, both by
-inverse-CDF transform) and evaluates the noise representation
-``X_i = max_j b_ji * Z_j`` one column at a time over the support of B: b_ji
-is positive exactly when j is an ancestor of i, so column i folds in only
-its ancestors' noise, one product and one running maximum per ancestor.
-That costs O(n * nnz(B)) time instead of O(n * d**2).  The draws go in row
-blocks of ``_ROWS``: one generator ``default_rng(seed)`` fills the uniforms
-of one block after another, which equals its (n, d) draw to the bit, and
-each block is transformed and evaluated while it is in cache.  So the
-(n, d) output is the only array that grows with n, beside a few MB of
-block buffers.  Each product is the same single multiplication as in the
-dense evaluation and the maximum is exact, so the samples equal the dense
-ones bit for bit.  A draw that overflows float64 raises
-:class:`ValidationError`.
+inverse-CDF transform) and evaluates the structural equations
+
+    X_i = max(max_{k in pa(i)} c_ki * X_k, c_ii * Z_i)
+
+node by node in a topological order of the DAG, one column at a time: the
+parents' columns are final when node i is reached, so each node costs one
+product for its noise and one product and one running maximum per parent.
+That costs O(n * (|E| + d)) time and needs no coefficient matrix B.  The
+draws go in row blocks of ``_ROWS``: one generator ``default_rng(seed)``
+fills the uniforms of one block after another, which equals its (n, d) draw
+to the bit, and each block is transformed and evaluated while it is in
+cache.  So the (n, d) output is the only array that grows with n, beside a
+few MB of block buffers.  A seed fixes the sample to the bit: every product
+is one multiplication of the same two doubles and the maximum is exact, so
+neither the order of the parents nor the row blocks change a value.  The
+unrolled form ``max_j b_ji * Z_j`` rounds each path product in another
+order, so it agrees only to a few units in the last place.  A draw that
+overflows float64 raises :class:`ValidationError`.
 
 Block maxima take each block's extreme uniform from its law instead of
 drawing the block: the maximum of n independent uniforms has CDF u**n, the
 law of V**(1/n) for one uniform V, and their minimum has the law of
 1 - V**(1/n) (Devroye, *Non-Uniform Random Variate Generation*, 1986,
 ch. V).  Clipping is monotone, the Frechet transform increases in u and the
-Pareto transform decreases in it, and a product with a positive ``b_ji`` is
-monotone, so maxima over draws and over parents commute: the componentwise
-block maximum of X is the model evaluated at the block maximum of the noise,
+Pareto transform decreases in it, and each step of the recursion, a product
+with a positive weight and then a maximum, is monotone in every argument, so
+maxima over draws commute with it node by node: the componentwise block
+maximum of X is the recursion evaluated at the block maximum of the noise,
 which is the noise of the block maximum (Frechet) or minimum (Pareto) of u.
 So the sampler draws one uniform per block and node and maps it to its
-block's extreme uniform: O(n_blocks * nnz(B)) evaluation, whatever the
+block's extreme uniform: O(n_blocks * (|E| + d)) evaluation, whatever the
 block size.  An unscaled block maximum that overflows float64 raises, as a
 draw of :func:`sample` does.
 
@@ -97,9 +103,9 @@ _STRIDE = 32  # every _STRIDE-th value of a column sets the cut of its tail
 
 
 def _transform(u: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    # Inverse-CDF transform of uniforms into noise, in place; u clamped into
-    # the open interval.  Overflow is left to _noise_max_linear.
-    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+    # Inverse-CDF transform of uniforms into noise, in place.  The uniforms
+    # arrive clamped into the open interval: _noise_max_linear clips them
+    # while it copies them into the noise layout.  Overflow is left to it too.
     if noise.family == "frechet":
         np.log(u, out=u)
         np.negative(u, out=u)
@@ -119,19 +125,20 @@ def _block_extreme(u: np.ndarray, noise: NoiseSpec, block_size: int) -> None:
         np.negative(u, out=u)
 
 
-def _evaluate(mlcm: np.ndarray, support: list, zt: np.ndarray, xt: np.ndarray, tmp: np.ndarray):
-    """``X_i = max_j b_ji * Z_j`` for one row block, written into ``xt``.
+def _evaluate(model: WeightedModel, zt: np.ndarray, xt: np.ndarray, tmp: np.ndarray):
+    """The structural equations for one row block, written into ``xt``.
 
     ``zt`` holds the block's noise transposed, (d, k), so every product reads
     a contiguous row, and ``xt`` is the (d, k) slice of the output; ``tmp``
-    holds k values.  Column i folds in only ``support[i]``, the j with
-    ``b_ji > 0``.
+    holds k values.  Nodes go in topological order, so the parents' rows of
+    ``xt`` are final when a node reads them.
     """
-    for i, (first, *rest) in enumerate(support):
-        x = xt[i]
-        np.multiply(zt[first], mlcm[first, i], out=x)
-        for j in rest:
-            np.multiply(zt[j], mlcm[j, i], out=tmp)
+    dag, weights = model.dag, model.edge_weights
+    for i in dag.topological_order():
+        x = xt[i - 1]
+        np.multiply(zt[i - 1], model.noise_scales[i - 1], out=x)
+        for k in dag.parents(i):
+            np.multiply(xt[k - 1], weights[(k, i)], out=tmp)
             np.maximum(x, tmp, out=x)
 
 
@@ -149,11 +156,10 @@ def _noise_max_linear(
     # The model at n draws of its noise, as a column-major (n, d) array, or
     # with a block size at the extremes of n blocks of draws.  The (d, n)
     # output is the one array that grows with n: the uniforms are drawn,
-    # transformed and evaluated one row block at a time.  x_j >= b_jj * z_j
-    # with b_jj > 0, so an infinite noise value shows in x too.
-    mlcm = mlcm_from_weights(model)
+    # clamped into the (d, k) noise layout, transformed and evaluated one
+    # row block at a time.  x_i >= c_ii * z_i with c_ii > 0, so an infinite
+    # noise value shows in x too.
     d = model.d
-    support = [np.flatnonzero(mlcm[:, i] > 0) for i in range(d)]
     rng = np.random.default_rng(seed)
     rows = min(n, _ROWS)
     xt = np.empty((d, n))
@@ -165,8 +171,8 @@ def _noise_max_linear(
             rng.random(out=ub)
             if block_size is not None:
                 _block_extreme(ub, noise, block_size)
-            np.copyto(zb, _transform(ub, noise).T)
-            _evaluate(mlcm, support, zb, xb, tmp[: stop - start])
+            np.clip(ub.T, 1e-300, 1.0 - 1e-16, out=zb)
+            _evaluate(model, _transform(zb, noise), xb, tmp[: stop - start])
             if not np.isfinite(xb.max()):
                 raise ValidationError(
                     f"{noise.family} noise with tail index {noise.alpha} overflowed float64; "
@@ -261,9 +267,10 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
     The cost is one finiteness test and about one compare per value for
     the quantiles, which partition only the tail of each column, plus one
     compare per value for the hits; the joint counts multiply only the rows
-    with a hit.  Each quantile equals ``np.quantile(column, u)`` and every
-    count is an exact integer, so the estimate is the whole-array one, bit
-    for bit.  The memory beside the sample is a few MB of row blocks.
+    with a hit.  Each quantile equals ``np.quantile(column, u)``, of the
+    column as float64 when it holds integers, and every count is an exact
+    integer, so the estimate is the whole-array one, bit for bit.  The
+    memory beside the sample is a few MB of row blocks.
     """
     values = _sample_values(block)
     u = _check_tol(u, "quantile level")
@@ -277,6 +284,8 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
     for i, column in enumerate(values.T):
         if not np.isfinite(column).all():
             raise ValidationError(f"sample column {i + 1} has a value that is not finite")
+        if column.dtype.kind in "iu":  # interpolating in a narrow integer dtype would wrap
+            column = column.astype(float)
         quantiles[i] = _tail_quantile(column, u)
     # The hits of one row block at a time, (d, k) along the contiguous axis
     # of a column-major sample, in one reused bool buffer.  Only the rows
@@ -361,7 +370,7 @@ def scaled_block_maxima(
     to the limit law of :func:`limit_cdf`, reproducible per seed.  One
     generator ``default_rng(seed)`` draws one uniform per block and node,
     and each becomes the block's extreme uniform through its law (see the
-    module docstring): O(n_blocks * d) draws and O(n_blocks * nnz(B))
+    module docstring): O(n_blocks * d) draws and O(n_blocks * (|E| + d))
     evaluation, whatever the block size.  The peak memory is the
     column-major (n_blocks, d) output, scaled in place, plus a few MB.  An
     unscaled block maximum that overflows float64 raises

@@ -576,6 +576,28 @@ def max_linear_sample(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def topological_order(d: int, edges: set[tuple[int, int]]) -> list[int]:
+    """Nodes by their number of ancestors: an edge k -> i gives An(k) a strict subset of An(i)."""
+    an = closed_ancestors(d, edges)
+    return sorted(range(1, d + 1), key=lambda i: len(an[i]))
+
+
+def recursive_sample(model, z: np.ndarray) -> np.ndarray:
+    """``X_i = max(max_{k in pa(i)} c_ki * X_k, c_ii * Z_i)`` per row, whole columns.
+
+    Reads only the model's edges, weights and scales, and takes the nodes in
+    its own topological order.
+    """
+    edges, weights = set(model.dag.edges), model.edge_weights
+    x = np.empty_like(z)
+    for i in topological_order(model.d, edges):
+        column = model.noise_scales[i - 1] * z[:, i - 1]
+        for k in sorted(k for k, j in edges if j == i):
+            column = np.maximum(column, weights[(k, i)] * x[:, k - 1])
+        x[:, i - 1] = column
+    return x
+
+
 def empirical_tdm(values: np.ndarray, u: float) -> np.ndarray:
     """The exceedance-ratio estimate from one (n, d) array of 0/1 hits."""
     quantiles = np.array([np.quantile(column, u) for column in values.T])

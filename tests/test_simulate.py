@@ -148,27 +148,66 @@ def assert_block_maxima_match_reference(model, family, block_size, n_blocks, see
             assert distance <= bound, (block_size, i)
 
 
+def longest_paths(model: WeightedModel) -> np.ndarray:
+    """L_i, the number of edges of a longest path into node i, per node."""
+    lengths = np.zeros(model.d, dtype=int)
+    for i in oracles.topological_order(model.d, set(model.dag.edges)):
+        lengths[i - 1] = max((lengths[k - 1] + 1 for k, j in model.dag.edges if j == i), default=0)
+    return lengths
+
+
+def assert_sample_matches_references(model, family, alpha, n, seed):
+    """``sample`` is the recursive oracle to the bit, and the dense one to rounding.
+
+    The recursion and the noise representation ``max_j b_ji * Z_j`` take
+    the maximum over the same paths into node i, each path product of the
+    noise z_j, its scale c_jj and the L_p <= L_i edge weights on the path
+    with L_p + 1 roundings, in another order: the recursion multiplies from
+    the noise along the path, B multiplies the weights first.  Rounding to
+    nearest is monotone and the maximum exact, so each side is the maximum
+    of its rounded path products.  One rounding is a factor within
+    1 +- u / (1 + u), u = 2**-53, so two roundings of the same path product
+    differ by a factor within (1 + 2u)**(L_i + 1), and so do the two maxima.
+    With m = L_i + 1, (1 + 2u)**m - 1 <= exp(2mu) - 1 <= 2mu / (1 - mu)
+    = 2 * gamma_m (term by term, 2**k / k! <= 2).  No value here leaves the
+    normal range of float64, so
+    ``|x / x_dense - 1| <= 2 * gamma_{L_i + 1}`` per entry.  The quotient is
+    rounded too, but 1 +- 2mu lie on float64's grid near one, so the rounded
+    quotient stays within them.
+    """
+    block = sample(model, NoiseSpec(family, alpha), n, seed=seed)
+    z = oracles.noise(np.random.default_rng(seed), family, alpha, (n, model.d))
+    assert block.values.tobytes() == oracles.recursive_sample(model, z).tobytes()
+    dense = oracles.max_linear_sample(mlcm_from_weights(model), z)
+    mu = (longest_paths(model) + 1) * 2.0**-53
+    assert (np.abs(block.values / dense - 1) <= 2 * mu / (1 - mu)).all()
+
+
 class TestColumnKernel:
-    """The support-restricted kernel against the dense product over all of B."""
+    """The recursive kernel against the structural equations and the dense product."""
 
     @pytest.mark.parametrize("family,alpha", [("pareto", 1.0), ("frechet", 0.7)])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 20, 50])
     @pytest.mark.parametrize("kind", ["general", "polytree", "homogeneous"])
     def test_sample_equals_dense_reference(self, kind, d, family, alpha):
         model = kind_model(kind, d, alpha, seed=d)
-        block = sample(model, NoiseSpec(family, alpha), 1000, seed=100 + d)
-        z = oracles.noise(np.random.default_rng(100 + d), family, alpha, (1000, d))
-        expected = oracles.max_linear_sample(mlcm_from_weights(model), z)
-        assert np.array_equal(block.values, expected)
+        assert_sample_matches_references(model, family, alpha, 1000, seed=100 + d)
 
     @pytest.mark.parametrize("family,alpha", [("pareto", 2.0), ("frechet", 1.0)])
     def test_sample_across_row_blocks(self, family, alpha):
-        n = 2 * _ROWS + 17
         model = kind_model("general", 12, alpha, seed=4)
-        block = sample(model, NoiseSpec(family, alpha), n, seed=8)
-        z = oracles.noise(np.random.default_rng(8), family, alpha, (n, 12))
-        expected = oracles.max_linear_sample(mlcm_from_weights(model), z)
-        assert np.array_equal(block.values, expected)
+        assert_sample_matches_references(model, family, alpha, 2 * _ROWS + 17, seed=8)
+
+    def test_sample_path_builds_no_coefficient_matrix(self, monkeypatch):
+        # The sampler evaluates the structural equations from the weights.
+        def refuse(model):
+            raise AssertionError("the sample path built B")
+
+        monkeypatch.setattr("maxlindag.simulate.mlcm_from_weights", refuse)
+        model = kind_model("general", 8, 1.0, seed=3)
+        noise = NoiseSpec("pareto", 1.0)
+        assert sample(model, noise, _ROWS + 5, seed=1).values.shape == (_ROWS + 5, 8)
+        assert scaled_block_maxima(model, noise, 10, 100, seed=1).shape == (100, 8)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("family", ["pareto", "frechet"])
@@ -429,6 +468,20 @@ class TestEmpiricalTdm:
         blocks = [SampleBlock(v, 0, model, NoiseSpec("pareto", 1.0))
                   for v in (values, values.astype(float))]
         assert np.array_equal(empirical_tdm(blocks[0], 0.9), empirical_tdm(blocks[1], 0.9))
+
+    def test_narrow_integer_values_are_read_as_float64(self):
+        # In int16, the quantile's interpolation b - a = 30000 - (-30000)
+        # wraps; read as float64, the estimate is that of the same values.
+        values = np.empty((1000, 2), dtype=np.int16)
+        values[:, 0] = np.arange(1000)
+        values[:, 1] = np.r_[np.full(950, -30000), np.full(50, 30000)]
+        model, noise = random_weighted_model(2, seed_or_rng=1), NoiseSpec("pareto", 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi = empirical_tdm(SampleBlock(values, 0, model, noise), 0.95)
+        assert chi[0, 1] == chi[1, 0] == 1.0
+        as_float = SampleBlock(values.astype(float), 0, model, noise)
+        assert np.array_equal(chi, empirical_tdm(as_float, 0.95))
 
 
 class TestLimitCdf:
