@@ -18,7 +18,8 @@ over the placed rows in node order for every caller, and a ``tol`` outside
 (0, 1) raises :class:`ValidationError` everywhere.  Every recovery then
 gates its output in ``_recover``: a support that is not a reachability
 matrix raises :class:`NotRealizableError`, since no model has one.  A public
-recovery validates chi once and passes it to private cores.  The
+call validates chi once and passes it to private cores; a core that reads
+chi's zero pattern takes it with chi as one ``taildep._Tdm``.  The
 enumerators output every model, or every max-weighted model, compatible
 with a given chi, and both accept a gated candidate through one function,
 ``_identified``, with no second gate.
@@ -41,10 +42,12 @@ from .graph import CausalOrdering, Dag, _dag_on, _ordering, _reach, is_reachabil
 from .graph import transitive_reduction as _transitive_reduction
 from .mlcm import _gated, is_mlcm
 from .taildep import (
+    _Tdm,
     _chi_cliques,
     _independent_nodes,
     _min_sum,
     _pattern_matches,
+    _tdm,
     _tdm_on,
     clique_initial_filter,
     validate_tdm,
@@ -56,7 +59,6 @@ from .tolerance import (
     _filter_cut,
     _nonpositive,
     _outside,
-    _positive_mask,
     _snap,
     _within,
     rel_residuals,
@@ -167,24 +169,20 @@ def ordering_from_initials(
     has initial nodes ``initials`` and tail dependence ``chi``, the result
     is a valid causal ordering of that DAG.
     """
-    chi = validate_tdm(chi)
-    return _initial_ordering(chi, _positive_mask(chi), initials)
+    return _initial_ordering(_tdm(validate_tdm(chi)), initials)
 
 
-def _initial_ordering(chi: np.ndarray, positive: np.ndarray,
-                      initials: Sequence[int]) -> CausalOrdering:
-    # ordering_from_initials on a validated chi and its _positive_mask.
-    d = chi.shape[0]
-    widx = [v - 1 for v in _independent_nodes(positive, initials, "initial nodes")]
-    counts = positive[widx, :].sum(axis=0)
+def _initial_ordering(tdm: _Tdm, initials: Sequence[int]) -> CausalOrdering:
+    widx = [v - 1 for v in _independent_nodes(tdm, initials, "initial nodes")]
+    counts = tdm.positive[widx, :].sum(axis=0)
     if (counts == 0).any():
         node = int(np.flatnonzero(counts == 0)[0]) + 1
         raise ValidationError(
             f"node {node} has zero tail dependence on every candidate initial node; "
             "the set cannot be a maximum clique"
         )
-    strongest = chi[widx, :].max(axis=0)
-    ranked = sorted(range(1, d + 1), key=lambda j: (counts[j - 1], -strongest[j - 1], j))
+    strongest = tdm.values[widx, :].max(axis=0)
+    ranked = sorted(range(1, len(counts) + 1), key=lambda j: (counts[j - 1], -strongest[j - 1], j))
     return CausalOrdering.from_node_order(ranked)
 
 
@@ -202,8 +200,8 @@ def recover_rmwm_from_initials(
     including when the recovered support is not a reachability matrix.
     """
     tol = _check_tol(tol)
-    chi = validate_tdm(chi)
-    return _recover_ordered(chi, _initial_ordering(chi, _positive_mask(chi), initials), tol)
+    tdm = _tdm(validate_tdm(chi))
+    return _recover_ordered(tdm.values, _initial_ordering(tdm, initials), tol)
 
 
 def initial_bijection(
@@ -220,19 +218,17 @@ def initial_bijection(
     or the map fails to be a bijection; the two sets then cannot be initial
     node sets of models sharing ``chi``.
     """
-    return _bijection(_positive_mask(validate_tdm(chi)), initials, other_initials)
+    return _bijection(_tdm(validate_tdm(chi)), initials, other_initials)
 
 
-def _bijection(positive: np.ndarray, initials: Sequence[int],
-               other_initials: Sequence[int]) -> dict[int, int]:
-    # initial_bijection on the _positive_mask of a validated chi.
-    v0 = _independent_nodes(positive, initials, "initial nodes")
-    v0t = _independent_nodes(positive, other_initials, "initial nodes")
+def _bijection(tdm: _Tdm, initials: Sequence[int], other_initials: Sequence[int]) -> dict[int, int]:
+    v0 = _independent_nodes(tdm, initials, "initial nodes")
+    v0t = _independent_nodes(tdm, other_initials, "initial nodes")
     if len(v0) != len(v0t):
         raise ValidationError(f"initial sets have different sizes: {len(v0)} vs {len(v0t)}")
     phi: dict[int, int] = {}
     for j in v0:
-        matches = [i for i in v0t if positive[j - 1, i - 1]]
+        matches = [i for i in v0t if tdm.positive[j - 1, i - 1]]
         if len(matches) != 1:
             raise NotRealizableError(
                 f"initial node {j} has {len(matches)} positive matches in {v0t}; expected one"
@@ -282,11 +278,11 @@ def _identified(chi: np.ndarray, bbar: np.ndarray, initials: Sequence[int],
     return IdentifiedModel(bbar, _dag_on(edges), tuple(initials), ordering, rmwm.ok)
 
 
-def _initial_sets(chi: np.ndarray, positive: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+def _initial_sets(tdm: _Tdm, tol: float) -> list[tuple[int, ...]]:
     # The maximum chi-cliques that pass the initial-set filter, in sorted
     # order: the candidates of both enumerators.
-    cliques = _chi_cliques(chi, positive, _filter_cut(chi, tol))
-    return [clique for clique in cliques if clique_initial_filter(chi, clique, tol)]
+    cliques = _chi_cliques(tdm, _filter_cut(tdm.values, tol))
+    return [clique for clique in cliques if clique_initial_filter(tdm.values, clique, tol)]
 
 
 def _leaves(chi: np.ndarray, rank: list[int], tol: float) -> Iterator[tuple[np.ndarray, list]]:
@@ -377,15 +373,15 @@ def enumerate_all(
             f"enumeration over {d} nodes exceeds the cap of {max_d}; "
             "raise max_d explicitly to proceed"
         )
-    positive = _positive_mask(chi)
+    tdm = _tdm(chi)
     found: list[IdentifiedModel | None] = []
 
-    for clique in _initial_sets(chi, positive, tol):
+    for clique in _initial_sets(tdm, tol):
         # Members first, one at a time in ascending order (their internal
         # order never changes the matrix), then the others by how many
         # members they depend on: at least one, or the clique would grow.
         widx = [v - 1 for v in clique]
-        rank = positive[widx, :].sum(axis=0).tolist()
+        rank = tdm.positive[widx, :].sum(axis=0).tolist()
         for r, w in enumerate(widx):
             rank[w] = r - len(widx)
         for bbar, placed in _leaves(chi, rank, tol):
@@ -396,18 +392,17 @@ def enumerate_all(
     return _sorted_models([m for m in found if m is not None])
 
 
-def _rmwm_model(chi: np.ndarray, positive: np.ndarray, initials: Sequence[int],
-                tol: float) -> IdentifiedModel | None:
+def _rmwm_model(tdm: _Tdm, initials: Sequence[int], tol: float) -> IdentifiedModel | None:
     # The max-weighted model with these initial nodes, or None: the initial
-    # nodes and chi's _positive_mask fix a causal ordering, the recovery on
-    # it returns bbar (support gate included), and bbar must reproduce chi
-    # and be max-weighted.
-    ordering = _initial_ordering(chi, positive, initials)
+    # nodes and chi's zero pattern fix a causal ordering, the recovery on it
+    # returns bbar (support gate included), and bbar must reproduce chi and
+    # be max-weighted.
+    ordering = _initial_ordering(tdm, initials)
     try:
-        bbar = _recover_ordered(chi, ordering, tol)
+        bbar = _recover_ordered(tdm.values, ordering, tol)
     except NotRealizableError:
         return None
-    model = _identified(chi, bbar, initials, ordering, tol)
+    model = _identified(tdm.values, bbar, initials, ordering, tol)
     return model if model is not None and model.max_weighted else None
 
 
@@ -426,10 +421,8 @@ def enumerate_all_rmwm(
     that pass the filter.
     """
     tol = _check_tol(tol)
-    chi = validate_tdm(chi)
-    positive = _positive_mask(chi)
-    cliques = _initial_sets(chi, positive, tol)
-    found = [_rmwm_model(chi, positive, clique, tol) for clique in cliques]
+    tdm = _tdm(validate_tdm(chi))
+    found = [_rmwm_model(tdm, clique, tol) for clique in _initial_sets(tdm, tol)]
     return _sorted_models([m for m in found if m is not None])
 
 
@@ -483,8 +476,8 @@ def rmwm_equivalence_constraints(
     if redundant:
         a, b = min(redundant)
         raise ValidationError(f"the DAG is not transitively reduced: edge {a}->{b} is redundant")
-    positive = _positive_mask(chi)
-    phi = _bijection(positive, initials, other_initials)
+    tdm = _tdm(chi)
+    phi = _bijection(tdm, initials, other_initials)
     moved = tuple(j for j in sorted(phi) if phi[j] != j)
     violations: list[str] = []
 
@@ -498,7 +491,7 @@ def rmwm_equivalence_constraints(
 
     model = None
     with suppress(ValidationError):  # other_initials cannot be an initial node set
-        model = _rmwm_model(chi, positive, sorted(phi.values()), tol)
+        model = _rmwm_model(tdm, sorted(phi.values()), tol)
     alt = model.min_ml_dag if model is not None else None
     if alt is None:
         violations.append("(b) no max-weighted model with the alternative initial nodes exists")

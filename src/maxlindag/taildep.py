@@ -72,6 +72,17 @@ def validate_tdm(chi: np.ndarray) -> np.ndarray:
     return chi
 
 
+class _Tdm(NamedTuple):  # a chi that passed validate_tdm, and its zero pattern
+    values: np.ndarray
+    positive: np.ndarray
+
+
+def _tdm(chi: np.ndarray) -> _Tdm:
+    # The one caller of _positive_mask, eager: a public call builds it where
+    # it first reads chi's zero pattern, after the checks that raise first.
+    return _Tdm(chi, _positive_mask(chi))
+
+
 def _tdm_on(chi: np.ndarray, dag: Dag) -> np.ndarray:
     chi = validate_tdm(chi)
     if chi.shape[0] != _instance(dag, Dag, "dag").d:
@@ -116,16 +127,14 @@ def independence_pattern_check(chi: np.ndarray, reach: np.ndarray) -> bool:
     that chi vanishes exactly on pairs with disjoint ancestor sets.  ``chi``
     must pass :func:`validate_tdm` and ``reach`` :func:`is_reachability_matrix`.
     """
-    chi = validate_tdm(chi)
-    return _pattern_matches(chi, _reach(reach))
+    return _pattern_matches(validate_tdm(chi), _reach(reach))
 
 
 def _pattern_matches(chi: np.ndarray, reach: np.ndarray) -> bool:
-    # independence_pattern_check on a chi that passed validate_tdm and the
-    # boolean reach that _reach returned.
+    # independence_pattern_check on a validated chi and _reach's boolean reach.
     if chi.shape != reach.shape:
         raise ValidationError(f"dimension mismatch: chi {chi.shape} vs reach {reach.shape}")
-    return bool((_positive_mask(chi) == _bool_product(reach.T, reach)).all())
+    return bool((_tdm(chi).positive == _bool_product(reach.T, reach)).all())
 
 
 def chi_complement_graph(chi: np.ndarray) -> dict[int, frozenset[int]]:
@@ -134,7 +143,7 @@ def chi_complement_graph(chi: np.ndarray) -> dict[int, frozenset[int]]:
     Nodes i != j are adjacent iff chi(i, j) is zero, i.e. iff the
     corresponding components are independent.
     """
-    zero = ~_positive_mask(validate_tdm(chi))  # False on the diagonal, where chi is 1
+    zero = ~_tdm(validate_tdm(chi)).positive  # False on the diagonal, where chi is 1
     return {i: _nodes(row) for i, row in enumerate(zero, start=1)}
 
 
@@ -147,8 +156,7 @@ def maximum_chi_cliques(chi: np.ndarray) -> list[tuple[int, ...]]:
     Takahashi, TCS 2006) that visits only branches that can still reach the
     clique number.
     """
-    chi = validate_tdm(chi)
-    return _chi_cliques(chi, _positive_mask(chi))
+    return _chi_cliques(_tdm(validate_tdm(chi)))
 
 
 def _bits(p: int) -> Iterator[int]:
@@ -159,13 +167,11 @@ def _bits(p: int) -> Iterator[int]:
         p ^= low
 
 
-def _chi_cliques(
-    chi: np.ndarray, positive: np.ndarray, cut: np.ndarray | None = None
-) -> list[tuple[int, ...]]:
+def _chi_cliques(tdm: _Tdm, cut: np.ndarray | None = None) -> list[tuple[int, ...]]:
     """Maximum cliques of the chi-complement graph, sorted as ``maximum_chi_cliques``.
 
-    ``chi`` has passed :func:`validate_tdm` and ``positive`` is its
-    ``_positive_mask``.  Node v is bit v - 1 of an int; a branch has the
+    The graph is the complement of the zero pattern ``tdm.positive``, and
+    chi is ``tdm.values``.  Node v is bit v - 1 of an int; a branch has the
     clique R and the candidates P, the nodes adjacent to all of R.  Both
     passes branch only on the members of P not adjacent to the pivot, the
     member of P with most neighbours in P (Tomita, Tanaka & Takahashi, TCS
@@ -189,8 +195,9 @@ def _chi_cliques(
     fails the filter for every W of the branch.  The test runs once a node
     lies outside R | P.  The filter still judges every clique listed.
     """
+    chi = tdm.values
     d = chi.shape[0]
-    rows = np.packbits(~positive, axis=1, bitorder="little")
+    rows = np.packbits(~tdm.positive, axis=1, bitorder="little")
     adj = {1 << v: int.from_bytes(row.tobytes(), "little") for v, row in enumerate(rows)}
     everyone = (1 << d) - 1
 
@@ -254,14 +261,14 @@ def _colours(adj: dict[int, int], p: int) -> int:
     return n
 
 
-def _independent_nodes(positive: np.ndarray, nodes: Sequence[int], name: str) -> list[int]:
+def _independent_nodes(tdm: _Tdm, nodes: Sequence[int], name: str) -> list[int]:
     # Sorted distinct nodes, checked in range and pairwise independent.
-    w = sorted({_node(v, positive.shape[0]) for v in _items(nodes, name)})
+    w = sorted({_node(v, tdm.positive.shape[0]) for v in _items(nodes, name)})
     if not w:
         raise ValidationError(f"no {name} given")
     for a in w:
         for b in w:
-            if a < b and positive[a - 1, b - 1]:
+            if a < b and tdm.positive[a - 1, b - 1]:
                 raise ValidationError(f"nodes {a} and {b} have positive tail dependence")
     return w
 
@@ -280,7 +287,7 @@ def clique_initial_filter(
     """
     tol = _check_tol(tol)
     chi = validate_tdm(chi)
-    w = np.asarray(_independent_nodes(_positive_mask(chi), clique, "clique")) - 1
+    w = np.asarray(_independent_nodes(_tdm(chi), clique, "clique")) - 1
     rest = np.ones(chi.shape[0], dtype=bool)
     rest[w] = False
     low = _outside(chi[rest][:, rest], _min_sum(chi[w][:, rest]), tol)

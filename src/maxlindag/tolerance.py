@@ -39,8 +39,8 @@ to another -- is taken here, one private function per meaning:
   conditions (c) and (d) of ``check_rmwm_tdm``.
 - ``_filter_cut(chi, tol)``, the initial-set filter's ``_outside`` moved by
   a slack delta: the cut of the clique search (``taildep._chi_cliques``).
-- ``_positive_mask(chi)``, the zero rule of chi at ``ZERO_TOL``: every
-  clique, pattern, ordering and bijection computation.
+- ``_positive_mask(chi)``, the zero rule of chi at ``ZERO_TOL``, called by
+  ``taildep._tdm`` alone: every clique, pattern, ordering and bijection.
   ``_chi_positive(chi, tol)``, condition (a)'s zero rule at ``tol``.
 """
 from __future__ import annotations

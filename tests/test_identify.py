@@ -42,6 +42,7 @@ from maxlindag import (
     WeightedModel,
     causal_orderings,
     check_rmwm_tdm,
+    chi_complement_graph,
     clique_initial_filter,
     empirical_tdm,
     enumerate_all,
@@ -760,7 +761,7 @@ class TestOneCliqueSearch:
         ours = model_record(enumerate_models(chi, **kwargs))
         with monkeypatch.context() as patch:
             patch.setattr(identify, "_chi_cliques",
-                          lambda chi, positive, cut: maximum_chi_cliques(chi))
+                          lambda tdm, cut: maximum_chi_cliques(tdm.values))
             public = model_record(enumerate_models(chi, **kwargs))
         return ours, public
 
@@ -913,9 +914,10 @@ class TestRecoveriesValidateChiOnce:
 
 
 class TestMaxWeightedPathsReadChiOnce:
-    """A public max-weighted call validates chi once and forms its zero
-    pattern once; only the public filter calls of the clique search form
-    their own."""
+    """A public call validates chi once and forms its zero pattern once;
+    only the public filter calls of the clique search form their own.  The
+    pattern is formed in ``taildep._tdm`` alone, so the mask counter patches
+    ``taildep`` only."""
 
     @staticmethod
     def counted(monkeypatch, name: str, modules) -> list:
@@ -936,7 +938,7 @@ class TestMaxWeightedPathsReadChiOnce:
         models = enumerate_all_rmwm(chi)
         assert len(models) == 2
         validations = self.counted(monkeypatch, "validate_tdm", (taildep, identify))
-        masks = self.counted(monkeypatch, "_positive_mask", (taildep, identify))
+        masks = self.counted(monkeypatch, "_positive_mask", (taildep,))
         for a, b in itertools.permutations(models, 2):
             validations.clear()
             masks.clear()
@@ -950,11 +952,48 @@ class TestMaxWeightedPathsReadChiOnce:
 
         chi = chi_of(random_weighted_model(40, seed_or_rng=3, polytree=True))
         expected = model_record(enumerate_all_rmwm(chi))
-        masks = self.counted(monkeypatch, "_positive_mask", (taildep, identify))
+        masks = self.counted(monkeypatch, "_positive_mask", (taildep,))
         filters = self.counted(monkeypatch, "clique_initial_filter", (identify,))
         assert model_record(enumerate_all_rmwm(chi)) == expected
         assert len(filters) > 0
         assert len(masks) == 1 + len(filters)
+
+    def test_every_public_reader_of_the_pattern_forms_it_once(self, monkeypatch):
+        # The public calls that refuse chi's (0, ZERO_TOL) band, each on a chi
+        # it accepts; an enumerator forms one more per public filter call.
+        from maxlindag import identify, taildep
+
+        model = random_weighted_model(8, seed_or_rng=4, polytree=True)
+        chi, reach = chi_of(model), reachability_matrix(model.dag)
+        a, b = enumerate_all_rmwm(chi)
+        calls = {
+            "recover_from_reachability": lambda: recover_from_reachability(chi, reach),
+            "ordering_from_initials": lambda: ordering_from_initials(chi, a.initial_nodes),
+            "recover_rmwm_from_initials":
+                lambda: recover_rmwm_from_initials(chi, a.initial_nodes),
+            "initial_bijection": lambda: initial_bijection(chi, a.initial_nodes, b.initial_nodes),
+            "enumerate_all": lambda: enumerate_all(chi),
+            "enumerate_all_rmwm": lambda: enumerate_all_rmwm(chi),
+            "rmwm_equivalence_constraints": lambda: rmwm_equivalence_constraints(
+                chi, a.initial_nodes, b.initial_nodes, transitive_reduction(a.min_ml_dag)),
+            "independence_pattern_check": lambda: independence_pattern_check(chi, reach),
+            "chi_complement_graph": lambda: chi_complement_graph(chi),
+            "maximum_chi_cliques": lambda: maximum_chi_cliques(chi),
+            "clique_initial_filter": lambda: clique_initial_filter(chi, a.initial_nodes),
+        }
+        validations = self.counted(monkeypatch, "validate_tdm", (taildep, identify))
+        masks = self.counted(monkeypatch, "_positive_mask", (taildep,))
+        filters = self.counted(monkeypatch, "clique_initial_filter", (identify,))
+        counts, expected = {}, {}
+        for name, call in calls.items():
+            validations.clear()
+            masks.clear()
+            filters.clear()
+            call()
+            counts[name] = (len(validations), len(masks))
+            expected[name] = (1 + len(filters), 1 + len(filters))
+        assert counts == expected
+        assert min(counts["enumerate_all"][1], counts["enumerate_all_rmwm"][1]) > 1
 
 
 def test_threads_share_inputs_and_match_the_serial_bytes():

@@ -21,7 +21,9 @@ from cases import (
 )
 from maxlindag import (
     Dag,
+    EnumerationCapError,
     IllConditionedError,
+    MaxlinError,
     NotRealizableError,
     ValidationError,
     check_rmwm_tdm,
@@ -272,6 +274,35 @@ class TestChiCliques:
             with pytest.raises(IllConditionedError):
                 call()
 
+    def test_the_band_raises_where_the_pattern_is_first_read(self):
+        # A public call forms chi's zero pattern where it first reads it: a
+        # size cap or a reach checked before that wins over the band, a call
+        # that never reads it succeeds, and a node checked after it loses.
+        band = np.array([[1.0, 1e-13], [1e-13, 1.0]])
+        wide = np.eye(12)
+        wide[0, 1] = wide[1, 0] = 5e-13
+
+        def outcome(call) -> str:
+            with pytest.raises(MaxlinError) as info:
+                call()
+            return f"{type(info.value).__name__}: {info.value}"
+
+        cap = ("EnumerationCapError: enumeration over 12 nodes exceeds the cap of 10; "
+               "raise max_d explicitly to proceed")
+        assert outcome(lambda: enumerate_all(wide)) == cap
+        for check in (recover_from_reachability, independence_pattern_check):
+            assert outcome(lambda: check(band, np.ones((2, 2), dtype=int))) == (
+                "ValidationError: reachability input is not a reachability matrix of a DAG")
+            assert outcome(lambda: check(band, np.eye(3, dtype=int))) == (
+                "ValidationError: dimension mismatch: chi (2, 2) vs reach (3, 3)")
+        assert np.array_equal(recover_from_ordering(band, [1, 2]), np.eye(2))
+        refused = ("IllConditionedError: entry (1,2) = 1e-13 lies in (0, 1e-12); "
+                   "refusing to classify it as zero or positive")
+        for call in (lambda: ordering_from_initials(band, [3]),
+                     lambda: initial_bijection(band, [3], [1]),
+                     lambda: clique_initial_filter(band, (3,))):
+            assert outcome(call) == refused
+
 
 class TestFilterCut:
     """The enumerators' clique search drops only cliques the filter rejects."""
@@ -280,8 +311,8 @@ class TestFilterCut:
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
     @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
     def test_a_pair_within_delta_of_the_filter_edge_keeps_its_clique(self, m, tol, side):
-        from maxlindag.taildep import _chi_cliques
-        from maxlindag.tolerance import _filter_cut, _positive_mask
+        from maxlindag.taildep import _chi_cliques, _tdm
+        from maxlindag.tolerance import _filter_cut
 
         # 2 <- 1 -> 3 beside a node 4 whose zero entries are -m, as low as
         # validate_tdm admits.  W = {1, 4} bounds chi(2, 3) by
@@ -295,18 +326,18 @@ class TestFilterCut:
         assert maximum_chi_cliques(chi) == [(1, 4), (2, 4), (3, 4)]
         assert clique_initial_filter(chi, (1, 4), tol) == (side > 0)
         cut = _filter_cut(validate_tdm(chi), tol)
-        assert (1, 4) in _chi_cliques(chi, _positive_mask(chi), cut)
+        assert (1, 4) in _chi_cliques(_tdm(chi), cut)
 
     def test_cuts_only_what_the_filter_rejects(self, corpus):
-        from maxlindag.taildep import _chi_cliques
-        from maxlindag.tolerance import _filter_cut, _positive_mask
+        from maxlindag.taildep import _chi_cliques, _tdm
+        from maxlindag.tolerance import _filter_cut
 
         chis = [entry.chi for entry in corpus] + [chi_of(m) for m in polytrees_40()]
         cut_any = False
         for chi in chis:
             for tol in (1e-9, 1e-3):
                 cliques = maximum_chi_cliques(chi)
-                kept = _chi_cliques(chi, _positive_mask(chi), _filter_cut(chi, tol))
+                kept = _chi_cliques(_tdm(chi), _filter_cut(chi, tol))
                 assert set(kept) <= set(cliques) and kept == sorted(kept)
                 passing = [w for w in cliques if clique_initial_filter(chi, w, tol)]
                 assert [w for w in kept if clique_initial_filter(chi, w, tol)] == passing

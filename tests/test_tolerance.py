@@ -88,6 +88,29 @@ def test_the_integer_type_test_is_written_once():
     assert sites == ["tolerance.py"]
 
 
+def test_the_zero_pattern_of_chi_is_formed_by_one_intake():
+    # _positive_mask is named by its definition, by taildep's import and by
+    # taildep._tdm alone; no function of identify or taildep takes a mask.
+    sites = {
+        (module, getattr(top, "name", type(top).__name__))
+        for module, tree in _package_trees().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if "_positive_mask" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None))
+    }
+    assert sites == {("tolerance.py", "_positive_mask"), ("taildep.py", "ImportFrom"),
+                     ("taildep.py", "_tdm")}
+    takes_a_mask = [
+        (module, getattr(node, "name", "lambda"))
+        for module in ("identify.py", "taildep.py")
+        for node in ast.walk(_package_trees()[module])
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        and "positive" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+    ]
+    assert takes_a_mask == []
+
+
 @pytest.mark.parametrize("module, unreached", [("simulate.py", {"generate", "graph"}),
                                                ("taildep.py", {"mlcm"})])
 def test_no_module_imports_another_only_to_reach_a_rule(module, unreached):
