@@ -99,15 +99,24 @@ def mlcm_from_weights(model: WeightedModel) -> np.ndarray:
     recurrence ``b_ji = max_{k in pa(i)} b_jk * c_ki`` with ``b_ii = c_ii``,
     so each entry equals the maximum path weight without enumerating paths.
     Each column is one numpy call over its parents' columns; every product
-    is one multiplication and the maximum is exact.
+    is one multiplication and the maximum is exact.  A coefficient that
+    overflows float64, or falls below its normal range where the DAG has a
+    path, raises :class:`IllConditionedError` naming the first such pair.
     """
     model = _instance(model, WeightedModel, "model")
     b = np.diag(model.noise_scales)  # C-contiguous, as standardize's column sums expect
-    for i in model.dag.topological_order():
-        if parents := model.dag.parents(i):
-            weights = [model.edge_weights[(k, i)] for k in parents]
-            col = b[:, i - 1]
-            np.maximum(col, (b[:, [k - 1 for k in parents]] * weights).max(axis=1), out=col)
+    with np.errstate(all="ignore"):
+        for i in model.dag.topological_order():
+            if parents := model.dag.parents(i):
+                weights = [model.edge_weights[(k, i)] for k in parents]
+                col = b[:, i - 1]
+                np.maximum(col, (b[:, [k - 1 for k in parents]] * weights).max(axis=1), out=col)
+    bad = (b == np.inf) | ((b < np.finfo(float).tiny) & model.dag._reachability())
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise IllConditionedError(
+            f"the path product of pair ({k + 1},{i + 1}) leaves the normal range of float64"
+        )
     return b
 
 

@@ -9,16 +9,24 @@ node by node in a topological order of the DAG, one column at a time: the
 parents' columns are final when node i is reached, so each node costs one
 product for its noise and one product and one running maximum per parent.
 That costs O(n * (|E| + d)) time and needs no coefficient matrix B.  The
-draws go in row blocks of ``_ROWS``: one generator ``default_rng(seed)``
-fills the uniforms of one block after another, which equals its (n, d) draw
-to the bit, and each block is transformed and evaluated while it is in
-cache.  So the (n, d) output is the only array that grows with n, beside a
-few MB of block buffers.  A seed fixes the sample to the bit: every product
-is one multiplication of the same two doubles and the maximum is exact, so
-neither the order of the parents nor the row blocks change a value.  The
-unrolled form ``max_j b_ji * Z_j`` rounds each path product in another
-order, so it agrees only to a few units in the last place.  A draw that
-overflows float64 raises :class:`ValidationError`.
+draws go in row blocks of ``_ROWS`` on two threads.  The caller's thread
+draws the uniforms of one block after another from one generator
+``default_rng(seed)``, which equals its (n, d) draw to the bit, and clamps
+each block into its own (d, k) slice of the output.  One worker thread per
+call transforms and evaluates each block in that slice, in place, while the
+caller draws the next; the caller evaluates the last block itself, so one
+row block starts no thread.  A slice is handed over once clamped, and each
+thread has its own row of products, so the threads share no buffer and the
+(n, d) output is the only array that grows with n, beside one block of
+uniforms and two rows of products.  A seed fixes the sample to the bit:
+the stream order is the serial one, every product is one multiplication of
+the same two doubles and the maximum is exact, so neither the order of the
+parents, the row blocks nor the threads change a value.  The unrolled form
+``max_j b_ji * Z_j`` rounds each path product in another order, so it
+agrees only to a few units in the last place.  A draw that overflows
+float64 raises :class:`ValidationError`, from either thread, once the
+worker is gone; the worker runs at most two blocks behind the draws, so
+the call stops a few blocks after the first overflow.
 
 Block maxima take each block's extreme uniform from its law instead of
 drawing the block: the maximum of n independent uniforms has CDF u**n, the
@@ -42,6 +50,8 @@ largest values of its column: one compare per value against a cut taken
 from a strided subsample, then a partition of the few values above it
 (see ``_tail_quantile`` for why the cut never changes the result).  The
 counts come from the rows with at least one exceedance, in row blocks.
+A worker thread takes the odd columns and row blocks and the caller the
+even ones; the partial counts are exact integers, so their sums are too.
 The limit distribution of scaled componentwise maxima is available in
 closed form for Monte Carlo validation: ``2 + log G_ij`` at the
 unit-Frechet scale points reproduces the tail dependence coefficient
@@ -51,11 +61,12 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailSampleError, ValidationError
+from .errors import IllConditionedError, TailSampleError, ValidationError
 from .mlcm import WeightedModel, mlcm_from_weights
 from .tolerance import _check_tol, _count, _instance, _is_real, _rows, _seed, _shown, _tail_index
 
@@ -105,7 +116,8 @@ _STRIDE = 32  # every _STRIDE-th value of a column sets the cut of its tail
 def _transform(u: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     # Inverse-CDF transform of uniforms into noise, in place.  The uniforms
     # arrive clamped into the open interval: _noise_max_linear clips them
-    # while it copies them into the noise layout.  Overflow is left to it too.
+    # while it copies them into their slice of the output.  Overflow is left
+    # to _finish.
     if noise.family == "frechet":
         np.log(u, out=u)
         np.negative(u, out=u)
@@ -125,21 +137,44 @@ def _block_extreme(u: np.ndarray, noise: NoiseSpec, block_size: int) -> None:
         np.negative(u, out=u)
 
 
-def _evaluate(model: WeightedModel, zt: np.ndarray, xt: np.ndarray, tmp: np.ndarray):
-    """The structural equations for one row block, written into ``xt``.
-
-    ``zt`` holds the block's noise transposed, (d, k), so every product reads
-    a contiguous row, and ``xt`` is the (d, k) slice of the output; ``tmp``
-    holds k values.  Nodes go in topological order, so the parents' rows of
-    ``xt`` are final when a node reads them.
-    """
+def _plan(model: WeightedModel) -> list[tuple[int, float, list[tuple[int, float]]]]:
+    # Per node in topological order: its row, its noise scale and its
+    # parents' rows with their edge weights, read once per call.
     dag, weights = model.dag, model.edge_weights
-    for i in dag.topological_order():
-        x = xt[i - 1]
-        np.multiply(zt[i - 1], model.noise_scales[i - 1], out=x)
-        for k in dag.parents(i):
-            np.multiply(xt[k - 1], weights[(k, i)], out=tmp)
+    return [
+        (i - 1, model.noise_scales[i - 1], [(k - 1, weights[(k, i)]) for k in dag.parents(i)])
+        for i in dag.topological_order()
+    ]
+
+
+def _evaluate(plan, xt: np.ndarray, tmp: np.ndarray):
+    """The structural equations for one row block, in place in ``xt``.
+
+    ``xt`` is the (d, k) slice of the output, so every product reads a
+    contiguous row: it holds the block's noise on entry and its values on
+    exit; ``tmp`` holds k values.  The nodes of ``plan`` go in topological
+    order, so the parents' rows are final when a node reads them, and a
+    node's own noise is read once, before its row is overwritten.
+    """
+    for i, scale, parents in plan:
+        x = xt[i]
+        x *= scale
+        for k, weight in parents:
+            np.multiply(xt[k], weight, out=tmp)
             np.maximum(x, tmp, out=x)
+
+
+def _finish(plan, noise: NoiseSpec, xt: np.ndarray, tmp: np.ndarray) -> None:
+    # Transform a clamped block of uniforms and evaluate it, on either
+    # thread.  errstate is per thread, so each call enters its own.  x_i >=
+    # c_ii * z_i with c_ii > 0, so an infinite noise value shows in x too.
+    with np.errstate(over="ignore"):
+        _evaluate(plan, _transform(xt, noise), tmp)
+    if not np.isfinite(xt.max()):
+        raise ValidationError(
+            f"{noise.family} noise with tail index {noise.alpha} overflowed float64; "
+            "a larger tail index keeps the draws finite"
+        )
 
 
 def _same_tail_index(model: WeightedModel, noise: NoiseSpec) -> None:
@@ -155,29 +190,33 @@ def _noise_max_linear(
 ) -> np.ndarray:
     # The model at n draws of its noise, as a column-major (n, d) array, or
     # with a block size at the extremes of n blocks of draws.  The (d, n)
-    # output is the one array that grows with n: the uniforms are drawn,
-    # clamped into the (d, k) noise layout, transformed and evaluated one
-    # row block at a time.  x_i >= c_ii * z_i with c_ii > 0, so an infinite
-    # noise value shows in x too.
-    d = model.d
+    # output is the one array that grows with n.  This thread draws the
+    # uniforms one row block at a time and clamps each into its (d, k)
+    # slice of the output, which is where the block is transformed and
+    # evaluated: by the worker for every block but the last, which this
+    # thread takes once its draws are done.  A slice is handed over once
+    # clamped, and this thread never touches it again.
+    plan = _plan(model)
     rng = np.random.default_rng(seed)
     rows = min(n, _ROWS)
-    xt = np.empty((d, n))
-    u, zt, tmp = np.empty((rows, d)), np.empty((d, rows)), np.empty(rows)
-    with np.errstate(over="ignore"):
+    xt = np.empty((model.d, n))
+    u, tmp = np.empty((rows, model.d)), np.empty((2, rows))  # tmp[0] is the worker's
+    pending = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
         for start in range(0, n, _ROWS):
             stop = min(start + _ROWS, n)
-            ub, zb, xb = u[: stop - start], zt[:, : stop - start], xt[:, start:stop]
+            ub, xb = u[: stop - start], xt[:, start:stop]
             rng.random(out=ub)
             if block_size is not None:
                 _block_extreme(ub, noise, block_size)
-            np.clip(ub.T, 1e-300, 1.0 - 1e-16, out=zb)
-            _evaluate(model, _transform(zb, noise), xb, tmp[: stop - start])
-            if not np.isfinite(xb.max()):
-                raise ValidationError(
-                    f"{noise.family} noise with tail index {noise.alpha} overflowed float64; "
-                    "a larger tail index keeps the draws finite"
-                )
+            np.clip(ub.T, 1e-300, 1.0 - 1e-16, out=xb)
+            if stop < n:
+                pending.append(worker.submit(_finish, plan, noise, xb, tmp[0, : stop - start]))
+            if len(pending) > 2:  # at most two blocks behind, so an overflow stops the draws
+                pending.pop(0).result()
+        _finish(plan, noise, xb, tmp[1, : stop - start])
+        for block in pending:
+            block.result()
     return xt.T
 
 
@@ -188,7 +227,9 @@ def sample(model: WeightedModel, noise: NoiseSpec, n: int, seed: int) -> SampleB
     silently change the standardized coefficient matrix the sample reflects.
     An ``n`` too large for an (n, d) float64 array raises before any draw.
     The values are a column-major (n, d) array, and the draws go in row
-    blocks: the peak memory is that array plus a few MB.
+    blocks: the peak memory is that array plus a few MB.  The call draws
+    on its own thread and evaluates on one worker thread of its own, which
+    ends with the call; the values are those of a serial run, bit for bit.
     """
     _instance(model, WeightedModel, "model")
     _instance(noise, NoiseSpec, "noise")
@@ -255,6 +296,39 @@ def _tail_quantile(column: np.ndarray, u: float):
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
+def _quantiles(values: np.ndarray, u: float, out: np.ndarray, first: int) -> int:
+    # The quantile of every second column from ``first`` into ``out``.  The
+    # first of them with a value that is not finite stops it; returns its
+    # index, or d when there is none.
+    for i in range(first, values.shape[1], 2):
+        column = values[:, i]
+        if not np.isfinite(column).all():
+            return i
+        if column.dtype.kind in "iu":  # interpolating in a narrow integer dtype would wrap
+            column = column.astype(float)
+        out[i] = _tail_quantile(column, u)
+    return values.shape[1]
+
+
+def _hits(values: np.ndarray, quantiles: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    # The exceedance counts and joint counts of every second row block from
+    # ``first``: the hits of one block at a time, (d, k) along the contiguous
+    # axis of a column-major sample, in one reused bool buffer.  Only the
+    # rows with a hit are counted, in float64: every sum and product is an
+    # integer below 2**53, so the counts are exact whatever the blocks.
+    n, d = values.shape
+    counts, joint = np.zeros(d), np.zeros((d, d))
+    hits = np.empty((d, min(n, _ROWS)), dtype=bool)
+    for start in range(first * _ROWS, n, 2 * _ROWS):
+        stop = min(start + _ROWS, n)
+        h = hits[:, : stop - start]
+        np.greater(values[start:stop].T, quantiles[:, None], out=h)
+        h = h[:, h.any(axis=0)].astype(float)
+        counts += h.sum(axis=1)
+        joint += h @ h.T
+    return counts, joint
+
+
 def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
     """Empirical tail dependence matrix at quantile level ``u``.
 
@@ -270,7 +344,8 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
     with a hit.  Each quantile equals ``np.quantile(column, u)``, of the
     column as float64 when it holds integers, and every count is an exact
     integer, so the estimate is the whole-array one, bit for bit.  The
-    memory beside the sample is a few MB of row blocks.
+    memory beside the sample is a few MB of row blocks.  One worker thread
+    of the call's own takes the odd columns and row blocks.
     """
     values = _sample_values(block)
     u = _check_tol(u, "quantile level")
@@ -281,25 +356,18 @@ def empirical_tdm(block: SampleBlock, u: float) -> np.ndarray:
             "need at least 50"
         )
     quantiles = np.empty(d)
-    for i, column in enumerate(values.T):
-        if not np.isfinite(column).all():
-            raise ValidationError(f"sample column {i + 1} has a value that is not finite")
-        if column.dtype.kind in "iu":  # interpolating in a narrow integer dtype would wrap
-            column = column.astype(float)
-        quantiles[i] = _tail_quantile(column, u)
-    # The hits of one row block at a time, (d, k) along the contiguous axis
-    # of a column-major sample, in one reused bool buffer.  Only the rows
-    # with a hit are counted, in float64: every sum and product is an
-    # integer below 2**53, so the counts are exact whatever the blocks.
-    counts, joint = np.zeros(d), np.zeros((d, d))
-    hits = np.empty((d, min(n, _ROWS)), dtype=bool)
-    for start in range(0, n, _ROWS):
-        stop = min(start + _ROWS, n)
-        h = hits[:, : stop - start]
-        np.greater(values[start:stop].T, quantiles[:, None], out=h)
-        h = h[:, h.any(axis=0)].astype(float)
-        counts += h.sum(axis=1)
-        joint += h @ h.T
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # The worker takes the odd columns and row blocks, this thread the even ones.
+        odd = worker.submit(_quantiles, values, u, quantiles, 1)
+        bad = min(_quantiles(values, u, quantiles, 0), odd.result())
+        if bad < d:
+            raise ValidationError(f"sample column {bad + 1} has a value that is not finite")
+        odd = worker.submit(_hits, values, quantiles, 1)
+        counts, joint = _hits(values, quantiles, 0)
+        odd_counts, odd_joint = odd.result()
+    # Every partial count is an integer below 2**53, so the sums are exact.
+    counts += odd_counts
+    joint += odd_joint
     if (counts == 0).any():
         raise TailSampleError("a margin has no exceedances above its empirical quantile")
     chi = 2.0 * joint / (counts[:, None] + counts[None, :])
@@ -351,10 +419,19 @@ def unit_frechet_points(model: WeightedModel) -> np.ndarray:
     """Per-margin scale points where ``-1/log G_i`` equals one.
 
     At these points ``2 + log G_ij`` equals the tail dependence coefficient
-    of the pair.
+    of the pair.  A point that is not finite and positive in float64 raises
+    :class:`IllConditionedError` naming the first such node.
     """
     b = mlcm_from_weights(_instance(model, WeightedModel, "model"))
-    return (b**model.alpha).sum(axis=0) ** (1.0 / model.alpha)
+    with np.errstate(all="ignore"):
+        points = (b**model.alpha).sum(axis=0) ** (1.0 / model.alpha)
+    bad = (points == 0) | (points == np.inf)
+    if bad.any():
+        raise IllConditionedError(
+            f"the unit Frechet point of node {np.argmax(bad) + 1} is not finite and positive "
+            "in float64"
+        )
+    return points
 
 
 def scaled_block_maxima(
@@ -371,9 +448,9 @@ def scaled_block_maxima(
     generator ``default_rng(seed)`` draws one uniform per block and node,
     and each becomes the block's extreme uniform through its law (see the
     module docstring): O(n_blocks * d) draws and O(n_blocks * (|E| + d))
-    evaluation, whatever the block size.  The peak memory is the
-    column-major (n_blocks, d) output, scaled in place, plus a few MB.  An
-    unscaled block maximum that overflows float64 raises
+    evaluation, whatever the block size, on two threads as in
+    :func:`sample`.  The peak memory is the column-major (n_blocks, d)
+    output, scaled in place, plus a few MB.  An unscaled block maximum that overflows float64 raises
     :class:`ValidationError`, and so, before any draw, do a block size
     beyond float64 and a block count too large for an (n_blocks, d) float64
     array.

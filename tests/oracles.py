@@ -562,7 +562,12 @@ def kolmogorov_distance(sample: np.ndarray, cdf) -> float:
 
 def noise(rng: np.random.Generator, family: str, alpha: float, shape: tuple) -> np.ndarray:
     """Pareto or Frechet draws by inverse CDF, u clamped into (0, 1)."""
-    u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
+    return noise_at(rng.random(shape), family, alpha)
+
+
+def noise_at(u: np.ndarray, family: str, alpha: float) -> np.ndarray:
+    """The noise of given uniforms by inverse CDF, u clamped into (0, 1)."""
+    u = np.clip(u, 1e-300, 1.0 - 1e-16)
     if family == "pareto":
         return u ** (-1.0 / alpha)
     return (-np.log(u)) ** (-1.0 / alpha)

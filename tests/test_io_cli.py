@@ -2,6 +2,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -525,6 +526,20 @@ class TestCliPipeline:
         model = read_model(model_file)
         expected = tdm_from_std_mlcm(standardize(mlcm_from_weights(model), model.alpha))
         assert out == dumps_matrix(expected)
+
+    def test_tdm_of_a_chain_outside_the_normal_range_is_rejected(self, capsys, tmp_path):
+        # Weights 1e-200 once wrote chi_13 = 0 with exit 0, and 1e200 exited
+        # 2 on a well-formed file, after an overflow warning.
+        for weight in (1e-200, 1e200):
+            path = tmp_path / "chain.json"
+            write_model(WeightedModel(Dag(3, {(1, 2), (2, 3)}), {(1, 2): weight, (2, 3): weight},
+                                      (1.0, 1.0, 1.0), 1.0), path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "tdm", "--model", str(path))
+            assert (code, out) == (1, "")
+            assert err == ("rejected: the path product of pair (1,3) "
+                           "leaves the normal range of float64\n")
 
     def test_standardize_command(self, capsys, tmp_path):
         path = tmp_path / "b.csv"

@@ -137,6 +137,25 @@ class TestMlcmFromWeights:
             np.testing.assert_allclose(mlcm_from_weights(model), expected, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("weight", [1e-200, 1e200])
+    def test_a_path_product_outside_the_normal_range_raises(self, weight):
+        # b_13 = weight**2 once underflowed to 0.0 in silence, or overflowed
+        # with a RuntimeWarning.  A heavier route through the diamond keeps
+        # b_14 normal beside an underflowing one, and a pair without a path
+        # keeps its zero.
+        chain = WeightedModel(Dag(3, {(1, 2), (2, 3)}), {(1, 2): weight, (2, 3): weight},
+                              (1.0, 1.0, 1.0), 1.0)
+        dag = Dag(4, {(1, 2), (1, 3), (2, 4), (3, 4)})
+        weights = {(1, 2): 1e-200, (1, 3): 1.0, (2, 4): 1e-200, (3, 4): 1.0}
+        diamond = WeightedModel(dag, weights, (1.0, 1.0, 1.0, 1.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError) as exc:
+                mlcm_from_weights(chain)
+            b = mlcm_from_weights(diamond)
+        assert str(exc.value) == "the path product of pair (1,3) leaves the normal range of float64"
+        assert b[0, 3] == 1.0 and b[1, 2] == 0.0
+
     @pytest.mark.parametrize("model, shown", [(None, "NoneType"), (Dag(2), "Dag")])
     def test_a_model_of_another_type_is_rejected(self, model, shown):
         with warnings.catch_warnings():

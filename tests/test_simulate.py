@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import oracles
 from cases import BBAR_TWO_CLIQUES_MW
 from maxlindag import (
     Dag,
+    IllConditionedError,
     NoiseSpec,
     SampleBlock,
     TailSampleError,
@@ -25,6 +27,7 @@ from maxlindag import (
     tdm_from_std_mlcm,
     unit_frechet_points,
 )
+from maxlindag import simulate
 from maxlindag.simulate import _ROWS, _STRIDE, _tail_quantile
 
 
@@ -148,6 +151,17 @@ def assert_block_maxima_match_reference(model, family, block_size, n_blocks, see
             assert distance <= bound, (block_size, i)
 
 
+def assert_block_maxima_are_the_recursion(model, family, block_size, n_blocks, seed):
+    """Scaled block maxima are the recursive oracle at the noise of each
+    block's extreme uniform, scaled, to the bit."""
+    v = np.random.default_rng(seed).random((n_blocks, model.d))
+    v = v ** (1.0 / block_size) if family == "frechet" else -np.expm1(np.log(v) / block_size)
+    x = oracles.recursive_sample(model, oracles.noise_at(v, family, model.alpha))
+    expected = x * float(block_size) ** (-1.0 / model.alpha)
+    maxima = scaled_block_maxima(model, NoiseSpec(family, model.alpha), block_size, n_blocks, seed)
+    assert maxima.tobytes() == expected.tobytes(), n_blocks
+
+
 def longest_paths(model: WeightedModel) -> np.ndarray:
     """L_i, the number of edges of a longest path into node i, per node."""
     lengths = np.zeros(model.d, dtype=int)
@@ -195,8 +209,11 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("family,alpha", [("pareto", 2.0), ("frechet", 1.0)])
     def test_sample_across_row_blocks(self, family, alpha):
+        # One row block, which this thread evaluates alone, and two to four,
+        # of which the worker evaluates all but the last.
         model = kind_model("general", 12, alpha, seed=4)
-        assert_sample_matches_references(model, family, alpha, 2 * _ROWS + 17, seed=8)
+        for n in (1, _ROWS, _ROWS + 1, 2 * _ROWS + 17, 3 * _ROWS + 7):
+            assert_sample_matches_references(model, family, alpha, n, seed=8)
 
     def test_sample_path_builds_no_coefficient_matrix(self, monkeypatch):
         # The sampler evaluates the structural equations from the weights.
@@ -226,6 +243,8 @@ class TestColumnKernel:
         model = kind_model("general", 6, alpha, seed=4)
         for block_size in (1, 3):
             assert_block_maxima_match_reference(model, family, block_size, 2 * _ROWS + 17, seed=3)
+        for n_blocks in (1, _ROWS, _ROWS + 1, 3 * _ROWS + 7):
+            assert_block_maxima_are_the_recursion(model, family, 3, n_blocks, seed=3)
 
     def test_empirical_tdm_counts_are_exact(self):
         model = kind_model("general", 8, 1.0, seed=3)
@@ -386,6 +405,66 @@ class TestOverflow:
             with pytest.raises(ValidationError, match="tail index 0.01"):
                 scaled_block_maxima(overflowing_model(), NoiseSpec(family, 0.01), 100, 100, seed=2)
 
+    @pytest.mark.parametrize("family,seed", [("pareto", 14), ("frechet", 21)])
+    def test_an_overflow_in_a_middle_row_block_raises(self, family, seed):
+        # Of four row blocks the worker evaluates the first three and this
+        # thread the last; only the second overflows, and its error reaches
+        # the caller, after the worker is gone.
+        n, scale = 3 * _ROWS + 7, 1e303
+        z = oracles.noise(np.random.default_rng(seed), family, 1.0, (n, 1))
+        with np.errstate(over="ignore"):
+            rows = np.flatnonzero(np.isinf(scale * z))
+        assert len(rows) > 0 and set(rows // _ROWS) == {1}
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                sample(WeightedModel(Dag(1), {}, (scale,), 1.0), NoiseSpec(family, 1.0), n, seed)
+        assert str(exc.value) == (f"{family} noise with tail index 1.0 overflowed float64; "
+                                  "a larger tail index keeps the draws finite")
+        assert threading.active_count() == threads
+
+
+class TestTwoThreads:
+    """This thread draws and clamps the row blocks; one worker per call
+    transforms and evaluates all but the last."""
+
+    def test_an_error_of_the_worker_reaches_the_caller(self, monkeypatch):
+        evaluate, calls = simulate._evaluate, []
+
+        def fail_on_the_second_block(plan, xt, tmp):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(len(calls))
+                if len(calls) == 2:
+                    raise RuntimeError("the second row block failed")
+            evaluate(plan, xt, tmp)
+
+        monkeypatch.setattr(simulate, "_evaluate", fail_on_the_second_block)
+        model, noise = kind_model("general", 5, 1.0, seed=1), NoiseSpec("pareto", 1.0)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="the second row block failed"):
+            sample(model, noise, 3 * _ROWS + 7, seed=1)
+        assert threading.active_count() == threads
+
+    def test_an_overflow_stops_the_draws(self, monkeypatch):
+        # Every row block overflows.  The worker runs at most two blocks
+        # behind the draws, so three of twenty blocks are evaluated.
+        finish, calls = simulate._finish, []
+        monkeypatch.setattr(simulate, "_finish", lambda *args: calls.append(1) or finish(*args))
+        with pytest.raises(ValidationError, match="overflowed float64"):
+            sample(overflowing_model(), NoiseSpec("pareto", 0.01), 20 * _ROWS, seed=2)
+        assert len(calls) <= 3
+
+    def test_one_row_block_starts_no_thread(self, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        model, noise = kind_model("general", 5, 1.0, seed=1), NoiseSpec("pareto", 1.0)
+        sample(model, noise, _ROWS, seed=1)
+        scaled_block_maxima(model, noise, 10, _ROWS, seed=1)
+        assert started == []
+        sample(model, noise, _ROWS + 1, seed=1)
+        assert len(started) == 1
+
 
 class TestEmpiricalTdm:
     def test_independent_components_near_zero(self):
@@ -451,8 +530,13 @@ class TestEmpiricalTdm:
          "sample column 2 has a value that is not finite"),
         (np.column_stack([np.arange(1000.0), np.r_[np.arange(999.0), -np.inf]]),
          "sample column 2 has a value that is not finite"),
+        # The worker reads the odd columns and this thread the even ones.
+        (np.column_stack([np.ones(1000), [np.nan] * 1000, [np.inf] * 1000, np.ones(1000)]),
+         "sample column 2 has a value that is not finite"),
+        (np.column_stack([np.ones(1000), np.ones(1000), [np.nan] * 1000, [np.inf] * 1000]),
+         "sample column 3 has a value that is not finite"),
     ], ids=["1-D", "3-D", "list", "bool", "complex", "no-columns", "no-rows", "nan",
-            "inf-column", "one-minus-inf"])
+            "inf-column", "one-minus-inf", "worker-first", "caller-first"])
     def test_malformed_values_are_malformed_input(self, values, message):
         # Each once raised AttributeError, numpy's ValueError, a RuntimeWarning
         # or TailSampleError, or gave a 0x0 matrix.
@@ -548,6 +632,18 @@ class TestLimitCdf:
     def test_unit_frechet_points_of_standardized_model(self):
         model = model_from_std_mlcm(BBAR_TWO_CLIQUES_MW, 1.0)
         np.testing.assert_allclose(unit_frechet_points(model), np.ones(4), atol=1e-12)
+
+    def test_unit_frechet_points_beyond_float64_raise(self):
+        # Once a RuntimeWarning and the points [1.2e-178, inf, inf, inf, 1.3e-09].
+        model = random_weighted_model(5, density=0.5, alpha=1e-3, weight_range=(1e-300, 1e300),
+                                      seed_or_rng=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError) as exc:
+                unit_frechet_points(model)
+        assert str(exc.value) == (
+            "the unit Frechet point of node 2 is not finite and positive in float64"
+        )
 
 
 class TestScaledBlockMaxima:
